@@ -11,6 +11,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import (
+    InvalidSetting,
     ModeMismatch,
     NonExactDivision,
     NonMonicDenominator,
@@ -27,7 +28,14 @@ def max_udeg():
     raw = os.environ.get("FOURFOLD_MAX_UDEG")
     if raw is None:
         return DEFAULT_MAX_UDEG
-    return int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise InvalidSetting(
+            f"FOURFOLD_MAX_UDEG must be a non-negative integer, got {raw!r}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -231,10 +239,6 @@ class BundleClassData:
         for w in self.sw:
             out = out + w.to_mode(mode)
         return out
-
-
-def mul(a, b):
-    return a * b
 
 
 def equivariant_euler(bundle, mode):

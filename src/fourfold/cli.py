@@ -19,25 +19,15 @@ import sys
 from . import charpoly, cover, lattice, manifold, obstruct
 from .errors import (
     FourfoldError,
-    GenusZero,
     HypothesesNotMet,
     NegativeMultiplicity,
     ParseError,
 )
 
-_SIMPLE_BLOCKS = {
-    "CP2": lambda: manifold.CP2(),
-    "-CP2": lambda: manifold.NegCP2(),
-    "-CP2fake": lambda: manifold.NegCP2Fake(),
-    "S2xS2": lambda: manifold.S2xS2(),
-    "K3": lambda: manifold.K3(),
-    "-K3": lambda: manifold.NegK3(),
-    "E8": lambda: manifold.E8Block(1),
-    "-E8": lambda: manifold.E8Block(-1),
-    "W": lambda: manifold.W(),
-    "Enriques": lambda: manifold.Block("Enriques"),
-    "S4": lambda: manifold.Block("S4"),
-}
+# block name -> (kind, E8 sign); "{p}" stands for a block's parameter
+_NAMES = {spec.name.format(s="-" if sign < 0 else "", p="{p}"): (kind, sign)
+          for kind, spec in manifold.BLOCKS.items()
+          for sign in ((1, -1) if "{s}" in spec.name else (0,))}
 
 _TERM_RE = re.compile(
     r"\s*(?:(?P<mult>-?\d+)\s*\*\s*)?"
@@ -47,21 +37,17 @@ _TERM_RE = re.compile(
 
 def _parse_block(text, offset):
     text = re.sub(r"\s+", "", text)
-    if text in _SIMPLE_BLOCKS:
-        return (_SIMPLE_BLOCKS[text](),)
-    m = re.fullmatch(r"S1xY\(b1=(-?\d+)\)", text)
-    if m:
-        b1 = int(m.group(1))
-        if b1 < 0:
-            raise ParseError("b1 must be non-negative", offset)
-        return (manifold.S1xY(b1),)
-    m = re.fullmatch(r"S2xSigma\(g=(-?\d+)\)", text)
-    if m:
-        g = int(m.group(1))
-        if g < 1:
-            raise GenusZero("S2xSigma requires positive genus")
-        return (manifold.S2xSigma(g),)
-    raise ParseError(f"unknown block {text!r}", offset)
+    if text in ("Enriques", "S4"):
+        return (manifold.Block(text),)
+    m = re.fullmatch(r"(.*=)(-?\d+)\)", text)
+    name, param = (m.group(1) + "{p})", int(m.group(2))) if m else (text, 0)
+    if name not in _NAMES:
+        raise ParseError(f"unknown block {text!r}", offset)
+    kind, sign = _NAMES[name]
+    try:
+        return (manifold.Block(kind, sign, param),)
+    except ValueError as e:
+        raise ParseError(str(e), offset) from None
 
 
 def parse(text):
@@ -90,8 +76,12 @@ def parse(text):
     return manifold.ManifoldExpr(tuple(blocks))
 
 
-def render(x):
-    return x.render()
+def replay(cert):
+    """Re-run a certificate from its echoed inputs; True iff it reproduces."""
+    x = parse(cert.input("expression"))
+    again = obstruct.certify(x, scenario=cert.input("scenario"),
+                             bound=int(cert.input("bound")))
+    return again == cert
 
 
 def emit_json(cert):
@@ -147,7 +137,7 @@ def _cmd_cover(args):
     print(f"b_plus_ell = {ls.b_plus_ell}")
     print(f"free_rank_ell = {ls.free_rank_ell}")
     print(f"torsion_bits = {ls.torsion_bits}")
-    print(f"b1_ell = {ls.b1_ell} (reported, not computed)")
+    print("b1_ell = 0 (reported, not computed)")
     print(f"w2_plus_w1sq free bits = {list(target.free_bits)}")
     print(f"w2_plus_w1sq torsion bits = {list(target.torsion_bits)}")
     return 0
@@ -192,25 +182,33 @@ def _parse_constraint_file(path, k):
     """Read V1/W1 class data: sections with `rank N` then `w_i = <poly>`."""
     sections = {}
     current = None
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("//")[0].strip()
-            if not line:
-                continue
-            if line in ("V1", "W1"):
-                current = line
-                sections[current] = {"rank": None, "sw": {}}
-                continue
-            if current is None:
-                raise ParseError(f"class data before section header: {line!r}")
-            if line.startswith("rank"):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ParseError(f"cannot read class data: {e}") from None
+    for raw in lines:
+        line = raw.split("//")[0].strip()
+        if not line:
+            continue
+        if line in ("V1", "W1"):
+            current = line
+            sections[current] = {"rank": None, "sw": {}}
+            continue
+        if current is None:
+            raise ParseError(f"class data before section header: {line!r}")
+        if line.startswith("rank"):
+            try:
                 sections[current]["rank"] = int(line.split()[1])
-                continue
-            m = re.fullmatch(r"w_(\d+)\s*=\s*(.*)", line)
-            if not m:
-                raise ParseError(f"cannot parse class data line {line!r}")
-            sections[current]["sw"][int(m.group(1))] = parse_poly(
-                m.group(2), k)
+            except (IndexError, ValueError):
+                raise ParseError(
+                    f"cannot parse class data line {line!r}") from None
+            continue
+        m = re.fullmatch(r"w_(\d+)\s*=\s*(.*)", line)
+        if not m:
+            raise ParseError(f"cannot parse class data line {line!r}")
+        sections[current]["sw"][int(m.group(1))] = parse_poly(
+            m.group(2), k)
     out = {}
     for name in ("V1", "W1"):
         if name not in sections or sections[name]["rank"] is None:

@@ -12,8 +12,12 @@ import itertools
 from dataclasses import dataclass
 
 from . import lattice
-from .errors import DimensionMismatch, NoNontrivialCoverAvailable
-from .manifold import N_KINDS
+from .errors import (
+    DimensionMismatch,
+    InvalidSetting,
+    NoNontrivialCoverAvailable,
+)
+from .manifold import N_KINDS, ManifoldExpr
 
 # entries allowed per atom coordinate for a characteristic vector:
 # diagonal coordinates must be odd, even-atom coordinates must be even
@@ -23,21 +27,10 @@ from .manifold import N_KINDS
 class LocalSystem:
     base: object                 # ManifoldExpr
     selection: tuple             # bool per block: cover nontrivial there
-    nontrivial: bool
+    form: object                 # free part of H^2 with twisted coefficients
     b_plus_ell: int
     free_rank_ell: int
     torsion_bits: int            # one per W block
-    w1_sq_zero: bool
-    b1_ell: int = 0
-    b1_ell_caveat: bool = True   # b1^ell is reported, never computed
-
-    def free_form(self):
-        """Free part of H^2 with twisted coefficients: the non-N summands."""
-        atoms = ()
-        for block, twisted in zip(self.base.summands, self.selection):
-            if not twisted:
-                atoms += block.form_atoms
-        return lattice.IntersectionForm(atoms)
 
     def free_block_offsets(self):
         """Map block index -> (offset, span) into the free twisted lattice."""
@@ -57,22 +50,21 @@ class LocalSystem:
         if torsion_part is None:
             torsion_part = (1,) * self.torsion_bits
         torsion_part = tuple(torsion_part)
-        form = self.free_form()
-        if len(free_part) != form.rank:
+        if len(free_part) != self.form.rank:
             raise DimensionMismatch(
                 f"free part has length {len(free_part)}, "
-                f"expected {form.rank}")
+                f"expected {self.form.rank}")
         if len(torsion_part) != self.torsion_bits:
             raise DimensionMismatch(
                 f"torsion part has length {len(torsion_part)}, "
                 f"expected {self.torsion_bits}")
         target = w2_plus_w1sq(self)
-        mod2_ok = (lattice.is_characteristic(form, free_part)
+        mod2_ok = (lattice.is_characteristic(self.form, free_part)
                    and torsion_part == target.torsion_bits)
         return CharClass(
             free_part=free_part,
             torsion_part=torsion_part,
-            square=lattice.square(form, free_part),
+            square=lattice.square(self.form, free_part),
             mod2_ok=mod2_ok,
         )
 
@@ -113,20 +105,16 @@ def build_standard_cover(x):
         raise NoNontrivialCoverAvailable(
             "no S1xY or S2xSigma summand: the standard cover recipe "
             "does not apply")
-    free_atoms = ()
-    for block, twisted in zip(x.summands, selection):
-        if not twisted:
-            free_atoms += block.form_atoms
-    free_form = lattice.IntersectionForm(free_atoms)
+    free_form = ManifoldExpr(tuple(
+        b for b, twisted in zip(x.summands, selection) if not twisted)).form
     inv = lattice.invariants(free_form)
     return LocalSystem(
         base=x,
         selection=selection,
-        nontrivial=True,
+        form=free_form,
         b_plus_ell=inv.b_plus,
         free_rank_ell=inv.rank,
         torsion_bits=x.torsion_slots,
-        w1_sq_zero=True,
     )
 
 
@@ -138,7 +126,7 @@ def w2_plus_w1sq(ls):
     is the nonzero torsion bit; on twisted summands it vanishes.
     """
     bits = []
-    for atom in ls.free_form().atoms:
+    for atom in ls.form.atoms:
         if isinstance(atom, lattice.Diag):
             bits.append(1)
         else:
@@ -151,18 +139,8 @@ def w2_plus_w1sq(ls):
 
 def spinc_minus_exists(ls, c):
     """True iff the candidate class reduces to w2 + w1^2 mod 2."""
-    form = ls.free_form()
-    if len(c.free_part) != form.rank:
-        raise DimensionMismatch(
-            f"free part has length {len(c.free_part)}, expected {form.rank}")
-    if len(c.torsion_part) != ls.torsion_bits:
-        raise DimensionMismatch(
-            f"torsion part has length {len(c.torsion_part)}, "
-            f"expected {ls.torsion_bits}")
-    target = w2_plus_w1sq(ls)
-    if tuple(b % 2 for b in c.torsion_part) != target.torsion_bits:
-        return False
-    return lattice.is_characteristic(form, c.free_part)
+    return ls.char_class(c.free_part,
+                         (b % 2 for b in c.torsion_part)).mod2_ok
 
 
 @functools.lru_cache(maxsize=None)
@@ -186,9 +164,8 @@ def enumerate_characteristics(ls, bound=1):
     Output order is canonical: square descending, then lexicographic.
     """
     if bound < 1:
-        raise ValueError("bound must be >= 1")
-    form = ls.free_form()
-    per_atom = [_atom_candidates(atom, bound) for atom in form.atoms]
+        raise InvalidSetting("bound must be >= 1")
+    per_atom = [_atom_candidates(atom, bound) for atom in ls.form.atoms]
     out = []
     for parts in itertools.product(*per_atom):
         free = tuple(x for part in parts for x in part)

@@ -11,6 +11,12 @@ class FourfoldError(Exception):
         return f"{self.code}: {msg}" if msg else self.code
 
 
+class InvalidSetting(FourfoldError, ValueError):
+    """A bound or an environment value outside its allowed range."""
+
+    code = "InvalidSetting"
+
+
 # lattice
 
 class DegenerateForm(FourfoldError):

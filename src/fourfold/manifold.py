@@ -5,7 +5,8 @@ A ManifoldExpr is a multiset of standard blocks with additive invariants
 rewrites the simply-connected part into its homeomorphism normal form.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import lattice
 from .errors import (
@@ -15,17 +16,47 @@ from .errors import (
     SpinKSInconsistent,
 )
 
-# kinds whose blocks are simply connected and carry the free intersection form
-SIMPLY_CONNECTED_KINDS = (
-    "CP2", "NegCP2", "NegCP2Fake", "S2xS2", "K3", "NegK3", "E8",
-)
-# kinds forming the N part of a connected sum (nontrivial double covers live here)
-N_KINDS = ("S1xY", "S2xSigma")
 
-_KIND_ORDER = {
-    "E8": 0, "K3": 1, "NegK3": 2, "S2xS2": 3, "CP2": 4, "NegCP2": 5,
-    "NegCP2Fake": 6, "W": 7, "S1xY": 8, "S2xSigma": 9,
+class BlockSpec(NamedTuple):
+    """The facts that fix a block's invariants; one row of BLOCKS."""
+
+    name: str        # rendered: {s} is "-" on a negative E8, {p} the param
+    atoms: object    # block -> its intersection-form atoms
+    b1: object       # param -> first Betti number
+    spin: bool       # W is non-spin through its torsion w2; the rest iff even
+    ks: int          # Kirby-Siebenmann bit
+    h1_torsion: int  # Z2 torsion of H1: rank H^1(-; Z2) = b1 + h1_torsion
+    mirror: str      # kind of the orientation-reversed block; "" if unknown
+    part: str        # "sc": simply connected; "N": twisted by the cover; "": W
+
+
+_H = (lattice.Hyperbolic(),)
+
+# one row per block kind, in the canonical summand order
+BLOCKS = {
+    "E8": BlockSpec("{s}E8", lambda b: (lattice.E8(b.sign),),
+                    lambda p: 0, True, 1, 0, "E8", "sc"),
+    "K3": BlockSpec("K3", lambda b: (lattice.E8(-1),) * 2 + _H * 3,
+                    lambda p: 0, True, 0, 0, "NegK3", "sc"),
+    "NegK3": BlockSpec("-K3", lambda b: (lattice.E8(1),) * 2 + _H * 3,
+                       lambda p: 0, True, 0, 0, "K3", "sc"),
+    "S2xS2": BlockSpec("S2xS2", lambda b: _H,
+                       lambda p: 0, True, 0, 0, "S2xS2", "sc"),
+    "CP2": BlockSpec("CP2", lambda b: (lattice.Diag(1),),
+                     lambda p: 0, False, 0, 0, "NegCP2", "sc"),
+    "NegCP2": BlockSpec("-CP2", lambda b: (lattice.Diag(-1),),
+                        lambda p: 0, False, 0, 0, "CP2", "sc"),
+    "NegCP2Fake": BlockSpec("-CP2fake", lambda b: (lattice.Diag(-1),),
+                            lambda p: 0, False, 1, 0, "", "sc"),
+    "W": BlockSpec("W", lambda b: (), lambda p: 0, False, 1, 1, "W", ""),
+    "S1xY": BlockSpec("S1xY(b1={p})", lambda b: _H * b.param,
+                      lambda p: 1 + p, True, 0, 0, "S1xY", "N"),
+    "S2xSigma": BlockSpec("S2xSigma(g={p})", lambda b: _H,
+                          lambda p: 2 * p, True, 0, 0, "S2xSigma", "N"),
 }
+# kinds forming the N part of a connected sum (nontrivial double covers live here)
+N_KINDS = tuple(k for k, spec in BLOCKS.items() if spec.part == "N")
+_ORDER = {kind: i for i, kind in enumerate(BLOCKS)}
 
 
 @dataclass(frozen=True)
@@ -33,35 +64,23 @@ class Block:
     kind: str
     sign: int = 0    # only for E8
     param: int = 0   # b1(Y) for S1xY, genus for S2xSigma
+    # the BLOCKS row of the kind; None for the composites Enriques and S4
+    spec: BlockSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "spec", BLOCKS.get(self.kind))
+        if self.spec is None and self.kind not in ("Enriques", "S4"):
+            raise ValueError(f"unknown block kind {self.kind!r}")
         if self.kind == "S2xSigma" and self.param < 1:
             raise GenusZero("S2xSigma requires positive genus")
         if self.kind == "S1xY" and self.param < 0:
-            raise ValueError("S1xY requires b1(Y) >= 0")
+            raise ValueError("b1 must be non-negative")
         if self.kind == "E8" and self.sign not in (1, -1):
             raise ValueError("E8 block needs sign +1 or -1")
 
     @property
     def form_atoms(self):
-        k = self.kind
-        if k == "CP2":
-            return (lattice.Diag(1),)
-        if k in ("NegCP2", "NegCP2Fake"):
-            return (lattice.Diag(-1),)
-        if k == "S2xS2":
-            return (lattice.Hyperbolic(),)
-        if k == "K3":
-            return (lattice.E8(-1), lattice.E8(-1)) + (lattice.Hyperbolic(),) * 3
-        if k == "NegK3":
-            return (lattice.E8(1), lattice.E8(1)) + (lattice.Hyperbolic(),) * 3
-        if k == "E8":
-            return (lattice.E8(self.sign),)
-        if k == "S1xY":
-            return (lattice.Hyperbolic(),) * self.param
-        if k == "S2xSigma":
-            return (lattice.Hyperbolic(),)
-        return ()  # W, S4
+        return self.spec.atoms(self)
 
     @property
     def form(self):
@@ -69,11 +88,7 @@ class Block:
 
     @property
     def b1(self):
-        if self.kind == "S1xY":
-            return 1 + self.param
-        if self.kind == "S2xSigma":
-            return 2 * self.param
-        return 0
+        return self.spec.b1(self.param)
 
     @property
     def b2(self):
@@ -81,51 +96,27 @@ class Block:
 
     @property
     def sigma(self):
-        return sum(_ATOM_SIGMA[type(a).__name__] * getattr(a, "sign", getattr(a, "eps", 1))
-                   for a in self.form_atoms)
+        return lattice.invariants(self.form).signature
 
     @property
     def spin(self):
-        # W is non-spin through its torsion w2; every other block is spin
-        # exactly when its free intersection form is even
-        if self.kind in ("W", "NegCP2Fake", "CP2", "NegCP2"):
-            return False
-        return True
+        return self.spec.spin
 
     @property
     def ks(self):
-        return 1 if self.kind in ("E8", "NegCP2Fake", "W") else 0
-
-    @property
-    def w2_nonzero_torsion(self):
-        return self.kind == "W"
+        return self.spec.ks
 
     @property
     def h1z2_rank(self):
-        if self.kind == "S1xY":
-            return 1 + self.param
-        if self.kind == "S2xSigma":
-            return 2 * self.param
-        if self.kind == "W":
-            return 1
-        return 0
+        return self.b1 + self.spec.h1_torsion
 
     def render(self):
-        if self.kind == "S1xY":
-            return f"S1xY(b1={self.param})"
-        if self.kind == "S2xSigma":
-            return f"S2xSigma(g={self.param})"
-        if self.kind == "E8":
-            return "E8" if self.sign > 0 else "-E8"
-        return {"CP2": "CP2", "NegCP2": "-CP2", "NegCP2Fake": "-CP2fake",
-                "S2xS2": "S2xS2", "K3": "K3", "NegK3": "-K3", "W": "W"}[self.kind]
-
-
-_ATOM_SIGMA = {"Diag": 1, "Hyperbolic": 0, "E8": 8}
+        return self.spec.name.format(s="-" if self.sign < 0 else "",
+                                     p=self.param)
 
 
 def _sort_key(b):
-    return (_KIND_ORDER[b.kind], -b.sign, b.param)
+    return (_ORDER[b.kind], -b.sign, b.param)
 
 
 # convenience constructors
@@ -186,7 +177,7 @@ class ManifoldExpr:
     def __post_init__(self):
         blocks = []
         for b in self.summands:
-            if b.kind in ("Enriques", "S4"):
+            if b.spec is None:
                 blocks.extend(_expand(b))
             else:
                 blocks.append(b)
@@ -202,7 +193,7 @@ class ManifoldExpr:
 
     @property
     def sigma(self):
-        return sum(b.sigma for b in self.summands)
+        return lattice.invariants(self.form).signature
 
     @property
     def b1(self):
@@ -230,20 +221,20 @@ class ManifoldExpr:
 
     @property
     def torsion_slots(self):
-        return sum(1 for b in self.summands if b.kind == "W")
+        return sum(b.spec.h1_torsion for b in self.summands)
 
     @property
     def h1z2_rank(self):
         return sum(b.h1z2_rank for b in self.summands)
 
     def sc_part(self):
-        return tuple(b for b in self.summands if b.kind in SIMPLY_CONNECTED_KINDS)
+        return tuple(b for b in self.summands if b.spec.part == "sc")
 
     def non_sc_part(self):
-        return tuple(b for b in self.summands if b.kind not in SIMPLY_CONNECTED_KINDS)
+        return tuple(b for b in self.summands if b.spec.part != "sc")
 
     def n_part(self):
-        return tuple(b for b in self.summands if b.kind in N_KINDS)
+        return tuple(b for b in self.summands if b.spec.part == "N")
 
     def render(self):
         if not self.summands:
@@ -259,22 +250,14 @@ def connected_sum(a, b):
     return ManifoldExpr(a.summands + b.summands)
 
 
-_MIRROR = {"CP2": "NegCP2", "NegCP2": "CP2", "K3": "NegK3", "NegK3": "K3"}
-
-
 def mirror(x):
     """Orientation reversal: swap each block for its mirror."""
     out = []
     for b in x.summands:
-        if b.kind in _MIRROR:
-            out.append(Block(_MIRROR[b.kind]))
-        elif b.kind == "E8":
-            out.append(E8Block(-b.sign))
-        elif b.kind == "NegCP2Fake":
+        if not b.spec.mirror:
             raise OrientationReversalUnavailable(
                 "the positively-oriented fake CP2 block is not modeled")
-        else:
-            out.append(b)  # S2xS2, W, S1xY, S2xSigma are mirror-symmetric here
+        out.append(Block(b.spec.mirror, -b.sign, b.param))
     return ManifoldExpr(tuple(out))
 
 
@@ -370,20 +353,9 @@ def block_table():
         E8Block(1), E8Block(-1), W(), S1xY(0), S1xY(1), S2xSigma(1),
         S2xSigma(2),
     ]
-    table = {}
-    for b in samples:
-        table[b.render()] = {
-            "b1": b.b1,
-            "b2": b.b2,
-            "sigma": b.sigma,
-            "spin": b.spin,
-            "ks": b.ks,
-            "h1z2_rank": b.h1z2_rank,
-        }
+    rows = [(b.render(), b) for b in samples]
     # Enriques is a composite: report the invariants of its expansion
-    e = ManifoldExpr((Block("Enriques"),))
-    table["Enriques"] = {
-        "b1": e.b1, "b2": e.b2, "sigma": e.sigma,
-        "spin": e.spin, "ks": e.ks, "h1z2_rank": e.h1z2_rank,
-    }
-    return table
+    rows.append(("Enriques", ManifoldExpr((Block("Enriques"),))))
+    return {name: {"b1": b.b1, "b2": b.b2, "sigma": b.sigma, "spin": b.spin,
+                   "ks": b.ks, "h1z2_rank": b.h1z2_rank}
+            for name, b in rows}

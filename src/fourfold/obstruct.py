@@ -11,13 +11,14 @@ two obstruction checks:
              -> no smooth structure.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import charpoly, cover, manifold
 from .errors import (
     DefinitePartUnsupported,
     HypothesesNotMet,
     NoNontrivialCoverAvailable,
+    OrientationReversalUnavailable,
     PreconditionViolated,
     RankMismatch,
     SlotUnavailable,
@@ -92,12 +93,21 @@ def lift_valid(f, c):
     return True
 
 
-def _base_inputs(f, scenario, bound):
-    return (
-        ("expression", f.manifold.render()),
-        ("normalized", f.manifold.render()),
-        ("scenario", scenario),
-        ("bound", str(bound)),
+def _certificate(f, c1_square, sigma, transcript, scenario, bound,
+                 theorem="none", witness="", index_kind="", index_value=None):
+    """The certificate of family f; a named theorem makes it NonSmoothable."""
+    return Certificate(
+        verdict=INCONCLUSIVE if theorem == "none" else NONSMOOTHABLE,
+        theorem_used=theorem, base_dim=f.k, b_plus_ell=f.cover.b_plus_ell,
+        witness_monomial=witness, c1_square=c1_square, sigma=sigma,
+        index_kind=index_kind, index_value=index_value,
+        inputs=(
+            ("expression", f.manifold.render()),
+            ("normalized", f.manifold.render()),
+            ("scenario", scenario),
+            ("bound", str(bound)),
+        ),
+        transcript=tuple(transcript),
     )
 
 
@@ -125,26 +135,15 @@ def check_theorem_A(f, c, scenario="manual", bound=1):
             f"inequality c1_square <= sigma violated: {c.square} > {sigma}",
             f"real index m_minus_n = (c1_square - sigma)/4 = {m_minus_n} > 0",
         ]
-        return Certificate(
-            verdict=NONSMOOTHABLE, theorem_used="ThmA", base_dim=f.k,
-            b_plus_ell=b, witness_monomial=w_top.render(),
-            c1_square=c.square, sigma=sigma,
-            index_kind="real_m_minus_n", index_value=m_minus_n,
-            inputs=_base_inputs(f, scenario, bound),
-            transcript=tuple(transcript),
-        )
+        return _certificate(f, c.square, sigma, transcript, scenario, bound,
+                            "ThmA", w_top.render(), "real_m_minus_n",
+                            m_minus_n)
     if not w_top:
         transcript.append(f"hypothesis failed: w_{b}(H+(E,l)) = 0")
     else:
         transcript.append(
             f"inequality c1_square <= sigma holds: {c.square} <= {sigma}")
-    return Certificate(
-        verdict=INCONCLUSIVE, theorem_used="none", base_dim=f.k,
-        b_plus_ell=b, witness_monomial="", c1_square=c.square, sigma=sigma,
-        index_kind="", index_value=None,
-        inputs=_base_inputs(f, scenario, bound),
-        transcript=tuple(transcript),
-    )
+    return _certificate(f, c.square, sigma, transcript, scenario, bound)
 
 
 def check_theorem_B(f, scenario="manual", bound=1):
@@ -174,26 +173,14 @@ def check_theorem_B(f, scenario="manual", bound=1):
             f"inequality sigma >= 0 violated: {sigma} < 0",
             f"complex index r_minus_s = -sigma/8 = {r_minus_s} > 0",
         ]
-        return Certificate(
-            verdict=NONSMOOTHABLE, theorem_used="ThmB", base_dim=f.k,
-            b_plus_ell=b, witness_monomial=witness.render(),
-            c1_square=0, sigma=sigma,
-            index_kind="complex_r_minus_s", index_value=r_minus_s,
-            inputs=_base_inputs(f, scenario, bound),
-            transcript=tuple(transcript),
-        )
+        return _certificate(f, 0, sigma, transcript, scenario, bound, "ThmB",
+                            witness.render(), "complex_r_minus_s", r_minus_s)
     if not euler:
         transcript.append(
             f"hypothesis failed: w_{b} and w_{b - 1} of H+(E,l) both vanish")
     else:
         transcript.append(f"inequality sigma >= 0 holds: {sigma} >= 0")
-    return Certificate(
-        verdict=INCONCLUSIVE, theorem_used="none", base_dim=f.k,
-        b_plus_ell=b, witness_monomial="", c1_square=0, sigma=sigma,
-        index_kind="", index_value=None,
-        inputs=_base_inputs(f, scenario, bound),
-        transcript=tuple(transcript),
-    )
+    return _certificate(f, 0, sigma, transcript, scenario, bound)
 
 
 @dataclass(frozen=True)
@@ -244,14 +231,15 @@ def corollary_constraints(f, v1, w1):
 
 def _prepare(x):
     """Orient so the simply-connected signature is nonpositive, then normalize."""
-    sc_sigma = sum(b.sigma for b in x.sc_part())
-    if sc_sigma > 0:
-        x = manifold.mirror(x)
+    sc_sigma = manifold.ManifoldExpr(x.sc_part()).sigma
     try:
-        return manifold.normalize_homeo_type(x)
+        return manifold.normalize_homeo_type(x, reverse=sc_sigma > 0)
     except DefinitePartUnsupported:
         raise HypothesesNotMet(
             "indefinite simply-connected part required") from None
+    except OrientationReversalUnavailable as e:
+        raise HypothesesNotMet(
+            f"sigma(M) > 0 needs orientation reversal: {e.args[0]}") from None
 
 
 def _standard_cover(x):
@@ -261,14 +249,10 @@ def _standard_cover(x):
         raise HypothesesNotMet(str(e)) from None
 
 
-def _with_inputs(cert, original, normalized, scenario, bound):
-    inputs = (
-        ("expression", original.render()),
-        ("normalized", normalized.render()),
-        ("scenario", scenario),
-        ("bound", str(bound)),
-    )
-    return Certificate(**{**cert.__dict__, "inputs": inputs})
+def _with_inputs(cert, original):
+    """Echo the expression as given, ahead of the normalized one."""
+    return replace(
+        cert, inputs=(("expression", original.render()),) + cert.inputs[1:])
 
 
 def _certify_spin(x, bound):
@@ -286,7 +270,7 @@ def _certify_spin(x, bound):
              if s.kind == "S2xS2"]
     fam = build_family(normalized, ls, slots[:n - 1])
     cert = check_theorem_B(fam, scenario="spin", bound=bound)
-    return _with_inputs(cert, x, normalized, "spin", bound)
+    return _with_inputs(cert, x)
 
 
 def _certify_thm_a(x, scenario, bound):
@@ -305,12 +289,12 @@ def _certify_thm_a(x, scenario, bound):
             continue
         cert = check_theorem_A(fam, c, scenario=scenario, bound=bound)
         if cert.verdict == NONSMOOTHABLE:
-            return _with_inputs(cert, x, normalized, scenario, bound)
+            return _with_inputs(cert, x)
         if fallback is None:
             fallback = cert
     if fallback is None:
         raise HypothesesNotMet("no liftable characteristic class found")
-    return _with_inputs(fallback, x, normalized, scenario, bound)
+    return _with_inputs(fallback, x)
 
 
 def _certify_nonspin(x, bound):
@@ -370,13 +354,3 @@ def certify(x, scenario="auto", bound=1):
     if fallback is not None:
         return fallback
     raise HypothesesNotMet("; ".join(failures))
-
-
-def replay(cert):
-    """Re-run a certificate from its echoed inputs; True iff it reproduces."""
-    from .cli import parse
-
-    x = parse(cert.input("expression"))
-    again = certify(x, scenario=cert.input("scenario"),
-                    bound=int(cert.input("bound")))
-    return again == cert

@@ -5,12 +5,25 @@ directly to the terminal (bypassing capture) so the whole gate can be read
 at a glance from any pytest run.
 """
 
+import hashlib
+import json
 import random
 import time
 
 from fourfold import charpoly, cli, cover, lattice, manifold, obstruct
 from fourfold.charpoly import BundleClassData, ExtPoly
 from fourfold.errors import HypothesesNotMet
+
+
+# the certified expressions of criteria 1-4, as criterion 7 replays them
+CRITERIA_1_TO_4 = (
+    [f"{m}*-CP2 # -E8 # -CP2fake # {n}*S2xS2 # S1xY(b1=1)"
+     for m in range(7) for n in range(1, 7)]
+    + [f"{2 * m}*-E8 # {n}*S2xS2 # S2xSigma(g=1)"
+       for m in range(1, 4) for n in range(2, 7)]
+    + [f"{m}*Enriques # {a}*S2xS2 # {2 * b}*-E8 # S1xY(b1=1)"
+       for m in (1, 2) for a in (0, 2) for b in (0, 2)]
+    + [f"Enriques # {k}*-CP2 # S2xSigma(g=1)" for k in range(5)])
 
 
 def report(capsys, number, ok, detail=""):
@@ -240,21 +253,30 @@ def test_criterion_7_property_suites(capsys):
         failures.append(("van_der_blij", "no characteristic vectors found"))
 
     # replay determinism on the certificates of criteria 1-4
-    expressions = (
-        [f"{m}*-CP2 # -E8 # -CP2fake # {n}*S2xS2 # S1xY(b1=1)"
-         for m in range(7) for n in range(1, 7)]
-        + [f"{2 * m}*-E8 # {n}*S2xS2 # S2xSigma(g=1)"
-           for m in range(1, 4) for n in range(2, 7)]
-        + [f"{m}*Enriques # {a}*S2xS2 # {2 * b}*-E8 # S1xY(b1=1)"
-           for m in (1, 2) for a in (0, 2) for b in (0, 2)]
-        + [f"Enriques # {k}*-CP2 # S2xSigma(g=1)" for k in range(5)])
-    for text in expressions:
+    for text in CRITERIA_1_TO_4:
         cert = obstruct.certify(cli.parse(text))
-        if not obstruct.replay(cert):
+        if not cli.replay(cert):
             failures.append(("replay", text))
 
     report(capsys, 7, not failures)
     assert not failures, failures[:3]
+
+
+def test_golden_certificate_bytes(capsys):
+    """`certify --json` bytes and the block table, pinned as sha256 digests.
+
+    The digests were taken before the block model was rebuilt from one
+    table; a refactor that changes one output byte fails here.
+    """
+    digest = hashlib.sha256()
+    for text in CRITERIA_1_TO_4:
+        assert cli.main(["certify", text, "--json"]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == (
+        "2002b159399b1c9325350a247b279a0ef91075a9afcd33d9d43ba25109cf71a4")
+    table = json.dumps(manifold.block_table()).encode()
+    assert hashlib.sha256(table).hexdigest() == (
+        "4b9e87331c4b9403fcc01c01a143a35cced6f692c5e2f4329606b3559403b1a0")
 
 
 def test_criterion_8_corollary_reporter(capsys):

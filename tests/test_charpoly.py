@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from fourfold import charpoly
 from fourfold.charpoly import C4, PM1, BundleClassData, ExtPoly
 from fourfold.errors import (
+    FourfoldError,
     ModeMismatch,
     NonExactDivision,
     NonMonicDenominator,
@@ -66,6 +67,10 @@ def test_udeg_cap(monkeypatch):
     assert charpoly.max_udeg() == 4
     with pytest.raises(UDegreeOverflow):
         ExtPoly.u(1, 5)
+    for bad in ("abc", "-1"):
+        monkeypatch.setenv("FOURFOLD_MAX_UDEG", bad)
+        with pytest.raises(FourfoldError, match="FOURFOLD_MAX_UDEG"):
+            ExtPoly.u(1, 1)
     monkeypatch.delenv("FOURFOLD_MAX_UDEG")
     assert charpoly.max_udeg() == charpoly.DEFAULT_MAX_UDEG
 

@@ -54,7 +54,7 @@ def test_parse_render_round_trip():
                  "Enriques # -CP2 # S2xSigma(g=1)",
                  "S4", "W # -CP2fake"):
         x = cli.parse(text)
-        assert cli.parse(cli.render(x)) == x
+        assert cli.parse(x.render()) == x
 
 
 # --- JSON emission ---
@@ -73,7 +73,7 @@ def test_emit_json_schema_and_values():
 def test_emit_json_deterministic_bytes():
     x = cli.parse("-E8 # -CP2fake # 2*S2xS2 # S1xY(b1=1)")
     a = cli.emit_json(obstruct.certify(x))
-    b = cli.emit_json(obstruct.certify(cli.parse(cli.render(x))))
+    b = cli.emit_json(obstruct.certify(cli.parse(x.render())))
     assert a == b
 
 
@@ -108,6 +108,23 @@ def test_certify_exit_three_inconclusive(capsys):
     out = capsys.readouterr().out
     assert code == 3
     assert "Inconclusive" in out
+
+
+def test_certify_mirror_failure_is_hypotheses_not_met(capsys):
+    # sigma(M) > 0 asks for orientation reversal, which the fake CP2 blocks
+    text = "12*CP2 # -CP2fake # S2xS2 # S1xY(b1=1)"
+    assert cli.main(["certify", text]) == 3
+    assert capsys.readouterr().out.startswith("HypothesesNotMet: ")
+    assert cli.main(["certify", text, "--json"]) == 3
+    assert json.loads(capsys.readouterr().out)["verdict"] == \
+        "HypothesesNotMet"
+
+
+@pytest.mark.parametrize("command", ["spinc", "certify"])
+def test_bound_below_one_is_input_error(command, capsys):
+    text = "-E8 # -CP2fake # S2xS2 # S1xY(b1=1)"
+    assert cli.main([command, text, "--bound", "0"]) == 1
+    assert capsys.readouterr().err == "InvalidSetting: bound must be >= 1\n"
 
 
 def test_certify_json_flag(capsys):
@@ -204,6 +221,16 @@ def test_constraints_file_errors(tmp_path):
     with pytest.raises(SystemExit):
         cli.main(["constraints"])  # missing args
     assert cli.main(["constraints", "2*S2xS2 # S1xY(b1=1)", str(bad)]) == 1
+
+
+@pytest.mark.parametrize("content", [None, "V1\nrank\n", "V1\nrank x\n"])
+def test_constraints_file_read_errors(content, tmp_path, capsys):
+    data = tmp_path / "classes.txt"
+    if content is not None:
+        data.write_text(content)
+    code = cli.main(["constraints", "2*S2xS2 # S1xY(b1=1)", str(data)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("ParseError: ")
 
 
 def test_parse_poly_syntax():

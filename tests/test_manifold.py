@@ -51,6 +51,11 @@ def test_genus_zero_rejected():
         manifold.S2xSigma(0)
 
 
+def test_unknown_kind_rejected():
+    with pytest.raises(ValueError, match="unknown block kind 'Bogus'"):
+        manifold.Block("Bogus")
+
+
 # --- connected sums ---
 
 def test_s4_is_identity():
