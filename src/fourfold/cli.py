@@ -104,10 +104,7 @@ def emit_json(cert):
     return json.dumps(doc, indent=2)
 
 
-def _cmd_invariants(args):
-    x = parse(args.expr)
-    if args.reverse:
-        x = manifold.mirror(x)
+def _cmd_invariants(x, args):
     inv = lattice.invariants(x.form)
     print(f"expression: {x.render()}")
     print(f"sigma = {x.sigma}")
@@ -121,21 +118,17 @@ def _cmd_invariants(args):
     return 0
 
 
-def _cmd_classify(args):
-    x = parse(args.expr)
-    normal = manifold.normalize_homeo_type(x, reverse=args.reverse)
+def _cmd_classify(x, args):
+    normal = manifold.normalize_homeo_type(x)
     print(normal.render())
     return 0
 
 
-def _cmd_cover(args):
-    x = parse(args.expr)
-    if args.reverse:
-        x = manifold.mirror(x)
+def _cmd_cover(x, args):
     ls = cover.build_standard_cover(x)
     target = cover.w2_plus_w1sq(ls)
     print(f"b_plus_ell = {ls.b_plus_ell}")
-    print(f"free_rank_ell = {ls.free_rank_ell}")
+    print(f"free_rank_ell = {ls.form.rank}")
     print(f"torsion_bits = {ls.torsion_bits}")
     print("b1_ell = 0 (reported, not computed)")
     print(f"w2_plus_w1sq free bits = {list(target.free_bits)}")
@@ -143,10 +136,7 @@ def _cmd_cover(args):
     return 0
 
 
-def _cmd_spinc(args):
-    x = parse(args.expr)
-    if args.reverse:
-        x = manifold.mirror(x)
+def _cmd_spinc(x, args):
     ls = cover.build_standard_cover(x)
     for c in cover.enumerate_characteristics(ls, args.bound):
         print(f"square = {c.square}: free = {list(c.free_part)}, "
@@ -154,10 +144,7 @@ def _cmd_spinc(args):
     return 0
 
 
-def _cmd_certify(args):
-    x = parse(args.expr)
-    if args.reverse:
-        x = manifold.mirror(x)
+def _cmd_certify(x, args):
     try:
         cert = obstruct.certify(x, scenario=args.scenario, bound=args.bound)
     except HypothesesNotMet as e:
@@ -199,10 +186,13 @@ def _parse_constraint_file(path, k):
             raise ParseError(f"class data before section header: {line!r}")
         if line.startswith("rank"):
             try:
-                sections[current]["rank"] = int(line.split()[1])
+                rank = int(line.split()[1])
             except (IndexError, ValueError):
                 raise ParseError(
                     f"cannot parse class data line {line!r}") from None
+            if rank < 0:
+                raise ParseError(f"rank must be >= 0: {line!r}")
+            sections[current]["rank"] = rank
             continue
         m = re.fullmatch(r"w_(\d+)\s*=\s*(.*)", line)
         if not m:
@@ -236,7 +226,10 @@ def parse_poly(text, k):
                 continue
             m = re.fullmatch(r"t(\d+)", factor)
             if m:
-                out = out * charpoly.ExtPoly.t(k, int(m.group(1)))
+                try:
+                    out = out * charpoly.ExtPoly.t(k, int(m.group(1)))
+                except ValueError as e:
+                    raise ParseError(str(e)) from None
                 continue
             m = re.fullmatch(r"u(?:\^(\d+))?", factor)
             if m:
@@ -248,10 +241,7 @@ def parse_poly(text, k):
     return poly
 
 
-def _cmd_constraints(args):
-    x = parse(args.expr)
-    if args.reverse:
-        x = manifold.mirror(x)
+def _cmd_constraints(x, args):
     normalized = manifold.normalize_homeo_type(x)
     ls = cover.build_standard_cover(normalized)
     slots = manifold.reflection_slots(normalized)
@@ -321,7 +311,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        x = parse(args.expr)
+        if args.reverse:
+            x = manifold.mirror(x)
+        return args.func(x, args)
     except FourfoldError as e:
         print(str(e), file=sys.stderr)
         return 1

@@ -7,7 +7,6 @@ twisted second cohomology, so candidate first Chern classes live on the
 free lattice of the remaining summands plus one torsion bit per W block.
 """
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -19,9 +18,6 @@ from .errors import (
 )
 from .manifold import N_KINDS, ManifoldExpr
 
-# entries allowed per atom coordinate for a characteristic vector:
-# diagonal coordinates must be odd, even-atom coordinates must be even
-
 
 @dataclass(frozen=True)
 class LocalSystem:
@@ -29,7 +25,6 @@ class LocalSystem:
     selection: tuple             # bool per block: cover nontrivial there
     form: object                 # free part of H^2 with twisted coefficients
     b_plus_ell: int
-    free_rank_ell: int
     torsion_bits: int            # one per W block
 
     def free_block_offsets(self):
@@ -58,9 +53,8 @@ class LocalSystem:
             raise DimensionMismatch(
                 f"torsion part has length {len(torsion_part)}, "
                 f"expected {self.torsion_bits}")
-        target = w2_plus_w1sq(self)
         mod2_ok = (lattice.is_characteristic(self.form, free_part)
-                   and torsion_part == target.torsion_bits)
+                   and torsion_part == (1,) * self.torsion_bits)
         return CharClass(
             free_part=free_part,
             torsion_part=torsion_part,
@@ -107,13 +101,11 @@ def build_standard_cover(x):
             "does not apply")
     free_form = ManifoldExpr(tuple(
         b for b, twisted in zip(x.summands, selection) if not twisted)).form
-    inv = lattice.invariants(free_form)
     return LocalSystem(
         base=x,
         selection=selection,
         form=free_form,
-        b_plus_ell=inv.b_plus,
-        free_rank_ell=inv.rank,
+        b_plus_ell=lattice.invariants(free_form).b_plus,
         torsion_bits=x.torsion_slots,
     )
 
@@ -143,32 +135,20 @@ def spinc_minus_exists(ls, c):
                          (b % 2 for b in c.torsion_part)).mod2_ok
 
 
-@functools.lru_cache(maxsize=None)
-def _atom_candidates(atom, bound):
-    """Per-atom characteristic coordinate blocks with entries in [-bound, bound]."""
-    entries = range(-bound, bound + 1)
-    r = atom.rank
-    out = []
-    for combo in itertools.product(entries, repeat=r):
-        single = lattice.IntersectionForm((atom,))
-        if lattice.is_characteristic(single, combo):
-            out.append(combo)
-    return out
-
-
 def enumerate_characteristics(ls, bound=1):
     """All valid classes with free entries in [-bound, bound], square descending.
 
-    The characteristic condition splits over atoms, so candidates are built
-    per atom and combined; torsion bits are forced to the target class.
+    Every atom of a cover's form is unimodular (Diag, Hyperbolic or E8),
+    so a vector is characteristic iff it reduces to the Wu class mod 2:
+    each coordinate takes the entries whose parity is its bit of
+    w2_plus_w1sq.  Torsion bits are forced to the target class.
     Output order is canonical: square descending, then lexicographic.
     """
     if bound < 1:
         raise InvalidSetting("bound must be >= 1")
-    per_atom = [_atom_candidates(atom, bound) for atom in ls.form.atoms]
-    out = []
-    for parts in itertools.product(*per_atom):
-        free = tuple(x for part in parts for x in part)
-        out.append(ls.char_class(free))
+    by_parity = [[v for v in range(-bound, bound + 1) if v % 2 == bit]
+                 for bit in (0, 1)]
+    coords = [by_parity[bit] for bit in w2_plus_w1sq(ls).free_bits]
+    out = [ls.char_class(free) for free in itertools.product(*coords)]
     out.sort(key=lambda c: (-c.square, c.free_part))
     return out

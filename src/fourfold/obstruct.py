@@ -273,9 +273,8 @@ def _certify_spin(x, bound):
     return _with_inputs(cert, x)
 
 
-def _certify_thm_a(x, scenario, bound):
+def _certify_thm_a(x, normalized, scenario, bound):
     """Shared path for the non-spin and Enriques scenarios."""
-    normalized = _prepare(x)
     ls = _standard_cover(normalized)
     n = ls.b_plus_ell
     slots = list(manifold.reflection_slots(normalized))
@@ -283,18 +282,15 @@ def _certify_thm_a(x, scenario, bound):
         raise HypothesesNotMet(
             f"need {n} reflection slots, found {len(slots)}")
     fam = build_family(normalized, ls, slots[:n])
-    fallback = None
-    for c in cover.enumerate_characteristics(ls, bound):
-        if not lift_valid(fam, c):
-            continue
-        cert = check_theorem_A(fam, c, scenario=scenario, bound=bound)
-        if cert.verdict == NONSMOOTHABLE:
-            return _with_inputs(cert, x)
-        if fallback is None:
-            fallback = cert
-    if fallback is None:
+    # Classes arrive square-descending and w_top does not depend on the
+    # class, so when the first liftable class is Inconclusive no later one
+    # can fire: that class alone decides the verdict and the certificate.
+    c = next((c for c in cover.enumerate_characteristics(ls, bound)
+              if lift_valid(fam, c)), None)
+    if c is None:
         raise HypothesesNotMet("no liftable characteristic class found")
-    return _with_inputs(fallback, x)
+    cert = check_theorem_A(fam, c, scenario=scenario, bound=bound)
+    return _with_inputs(cert, x)
 
 
 def _certify_nonspin(x, bound):
@@ -310,7 +306,7 @@ def _certify_nonspin(x, bound):
         raise HypothesesNotMet("non-spin simply-connected part required")
     if abs(sc.sigma) <= 8:
         raise HypothesesNotMet("|sigma(M)| > 8")
-    return _certify_thm_a(x, "nonspin", bound)
+    return _certify_thm_a(x, normalized, "nonspin", bound)
 
 
 def _certify_enriques(x, bound):
@@ -319,7 +315,7 @@ def _certify_enriques(x, bound):
     if x.ks != 0:
         raise HypothesesNotMet(
             "Kirby-Siebenmann class must vanish for a smooth manifold")
-    return _certify_thm_a(x, "enriques", bound)
+    return _certify_thm_a(x, _prepare(x), "enriques", bound)
 
 
 _SCENARIOS = {

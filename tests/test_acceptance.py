@@ -277,6 +277,26 @@ def test_golden_certificate_bytes(capsys):
     table = json.dumps(manifold.block_table()).encode()
     assert hashlib.sha256(table).hexdigest() == (
         "4b9e87331c4b9403fcc01c01a143a35cced6f692c5e2f4329606b3559403b1a0")
+    # Inconclusive certificates (the first liftable class decides them),
+    # searches at bound 2 and the order of spinc listings, pinned before
+    # the characteristic classes were generated from the target's parities.
+    inconclusive = ("2*W # CP2 # -CP2 # S1xY(b1=1)",
+                    "2*W # S2xS2 # CP2 # 2*-CP2 # S1xY(b1=1)")
+    runs = ([(["certify", t, "--json", "--bound", b], 3)
+             for t in inconclusive for b in ("1", "2")]
+            + [(["certify", t, "--json", "--bound", "2"], 0)
+               for t in ("CP2 # 10*-CP2 # S1xY(b1=1)",
+                         "Enriques # S2xSigma(g=1)")]
+            + [(["spinc", "CP2 # 2*-CP2 # S2xS2 # S1xY(b1=1)", "--bound", b],
+                0) for b in ("1", "2", "3")]
+            + [(["spinc", "-E8 # S1xY(b1=1)", "--bound", b], 0)
+               for b in ("1", "2")])
+    digest = hashlib.sha256()
+    for argv, code in runs:
+        assert cli.main(argv) == code, argv
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == (
+        "64636f578b10fdac543deaa1e988f7f92b7c05297cb8532ce571e94a1f1cb67b")
 
 
 def test_criterion_8_corollary_reporter(capsys):

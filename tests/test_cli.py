@@ -223,7 +223,9 @@ def test_constraints_file_errors(tmp_path):
     assert cli.main(["constraints", "2*S2xS2 # S1xY(b1=1)", str(bad)]) == 1
 
 
-@pytest.mark.parametrize("content", [None, "V1\nrank\n", "V1\nrank x\n"])
+@pytest.mark.parametrize("content", [
+    None, "V1\nrank\n", "V1\nrank x\n", "V1\nrank -3\nW1\nrank 1\n",
+    "V1\nrank 1\nw_1 = t9\nW1\nrank 1\n"])
 def test_constraints_file_read_errors(content, tmp_path, capsys):
     data = tmp_path / "classes.txt"
     if content is not None:

@@ -1,6 +1,8 @@
+import itertools
+
 import pytest
 
-from fourfold import cover, lattice, manifold
+from fourfold import cli, cover, lattice, manifold
 from fourfold.errors import DimensionMismatch, NoNontrivialCoverAvailable
 
 
@@ -22,7 +24,7 @@ def test_b_plus_ell_equals_simply_connected_b_plus():
 
 def test_n_part_contributes_nothing_free():
     ls = standard_cover(manifold.S2xS2(), manifold.S2xSigma(1))
-    assert ls.free_rank_ell == 2
+    assert ls.form.rank == 2
 
 
 def test_selection_nonzero_exactly_on_n_blocks():
@@ -154,10 +156,29 @@ def test_enumeration_stable_under_block_permutation():
         [(c.free_part, c.square) for c in cb]
 
 
+@pytest.mark.parametrize("text, bound", [
+    (text, bound)
+    for text in ("CP2 # -CP2 # S1xY(b1=1)",
+                 "CP2 # 2*-CP2 # S2xS2 # S1xY(b1=1)",
+                 "-CP2fake # S2xS2 # S2xSigma(g=1)",
+                 "2*S2xS2 # -CP2 # S1xY(b1=1)",
+                 "2*W # CP2 # -CP2fake # S1xY(b1=1)")
+    for bound in (1, 2, 3)] + [("-E8 # S1xY(b1=1)", 1)])
+def test_enumeration_matches_brute_force(text, bound):
+    """The oracle: every vector of the box, kept iff it is characteristic."""
+    ls = cover.build_standard_cover(cli.parse(text))
+    box = itertools.product(range(-bound, bound + 1), repeat=ls.form.rank)
+    want = sorted((ls.char_class(v) for v in box
+                   if lattice.is_characteristic(ls.form, v)),
+                  key=lambda c: (-c.square, c.free_part))
+    assert want
+    assert cover.enumerate_characteristics(ls, bound) == want
+
+
 def test_square_independent_of_torsion_bits():
     ls = standard_cover(manifold.E8Block(-1), manifold.S2xS2(), manifold.W(),
                      manifold.S1xY(1))
-    zero = (0,) * ls.free_rank_ell
+    zero = (0,) * ls.form.rank
     assert ls.char_class(zero, (1,)).square == ls.char_class(zero, (0,)).square
 
 

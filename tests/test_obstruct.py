@@ -82,7 +82,7 @@ def test_family_rejects_bad_slots():
 
 def test_lift_zero_class():
     fam, ls = family_for(spin_expr(), k=2)
-    c = ls.char_class((0,) * ls.free_rank_ell)
+    c = ls.char_class((0,) * ls.form.rank)
     assert obstruct.lift_valid(fam, c)
 
 
@@ -192,7 +192,7 @@ def test_theorem_a_and_b_agree_on_zero_class():
     # class of H+ is nonzero; the full-rank family makes both nonzero
     x = spin_expr(e8=2, s2=3)
     fam, ls = family_for(x, k=3)
-    zero = ls.char_class((0,) * ls.free_rank_ell)
+    zero = ls.char_class((0,) * ls.form.rank)
     a = obstruct.check_theorem_A(fam, zero)
     b = obstruct.check_theorem_B(fam)
     assert a.verdict == b.verdict == obstruct.NONSMOOTHABLE
