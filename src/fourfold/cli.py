@@ -207,7 +207,10 @@ def _parse_constraint_file(path, k):
         top = max(sections[name]["sw"], default=0)
         sw = tuple(sections[name]["sw"].get(i, charpoly.ExtPoly.zero(k))
                    for i in range(1, max(rank, top) + 1))
-        out[name] = charpoly.BundleClassData(k=k, rank=rank, sw=sw)
+        try:
+            out[name] = charpoly.BundleClassData(k=k, rank=rank, sw=sw)
+        except ValueError as e:
+            raise ParseError(f"{name}: {e}") from None
     return out["V1"], out["W1"]
 
 

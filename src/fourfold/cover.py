@@ -135,20 +135,29 @@ def spinc_minus_exists(ls, c):
                          (b % 2 for b in c.torsion_part)).mod2_ok
 
 
-def enumerate_characteristics(ls, bound=1):
-    """All valid classes with free entries in [-bound, bound], square descending.
+def parity_box(ls, bound):
+    """Per free coordinate, the ascending entries a characteristic class may take.
 
     Every atom of a cover's form is unimodular (Diag, Hyperbolic or E8),
     so a vector is characteristic iff it reduces to the Wu class mod 2:
-    each coordinate takes the entries whose parity is its bit of
-    w2_plus_w1sq.  Torsion bits are forced to the target class.
-    Output order is canonical: square descending, then lexicographic.
+    each coordinate takes the entries in [-bound, bound] whose parity is
+    its bit of w2_plus_w1sq.
     """
     if bound < 1:
         raise InvalidSetting("bound must be >= 1")
     by_parity = [[v for v in range(-bound, bound + 1) if v % 2 == bit]
                  for bit in (0, 1)]
-    coords = [by_parity[bit] for bit in w2_plus_w1sq(ls).free_bits]
-    out = [ls.char_class(free) for free in itertools.product(*coords)]
+    return [by_parity[bit] for bit in w2_plus_w1sq(ls).free_bits]
+
+
+def enumerate_characteristics(ls, bound=1):
+    """All valid classes with free entries in [-bound, bound], square descending.
+
+    The free parts are the whole parity_box; torsion bits are forced to
+    the target class.  Output order is canonical: square descending, then
+    lexicographic.
+    """
+    out = [ls.char_class(free)
+           for free in itertools.product(*parity_box(ls, bound))]
     out.sort(key=lambda c: (-c.square, c.free_part))
     return out

@@ -23,6 +23,7 @@ E8_MATRIX = (
     (0, 0, 0, 0, 0, -1, 2, 0),
     (0, 0, 0, 0, -1, 0, 0, 2),
 )
+_NEG_E8_MATRIX = tuple(tuple(-x for x in row) for row in E8_MATRIX)
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,7 @@ class E8:
         return 8
 
     def matrix(self):
-        return tuple(tuple(self.sign * x for x in row) for row in E8_MATRIX)
+        return E8_MATRIX if self.sign > 0 else _NEG_E8_MATRIX
 
 
 @dataclass(frozen=True)

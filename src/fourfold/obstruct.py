@@ -11,9 +11,10 @@ two obstruction checks:
              -> no smooth structure.
 """
 
+import itertools
 from dataclasses import dataclass, replace
 
-from . import charpoly, cover, manifold
+from . import charpoly, cover, lattice, manifold
 from .errors import (
     DefinitePartUnsupported,
     HypothesesNotMet,
@@ -86,11 +87,47 @@ def lift_valid(f, c):
     offsets = f.cover.free_block_offsets()
     for slot in f.generators:
         off, span = offsets[slot.block_index]
-        comp = tuple(c.free_part[off:off + span])
-        acted = slot.act(comp)
-        if acted != comp and acted != tuple(-x for x in comp):
+        if not _fixed_up_to_sign(slot, tuple(c.free_part[off:off + span])):
             return False
     return True
+
+
+def _fixed_up_to_sign(slot, comp):
+    acted = slot.act(comp)
+    return acted == comp or acted == tuple(-x for x in comp)
+
+
+def largest_liftable_class(f, bound):
+    """The first class of enumerate_characteristics that lift_valid accepts.
+
+    Found block by block, without enumerating the coset: the square is a
+    sum over the free blocks and each generator acts on one block, so the
+    first liftable class in (-square, lexicographic) order is, in
+    free_block_offsets order, each block's lexicographically smallest
+    liftable vector of largest square.  None if some block has none.
+    """
+    ls = f.cover
+    box = cover.parity_box(ls, bound)
+    acting = {slot.block_index: slot for slot in f.generators}
+    best = {}
+    free = ()
+    for i, (off, span) in ls.free_block_offsets().items():
+        block, slot = ls.base.summands[i], acting.get(i)
+        key = (block, slot.kind if slot else None)
+        if key not in best:
+            best[key] = _block_maximum(block.form, box[off:off + span], slot)
+        if best[key] is None:
+            return None
+        free += best[key]
+    return ls.char_class(free)
+
+
+def _block_maximum(form, coords, slot):
+    """The block's first liftable vector in (-square, lexicographic) order."""
+    liftable = (v for v in itertools.product(*coords)
+                if slot is None or _fixed_up_to_sign(slot, v))
+    # max keeps the first of equal maxima: the lexicographically smallest
+    return max(liftable, key=lambda v: lattice.square(form, v), default=None)
 
 
 def _certificate(f, c1_square, sigma, transcript, scenario, bound,
@@ -282,11 +319,10 @@ def _certify_thm_a(x, normalized, scenario, bound):
         raise HypothesesNotMet(
             f"need {n} reflection slots, found {len(slots)}")
     fam = build_family(normalized, ls, slots[:n])
-    # Classes arrive square-descending and w_top does not depend on the
-    # class, so when the first liftable class is Inconclusive no later one
-    # can fire: that class alone decides the verdict and the certificate.
-    c = next((c for c in cover.enumerate_characteristics(ls, bound)
-              if lift_valid(fam, c)), None)
+    # w_top does not depend on the class, so when the largest liftable
+    # class is Inconclusive no smaller one can fire: that class alone
+    # decides the verdict and the certificate.
+    c = largest_liftable_class(fam, bound)
     if c is None:
         raise HypothesesNotMet("no liftable characteristic class found")
     cert = check_theorem_A(fam, c, scenario=scenario, bound=bound)

@@ -225,7 +225,7 @@ def test_constraints_file_errors(tmp_path):
 
 @pytest.mark.parametrize("content", [
     None, "V1\nrank\n", "V1\nrank x\n", "V1\nrank -3\nW1\nrank 1\n",
-    "V1\nrank 1\nw_1 = t9\nW1\nrank 1\n"])
+    "V1\nrank 1\nw_1 = t9\nW1\nrank 1\n", "V1\nrank 1\nw_1 = u\nW1\nrank 1\n"])
 def test_constraints_file_read_errors(content, tmp_path, capsys):
     data = tmp_path / "classes.txt"
     if content is not None:

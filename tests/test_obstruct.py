@@ -2,6 +2,8 @@ import dataclasses
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fourfold import charpoly, cli, cover, manifold, obstruct
 from fourfold.charpoly import BundleClassData, ExtPoly
@@ -159,6 +161,71 @@ def test_theorem_a_precondition_checks():
     fam, ls = family_for(x)
     with pytest.raises(PreconditionViolated):
         obstruct.check_theorem_A(fam, ls.char_class((1, 0)))
+
+
+# --- largest liftable class ---
+
+def first_liftable(fam, bound):
+    """The oracle: the first class of the sorted coset that lifts."""
+    return next((c for c in cover.enumerate_characteristics(fam.cover, bound)
+                 if obstruct.lift_valid(fam, c)), None)
+
+
+@pytest.mark.parametrize("text, bound, step", [
+    (text, bound, step)
+    for text in ("CP2 # 2*-CP2 # S2xS2 # S1xY(b1=1)",
+                 "2*CP2 # -CP2 # -CP2fake # 2*S2xS2 # S1xY(b1=1)",
+                 "CP2 # -CP2fake # 2*S2xS2 # S2xSigma(g=1)",
+                 "2*W # CP2 # -CP2 # S1xY(b1=1)",
+                 "2*W # S2xS2 # CP2 # 2*-CP2 # S1xY(b1=1)")
+    for bound in (1, 2, 3) for step in (1, 2)] + [
+    (text, bound, step)
+    for text, bounds in (("-E8 # CP2 # S1xY(b1=1)", (1, 2)),
+                         ("-E8 # -CP2fake # S2xS2 # S1xY(b1=1)", (1,)),
+                         ("Enriques # CP2 # S1xY(b1=1)", (1,)),
+                         ("Enriques # -CP2 # S2xSigma(g=1)", (1,)),
+                         ("2*Enriques # S2xS2 # S1xY(b1=1)", (1,)))
+    for bound in bounds for step in (1, 2)])
+def test_largest_liftable_class_matches_oracle(text, bound, step):
+    # step 2 leaves every other slot without a generator, so equal blocks
+    # with and without one occur in the same family
+    x = cli.parse(text)
+    ls = cover.build_standard_cover(x)
+    slots = manifold.reflection_slots(x)[:ls.b_plus_ell][::step]
+    fam = obstruct.build_family(x, ls, slots)
+    want = first_liftable(fam, bound)
+    assert want is not None
+    assert obstruct.largest_liftable_class(fam, bound) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(counts=st.lists(st.integers(0, 2), min_size=5, max_size=5),
+       n_block=st.sampled_from(["S1xY(b1=1)", "S2xSigma(g=1)"]),
+       bound=st.integers(1, 2),
+       mask=st.lists(st.booleans(), min_size=6, max_size=6))
+def test_largest_liftable_class_matches_oracle_random(counts, n_block, bound,
+                                                      mask):
+    names = ("CP2", "-CP2", "-CP2fake", "S2xS2", "W")
+    text = " # ".join([f"{n}*{name}" for n, name in zip(counts, names)]
+                      + [n_block])
+    x = cli.parse(text)
+    ls = cover.build_standard_cover(x)
+    slots = [s for s, keep in zip(manifold.reflection_slots(x), mask)
+             if keep][:ls.b_plus_ell]
+    fam = obstruct.build_family(x, ls, slots)
+    assert obstruct.largest_liftable_class(fam, bound) == \
+        first_liftable(fam, bound)
+
+
+def test_certify_does_not_enumerate(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("certify enumerated the characteristic coset")
+
+    monkeypatch.setattr(cover, "enumerate_characteristics", refuse)
+    x = cli.parse("30*-CP2 # -E8 # -CP2fake # 2*S2xS2 # S1xY(b1=1)")
+    cert = obstruct.certify(x)
+    assert cert.verdict == obstruct.NONSMOOTHABLE
+    assert (cert.c1_square, cert.sigma) == (-31, -39)
 
 
 # --- theorem B ---
