@@ -109,21 +109,24 @@ def largest_liftable_class(f, bound):
     ls = f.cover
     box = cover.parity_box(ls, bound)
     acting = {slot.block_index: slot for slot in f.generators}
-    best = {}
     free = ()
     for i, (off, span) in ls.free_block_offsets().items():
-        block, slot = ls.base.summands[i], acting.get(i)
-        key = (block, slot.kind if slot else None)
-        if key not in best:
-            best[key] = _block_maximum(block.form, box[off:off + span], slot)
-        if best[key] is None:
+        best = _block_maximum(ls.base.summands[i].form, box[off:off + span],
+                              acting.get(i))
+        if best is None:
             return None
-        free += best[key]
+        free += best
     return ls.char_class(free)
 
 
 def _block_maximum(form, coords, slot):
-    """The block's first liftable vector in (-square, lexicographic) order."""
+    """The block's first liftable vector in (-square, lexicographic) order.
+
+    The lift filter is a guard that never fires for the current slots: a
+    CP2 slot negates, so every vector is fixed up to sign, and an S2xS2
+    block takes even entries only, so its smallest maximizer is some
+    (-b, -b), which its slot carries to (b, b).
+    """
     liftable = (v for v in itertools.product(*coords)
                 if slot is None or _fixed_up_to_sign(slot, v))
     # max keeps the first of equal maxima: the lexicographically smallest
