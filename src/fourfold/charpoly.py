@@ -7,6 +7,7 @@ extended by the Borel generators: u (degree 1) in pm1 mode, and u, v
 inside Laurent division.
 """
 
+import itertools
 import os
 from dataclasses import dataclass
 
@@ -103,11 +104,6 @@ class ExtPoly:
                 if t[1] == 0 and t[2] == 0 and t[0].bit_count() == degree}
         return ExtPoly(self.k, self.mode, keep)
 
-    def base_part(self):
-        """All terms with no u and no v."""
-        keep = {t for t in self.terms if t[1] == 0 and t[2] == 0}
-        return ExtPoly(self.k, self.mode, keep)
-
     def u_coefficient(self, power):
         """Coefficient of u^power, an ExtPoly with no u."""
         keep = {(mask, 0, vp) for mask, up, vp in self.terms if up == power}
@@ -156,12 +152,6 @@ class ExtPoly:
                 else:
                     acc.add(term)
         return ExtPoly(self.k, self.mode, frozenset(acc))
-
-    def __pow__(self, n):
-        out = ExtPoly.one(self.k, self.mode)
-        for _ in range(n):
-            out = out * self
-        return out
 
     # rendering
 
@@ -238,6 +228,36 @@ class BundleClassData:
         out = ExtPoly.one(self.k, mode)
         for w in self.sw:
             out = out + w.to_mode(mode)
+        return out
+
+
+@dataclass(frozen=True)
+class LineSumBundle:
+    """k real lines, line i with w1 = ti, plus a trivial bundle; rank is the sum.
+
+    The total class is the product of (1 + ti), so wi is the elementary
+    symmetric polynomial e_i(t1..tk), built on demand with C(k, i) terms;
+    the same class data as total_sw_line_sum(k, [(1,), ..., (k,)],
+    rank - k) without expanding all 2^k monomials.
+    """
+
+    k: int
+    rank: int
+
+    def w(self, i, mode=PM1):
+        """Degree-i class, with w0 = 1 and wi = 0 above min(k, rank)."""
+        if i == 0:
+            return ExtPoly.one(self.k, mode)
+        if i < 0 or i > min(self.k, self.rank):
+            return ExtPoly.zero(self.k, mode)
+        return ExtPoly(self.k, mode, {
+            (sum(1 << j for j in subset), 0, 0)
+            for subset in itertools.combinations(range(self.k), i)})
+
+    def total(self, mode=PM1):
+        out = ExtPoly.zero(self.k, mode)
+        for i in range(min(self.k, self.rank) + 1):
+            out = out + self.w(i, mode)
         return out
 
 

@@ -186,10 +186,8 @@ class ManifoldExpr:
 
     @property
     def form(self):
-        atoms = ()
-        for b in self.summands:
-            atoms += b.form_atoms
-        return lattice.IntersectionForm(atoms)
+        return lattice.IntersectionForm(
+            a for b in self.summands for a in b.form_atoms)
 
     @property
     def sigma(self):

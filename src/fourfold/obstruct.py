@@ -37,7 +37,7 @@ class FamilyDescriptor:
     cover: object               # LocalSystem
     generators: tuple           # one Slot per torus generator
     k: int                      # base torus dimension
-    h_plus_bundle: object       # BundleClassData over T^k
+    h_plus_bundle: object       # LineSumBundle over T^k
 
 
 @dataclass(frozen=True)
@@ -71,10 +71,9 @@ def build_family(x, ls, slots):
     if k > ls.b_plus_ell:
         raise TooManyGenerators(
             f"{k} generators exceed b_plus_ell = {ls.b_plus_ell}")
-    bundle = charpoly.total_sw_line_sum(
-        k, [(i,) for i in range(1, k + 1)], ls.b_plus_ell - k)
     return FamilyDescriptor(
-        manifold=x, cover=ls, generators=slots, k=k, h_plus_bundle=bundle)
+        manifold=x, cover=ls, generators=slots, k=k,
+        h_plus_bundle=charpoly.LineSumBundle(k, ls.b_plus_ell))
 
 
 def lift_valid(f, c):
@@ -109,13 +108,13 @@ def largest_liftable_class(f, bound):
     ls = f.cover
     box = cover.parity_box(ls, bound)
     acting = {slot.block_index: slot for slot in f.generators}
-    free = ()
+    free = []
     for i, (off, span) in ls.free_block_offsets().items():
         best = _block_maximum(ls.base.summands[i].form, box[off:off + span],
                               acting.get(i))
         if best is None:
             return None
-        free += best
+        free.extend(best)
     return ls.char_class(free)
 
 

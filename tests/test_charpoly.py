@@ -164,6 +164,20 @@ def test_top_class_nonzero_up_to_16():
         assert top == expected and not top.is_zero()
 
 
+@pytest.mark.parametrize("k", range(13))
+def test_line_sum_bundle_matches_expansion(k):
+    """Closed-form e_i classes equal the expanded product of (1 + ti)."""
+    for trivial in range(3):
+        oracle = charpoly.total_sw_line_sum(
+            k, [(i,) for i in range(1, k + 1)], trivial)
+        bundle = charpoly.LineSumBundle(k, k + trivial)
+        assert bundle.rank == oracle.rank
+        for mode in (PM1, C4):
+            for i in range(-1, bundle.rank + 2):
+                assert bundle.w(i, mode) == oracle.w(i, mode), (trivial, i)
+            assert bundle.total(mode) == oracle.total(mode)
+
+
 # --- virtual classes ---
 
 def test_virtual_unit_denominator():

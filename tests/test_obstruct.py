@@ -228,6 +228,27 @@ def test_certify_does_not_enumerate(monkeypatch):
     assert (cert.c1_square, cert.sigma) == (-31, -39)
 
 
+def test_build_family_does_not_expand_line_sum(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_family expanded the 2^k line-sum product")
+
+    monkeypatch.setattr(charpoly, "total_sw_line_sum", refuse)
+    x = cli.parse("2*-E8 # 40*S2xS2 # S2xSigma(g=1)")
+    cert = obstruct.certify(x)
+    assert (cert.verdict, cert.theorem_used, cert.base_dim) == \
+        (obstruct.NONSMOOTHABLE, "ThmB", 39)
+    assert cert.witness_monomial == "*".join(f"t{i}" for i in range(1, 40))
+
+
+def test_certify_family_over_t23():
+    # expanding the product of (1 + ti) here takes 2^23 monomials
+    x = cli.parse("Enriques # -K3 # S1xY(b1=1) # -E8 # K3 # -E8")
+    cert = obstruct.certify(x)
+    assert (cert.verdict, cert.theorem_used, cert.base_dim) == \
+        (obstruct.NONSMOOTHABLE, "ThmA", 23)
+    assert cert.witness_monomial == "*".join(f"t{i}" for i in range(1, 24))
+
+
 # --- theorem B ---
 
 def test_theorem_b_fires_on_spin_case():
