@@ -12,6 +12,7 @@ Exit codes: 0 success or informational output, 1 input error,
 """
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -138,9 +139,11 @@ def _cmd_cover(x, args):
 
 def _cmd_spinc(x, args):
     ls = cover.build_standard_cover(x)
-    for c in cover.enumerate_characteristics(ls, args.bound):
-        print(f"square = {c.square}: free = {list(c.free_part)}, "
-              f"torsion = {list(c.torsion_part)}")
+    # every class carries the target's torsion part
+    torsion = f", torsion = {list(cover.w2_plus_w1sq(ls).torsion_bits)}\n"
+    sys.stdout.write("".join(
+        f"square = {c.square}: free = {list(c.free_part)}{torsion}"
+        for c in cover.enumerate_characteristics(ls, args.bound)))
     return 0
 
 
@@ -263,6 +266,7 @@ def _cmd_constraints(x, args):
     return 0
 
 
+@functools.cache   # built on first use, once per process
 def build_parser():
     p = argparse.ArgumentParser(
         prog="fourfold",

@@ -35,7 +35,7 @@ class LocalSystem:
                 zip(self.base.summands, self.selection)):
             if twisted:
                 continue
-            span = block.form.rank
+            span = sum(a.rank for a in block.form_atoms)
             offsets[i] = (off, span)
             off += span
         return offsets
@@ -154,10 +154,28 @@ def enumerate_characteristics(ls, bound=1):
     """All valid classes with free entries in [-bound, bound], square descending.
 
     The free parts are the whole parity_box; torsion bits are forced to
-    the target class.  Output order is canonical: square descending, then
-    lexicographic.
+    the target class.  The square is a sum over the form's atoms, so each
+    atom's (vector, square) pairs are listed once and folded together;
+    no class is re-checked.  Output order is canonical: square
+    descending, then lexicographic.
     """
-    out = [ls.char_class(free)
-           for free in itertools.product(*parity_box(ls, bound))]
-    out.sort(key=lambda c: (-c.square, c.free_part))
-    return out
+    box = parity_box(ls, bound)
+    keyed = [(0, ())]            # (-square, free part) sorts canonically
+    off = 0
+    for atom in ls.form.atoms:
+        pairs = _atom_pairs(atom, box[off:off + atom.rank])
+        off += atom.rank
+        keyed = [(k - s, free + v) for k, free in keyed for v, s in pairs]
+    keyed.sort()
+    torsion = (1,) * ls.torsion_bits
+    for i, (k, free) in enumerate(keyed):   # in place: one full-size list
+        keyed[i] = CharClass(free, torsion, -k, True)
+    return keyed
+
+
+def _atom_pairs(atom, coords):
+    """(vector, square) for every vector of one atom's slice of the box."""
+    m = atom.matrix()
+    return [(v, sum(vi * mij * vj for row, vi in zip(m, v)
+                    for mij, vj in zip(row, v)))
+            for v in itertools.product(*coords)]

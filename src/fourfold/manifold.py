@@ -92,7 +92,7 @@ class Block:
 
     @property
     def b2(self):
-        return self.form.rank
+        return sum(a.rank for a in self.form_atoms)
 
     @property
     def sigma(self):

@@ -1,6 +1,9 @@
 import itertools
+import math
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from fourfold import cli, cover, lattice, manifold
 from fourfold.errors import DimensionMismatch, NoNontrivialCoverAvailable
@@ -162,7 +165,9 @@ def test_enumeration_stable_under_block_permutation():
                  "CP2 # 2*-CP2 # S2xS2 # S1xY(b1=1)",
                  "-CP2fake # S2xS2 # S2xSigma(g=1)",
                  "2*S2xS2 # -CP2 # S1xY(b1=1)",
-                 "2*W # CP2 # -CP2fake # S1xY(b1=1)")
+                 "2*W # CP2 # -CP2fake # S1xY(b1=1)",
+                 "S1xY(b1=1)",
+                 "W # S1xY(b1=1)")
     for bound in (1, 2, 3)] + [("-E8 # S1xY(b1=1)", 1)])
 def test_enumeration_matches_brute_force(text, bound):
     """The oracle: every vector of the box, kept iff it is characteristic."""
@@ -173,6 +178,40 @@ def test_enumeration_matches_brute_force(text, bound):
                   key=lambda c: (-c.square, c.free_part))
     assert want
     assert cover.enumerate_characteristics(ls, bound) == want
+
+
+@given(counts=st.lists(st.integers(0, 2), min_size=5, max_size=5),
+       definite=st.sampled_from(["", "-E8", "K3", "-K3"]),
+       n_block=st.sampled_from(["S1xY(b1=1)", "S2xSigma(g=1)"]),
+       bound=st.integers(1, 3))
+def test_enumeration_matches_checked_path_random(counts, definite, n_block,
+                                                 bound):
+    """The fold against char_class, which checks and squares every class."""
+    names = ("CP2", "-CP2", "-CP2fake", "S2xS2", "W")
+    terms = [f"{n}*{name}" for n, name in zip(counts, names)]
+    if definite:
+        terms.append(definite)
+        bound = 1
+    ls = cover.build_standard_cover(cli.parse(" # ".join(terms + [n_block])))
+    box = cover.parity_box(ls, bound)
+    assume(math.prod(len(coords) for coords in box) <= 4096)
+    want = sorted((ls.char_class(v) for v in itertools.product(*box)),
+                  key=lambda c: (-c.square, c.free_part))
+    got = cover.enumerate_characteristics(ls, bound)
+    assert all(c.mod2_ok for c in got)
+    assert got == want
+
+
+def test_spinc_does_not_recheck_classes(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("spinc re-checked a class over the whole form")
+
+    monkeypatch.setattr(lattice, "is_characteristic", refuse)
+    monkeypatch.setattr(lattice, "square", refuse)
+    code = cli.main(["spinc", "CP2 # 2*-CP2 # S2xS2 # S1xY(b1=1)",
+                     "--bound", "3"])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("square = ")
 
 
 def test_square_independent_of_torsion_bits():
