@@ -141,9 +141,9 @@ def _cmd_spinc(x, args):
     ls = cover.build_standard_cover(x)
     # every class carries the target's torsion part
     torsion = f", torsion = {list(cover.w2_plus_w1sq(ls).torsion_bits)}\n"
-    sys.stdout.write("".join(
+    sys.stdout.writelines(
         f"square = {c.square}: free = {list(c.free_part)}{torsion}"
-        for c in cover.enumerate_characteristics(ls, args.bound)))
+        for c in cover.enumerate_characteristics(ls, args.bound))
     return 0
 
 

@@ -113,18 +113,12 @@ def build_standard_cover(x):
 def w2_plus_w1sq(ls):
     """The mod-2 class every twisted Euler class must reduce to.
 
-    On free coordinates this is the canonical characteristic vector mod 2
-    (1 on rank-1 diagonal coordinates, 0 on even atoms); on each W block it
-    is the nonzero torsion bit; on twisted summands it vanishes.
+    On free coordinates this is the atoms' Wu class (1 on rank-1 diagonal
+    coordinates, 0 on even atoms); on each W block it is the nonzero
+    torsion bit; on twisted summands it vanishes.
     """
-    bits = []
-    for atom in ls.form.atoms:
-        if isinstance(atom, lattice.Diag):
-            bits.append(1)
-        else:
-            bits.extend([0] * atom.rank)
     return Mod2Class(
-        free_bits=tuple(bits),
+        free_bits=tuple(bit for atom in ls.form.atoms for bit in atom.wu),
         torsion_bits=(1,) * ls.torsion_bits,
     )
 

@@ -4,12 +4,17 @@ Forms are direct sums of atoms: rank-1 diagonal summands, hyperbolic
 planes, the rank-8 even unimodular definite lattice (either sign), and
 arbitrary square integer symmetric matrices.  Signatures are computed by
 rational congruence diagonalization, never floating point.
+
+The unimodular atoms (Diag, Hyperbolic, E8) also carry their Wu class `wu`
+and `maximizer(bound)`: the lexicographically smallest characteristic
+vector of largest square with entries in [-bound, bound].
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DegenerateForm, DefiniteFormUnsupported, DimensionMismatch
+from .errors import (DegenerateForm, DefiniteFormUnsupported,
+                     DimensionMismatch, PreconditionViolated)
 
 # Gram matrix of the even unimodular positive-definite rank-8 lattice
 # (Cartan matrix of the corresponding root system).
@@ -29,6 +34,7 @@ _NEG_E8_MATRIX = tuple(tuple(-x for x in row) for row in E8_MATRIX)
 @dataclass(frozen=True)
 class Diag:
     eps: int  # +1 or -1
+    wu = (1,)
 
     def __post_init__(self):
         if self.eps not in (1, -1):
@@ -41,9 +47,18 @@ class Diag:
     def matrix(self):
         return ((self.eps,),)
 
+    def maximizer(self, bound):
+        # odd entries only; the square eps * v^2 peaks at the largest |v|
+        # for eps = +1 and at v = +-1 for eps = -1
+        if self.eps < 0:
+            return (-1,)
+        return (-(bound if bound % 2 else bound - 1),)
+
 
 @dataclass(frozen=True)
 class Hyperbolic:
+    wu = (0, 0)
+
     @property
     def rank(self):
         return 2
@@ -51,10 +66,16 @@ class Hyperbolic:
     def matrix(self):
         return ((0, 1), (1, 0))
 
+    def maximizer(self, bound):
+        # even entries; the square 2ab peaks at (e, e) and (-e, -e)
+        e = bound - bound % 2
+        return (-e, -e)
+
 
 @dataclass(frozen=True)
 class E8:
     sign: int  # +1 or -1
+    wu = (0,) * 8
 
     def __post_init__(self):
         if self.sign not in (1, -1):
@@ -66,6 +87,13 @@ class E8:
 
     def matrix(self):
         return E8_MATRIX if self.sign > 0 else _NEG_E8_MATRIX
+
+    def maximizer(self, bound):
+        # the negative form's largest square is 0, at 0 alone
+        if self.sign > 0:
+            raise PreconditionViolated(
+                "positive E8 has no closed-form maximizer")
+        return (0,) * 8
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,13 @@ two obstruction checks:
              -> no smooth structure.
 """
 
-import itertools
 from dataclasses import dataclass, replace
 
-from . import charpoly, cover, lattice, manifold
+from . import charpoly, cover, manifold
 from .errors import (
     DefinitePartUnsupported,
     HypothesesNotMet,
+    InvalidSetting,
     NoNontrivialCoverAvailable,
     OrientationReversalUnavailable,
     PreconditionViolated,
@@ -86,50 +86,26 @@ def lift_valid(f, c):
     offsets = f.cover.free_block_offsets()
     for slot in f.generators:
         off, span = offsets[slot.block_index]
-        if not _fixed_up_to_sign(slot, tuple(c.free_part[off:off + span])):
+        comp = tuple(c.free_part[off:off + span])
+        if slot.act(comp) not in (comp, tuple(-x for x in comp)):
             return False
     return True
-
-
-def _fixed_up_to_sign(slot, comp):
-    acted = slot.act(comp)
-    return acted == comp or acted == tuple(-x for x in comp)
 
 
 def largest_liftable_class(f, bound):
     """The first class of enumerate_characteristics that lift_valid accepts.
 
-    Found block by block, without enumerating the coset: the square is a
-    sum over the free blocks and each generator acts on one block, so the
-    first liftable class in (-square, lexicographic) order is, in
-    free_block_offsets order, each block's lexicographically smallest
-    liftable vector of largest square.  None if some block has none.
+    Found in closed form, without a search: the square is a sum over the
+    form's atoms, so the first class in (-square, lexicographic) order
+    joins each atom's maximizer.  That class already lifts: a CP2 slot
+    negates its entry, and an S2xS2 slot carries (-e, -e) to (e, e).
+    A positive E8 atom, which a prepared cover never holds, raises
+    PreconditionViolated.
     """
-    ls = f.cover
-    box = cover.parity_box(ls, bound)
-    acting = {slot.block_index: slot for slot in f.generators}
-    free = []
-    for i, (off, span) in ls.free_block_offsets().items():
-        best = _block_maximum(ls.base.summands[i].form, box[off:off + span],
-                              acting.get(i))
-        if best is None:
-            return None
-        free.extend(best)
-    return ls.char_class(free)
-
-
-def _block_maximum(form, coords, slot):
-    """The block's first liftable vector in (-square, lexicographic) order.
-
-    The lift filter is a guard that never fires for the current slots: a
-    CP2 slot negates, so every vector is fixed up to sign, and an S2xS2
-    block takes even entries only, so its smallest maximizer is some
-    (-b, -b), which its slot carries to (b, b).
-    """
-    liftable = (v for v in itertools.product(*coords)
-                if slot is None or _fixed_up_to_sign(slot, v))
-    # max keeps the first of equal maxima: the lexicographically smallest
-    return max(liftable, key=lambda v: lattice.square(form, v), default=None)
+    if bound < 1:
+        raise InvalidSetting("bound must be >= 1")
+    return f.cover.char_class(
+        v for atom in f.cover.form.atoms for v in atom.maximizer(bound))
 
 
 def _certificate(f, c1_square, sigma, transcript, scenario, bound,
@@ -325,8 +301,6 @@ def _certify_thm_a(x, normalized, scenario, bound):
     # class is Inconclusive no smaller one can fire: that class alone
     # decides the verdict and the certificate.
     c = largest_liftable_class(fam, bound)
-    if c is None:
-        raise HypothesesNotMet("no liftable characteristic class found")
     cert = check_theorem_A(fam, c, scenario=scenario, bound=bound)
     return _with_inputs(cert, x)
 

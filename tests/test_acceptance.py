@@ -297,6 +297,17 @@ def test_golden_certificate_bytes(capsys):
         digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == (
         "64636f578b10fdac543deaa1e988f7f92b7c05297cb8532ce571e94a1f1cb67b")
+    # Theorem A classes at larger bounds, pinned while each -E8 block was
+    # still searched vector by vector.
+    runs = (("Enriques # S2xS2 # S1xY(b1=1)", "4"),
+            ("8*-CP2 # -E8 # -CP2fake # 2*S2xS2 # S1xY(b1=1)", "4"),
+            ("3*Enriques # S2xS2 # S1xY(b1=1)", "2"))
+    digest = hashlib.sha256()
+    for text, bound in runs:
+        assert cli.main(["certify", text, "--json", "--bound", bound]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == (
+        "ff5c07aa95398db2cfdd44d3e2e3a30d2f20850c2f93cdacc3616fb01d0d71b1")
 
 
 def test_criterion_8_corollary_reporter(capsys):

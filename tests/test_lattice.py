@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from fourfold.errors import (
     DefiniteFormUnsupported,
     DegenerateForm,
     DimensionMismatch,
+    PreconditionViolated,
 )
 
 ATOMS = [
@@ -126,6 +128,31 @@ def test_characteristic_brute_force_matches_definition():
             (sum(matrix[i][j] * v[j] for j in range(n)) - matrix[i][i]) % 2 == 0
             for i in range(n))
         assert lattice.is_characteristic(form, v) == expected
+
+
+# --- the per-atom rule: Wu bits and maximizer ---
+
+def test_atom_wu_bits_are_characteristic():
+    for atom in ATOMS:
+        assert lattice.is_characteristic(form_of(atom), atom.wu)
+
+
+@pytest.mark.parametrize("atom, bound", [
+    (atom, bound) for atom in ATOMS[:3] for bound in range(1, 8)]
+    + [(lattice.E8(-1), 1), (lattice.E8(-1), 2)])
+def test_atom_maximizer_matches_box_scan(atom, bound):
+    """The closed form against every characteristic vector of the box."""
+    form = form_of(atom)
+    box = itertools.product(*[
+        [x for x in range(-bound, bound + 1) if x % 2 == bit]
+        for bit in atom.wu])
+    want = min(box, key=lambda v: (-lattice.square(form, v), v))
+    assert atom.maximizer(bound) == want
+
+
+def test_positive_e8_has_no_maximizer():
+    with pytest.raises(PreconditionViolated):
+        lattice.E8(1).maximizer(1)
 
 
 # --- classify_indefinite ---

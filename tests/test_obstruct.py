@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fourfold import charpoly, cli, cover, manifold, obstruct
+from fourfold import charpoly, cli, cover, lattice, manifold, obstruct
 from fourfold.charpoly import BundleClassData, ExtPoly
 from fourfold.errors import (
+    FourfoldError,
     HypothesesNotMet,
+    OrientationReversalUnavailable,
     PreconditionViolated,
     RankMismatch,
     SlotUnavailable,
@@ -35,6 +37,19 @@ def nonspin_expr(m=0, n=1):
     return manifold.expr(*([manifold.NegCP2()] * m), manifold.E8Block(-1),
                          manifold.NegCP2Fake(), *([manifold.S2xS2()] * n),
                          manifold.S1xY(1))
+
+
+# the simply connected blocks, W and Enriques: every block but the N ones
+SC_AND_W_BLOCKS = ("CP2", "-CP2", "-CP2fake", "S2xS2", "K3", "-K3", "E8",
+                   "-E8", "W", "Enriques")
+random_blocks = st.lists(st.integers(0, 2), min_size=len(SC_AND_W_BLOCKS),
+                         max_size=len(SC_AND_W_BLOCKS))
+n_blocks = st.sampled_from(["S1xY(b1=1)", "S2xSigma(g=1)"])
+
+
+def terms_of(counts, n_block):
+    return [name for n, name in zip(counts, SC_AND_W_BLOCKS)
+            for _ in range(n)] + [n_block]
 
 
 # --- build_family ---
@@ -184,7 +199,13 @@ def first_liftable(fam, bound):
                          ("-E8 # -CP2fake # S2xS2 # S1xY(b1=1)", (1,)),
                          ("Enriques # CP2 # S1xY(b1=1)", (1,)),
                          ("Enriques # -CP2 # S2xSigma(g=1)", (1,)),
-                         ("2*Enriques # S2xS2 # S1xY(b1=1)", (1,)))
+                         ("2*Enriques # S2xS2 # S1xY(b1=1)", (1,)),
+                         # larger bounds, at most 10^4 classes per coset
+                         ("CP2 # 2*-CP2 # S2xS2 # S1xY(b1=1)", (4, 5)),
+                         ("2*CP2 # S2xS2 # S1xY(b1=1)", (4, 5)),
+                         ("2*W # CP2 # -CP2 # S1xY(b1=1)", (4, 5)),
+                         ("2*W # S2xS2 # CP2 # 2*-CP2 # S1xY(b1=1)", (4, 5)),
+                         ("CP2 # -CP2fake # 2*S2xS2 # S2xSigma(g=1)", (4,)))
     for bound in bounds for step in (1, 2)])
 def test_largest_liftable_class_matches_oracle(text, bound, step):
     # step 2 leaves every other slot without a generator, so equal blocks
@@ -215,6 +236,37 @@ def test_largest_liftable_class_matches_oracle_random(counts, n_block, bound,
     fam = obstruct.build_family(x, ls, slots)
     assert obstruct.largest_liftable_class(fam, bound) == \
         first_liftable(fam, bound)
+
+
+@given(counts=random_blocks, n_block=n_blocks)
+def test_prepared_cover_has_closed_form_atoms(counts, n_block):
+    """Every atom _prepare can leave in a cover has a closed-form maximizer."""
+    try:
+        prepared = obstruct._prepare(cli.parse(" # ".join(
+            terms_of(counts, n_block))))
+    except FourfoldError:
+        return
+    for atom in cover.build_standard_cover(prepared).form.atoms:
+        assert isinstance(atom, (lattice.Diag, lattice.Hyperbolic)) \
+            or atom == lattice.E8(-1)
+
+
+def test_largest_liftable_class_refuses_positive_e8():
+    # an unprepared cover may hold +E8; no scan stands in for its rule
+    fam, _ = family_for(cli.parse("E8 # S2xS2 # S1xY(b1=1)"))
+    with pytest.raises(PreconditionViolated):
+        obstruct.largest_liftable_class(fam, 1)
+
+
+def test_largest_liftable_class_at_huge_bound():
+    # a box of 10^9 entries per coordinate: no search could finish
+    fam, _ = family_for(cli.parse("Enriques # CP2 # S1xY(b1=1)"))
+    c = obstruct.largest_liftable_class(fam, 10**9)
+    assert c.free_part == (0, 0, 0, 0, 0, 0, 0, 0,
+                           -1_000_000_000, -1_000_000_000, -999_999_999)
+    assert c.torsion_part == (1,)
+    assert c.square == 2_999_999_998_000_000_001
+    assert c.mod2_ok and obstruct.lift_valid(fam, c)
 
 
 def test_certify_does_not_enumerate(monkeypatch):
@@ -389,3 +441,30 @@ def test_replay_round_trip():
     for x in (spin_expr(), nonspin_expr(m=1, n=2)):
         cert = obstruct.certify(x)
         assert cli.replay(cert)
+
+
+def certify_outcome(x, bound):
+    try:
+        return obstruct.certify(x, bound=bound)
+    except FourfoldError as e:
+        return type(e).__name__, str(e)
+
+
+@settings(deadline=None)
+@given(counts=random_blocks, n_block=n_blocks, bound=st.integers(1, 4),
+       data=st.data())
+def test_certify_properties_random(counts, n_block, bound, data):
+    """Summand order and a double mirror leave the outcome alone; replay holds."""
+    terms = terms_of(counts, n_block)
+    x = cli.parse(" # ".join(terms))
+    got = certify_outcome(x, bound)
+    shuffled = data.draw(st.permutations(terms))
+    assert certify_outcome(cli.parse(" # ".join(shuffled)), bound) == got
+    if "-CP2fake" in terms:
+        with pytest.raises(OrientationReversalUnavailable):
+            manifold.mirror(manifold.mirror(x))
+    else:
+        assert certify_outcome(manifold.mirror(manifold.mirror(x)),
+                               bound) == got
+    if isinstance(got, obstruct.Certificate):
+        assert cli.replay(got)
