@@ -10,7 +10,6 @@ from fourfold.errors import (
     DefiniteFormUnsupported,
     DegenerateForm,
     DimensionMismatch,
-    PreconditionViolated,
 )
 
 ATOMS = [
@@ -148,11 +147,6 @@ def test_atom_maximizer_matches_box_scan(atom, bound):
         for bit in atom.wu])
     want = min(box, key=lambda v: (-lattice.square(form, v), v))
     assert atom.maximizer(bound) == want
-
-
-def test_positive_e8_has_no_maximizer():
-    with pytest.raises(PreconditionViolated):
-        lattice.E8(1).maximizer(1)
 
 
 # --- classify_indefinite ---
