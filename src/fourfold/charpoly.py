@@ -174,9 +174,6 @@ class ExtPoly:
         ordered = sorted(self.terms, key=lambda t: (t[1], t[2], t[0]))
         return " + ".join(term_str(t) for t in ordered)
 
-    def __str__(self):
-        return self.render()
-
 
 def invert_unit(p):
     """Inverse of 1 + nilpotent in the exterior algebra (Neumann series)."""

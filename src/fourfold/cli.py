@@ -38,7 +38,7 @@ _TERM_RE = re.compile(
 
 def _parse_block(text, offset):
     text = re.sub(r"\s+", "", text)
-    if text in ("Enriques", "S4"):
+    if text in manifold.COMPOSITES:
         return (manifold.Block(text),)
     m = re.fullmatch(r"(.*=)(-?\d+)\)", text)
     name, param = (m.group(1) + "{p})", int(m.group(2))) if m else (text, 0)
@@ -315,8 +315,14 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse reads a token that holds a space as a positional and the
+    # grammar ignores whitespace, so "-K3 " is an expression, not an option;
+    # after "--" every token is a positional already
+    argv = list(sys.argv[1:] if argv is None else argv)
+    end = argv.index("--") if "--" in argv else len(argv)
+    argv[:end] = [a + " " if a[:1] == "-" and a[1:2] not in ("", "-", "h")
+                  else a for a in argv[:end]]
+    args = build_parser().parse_args(argv)
     try:
         x = parse(args.expr)
         if args.reverse:

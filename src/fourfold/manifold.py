@@ -64,12 +64,12 @@ class Block:
     kind: str
     sign: int = 0    # only for E8
     param: int = 0   # b1(Y) for S1xY, genus for S2xSigma
-    # the BLOCKS row of the kind; None for the composites Enriques and S4
+    # the BLOCKS row of the kind; None for the COMPOSITES
     spec: BlockSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "spec", BLOCKS.get(self.kind))
-        if self.spec is None and self.kind not in ("Enriques", "S4"):
+        if self.spec is None and self.kind not in COMPOSITES:
             raise ValueError(f"unknown block kind {self.kind!r}")
         if self.kind == "S2xSigma" and self.param < 1:
             raise GenusZero("S2xSigma requires positive genus")
@@ -161,13 +161,9 @@ def S2xSigma(genus):
     return Block("S2xSigma", param=genus)
 
 
-def _expand(block):
-    """Enriques surfaces decompose as -E8 # S2xS2 # W; S4 is the identity."""
-    if block.kind == "Enriques":
-        return (E8Block(-1), S2xS2(), W())
-    if block.kind == "S4":
-        return ()
-    return (block,)
+# composite blocks and their summands: Enriques surfaces decompose as
+# -E8 # S2xS2 # W, and S4 is the identity
+COMPOSITES = {"Enriques": (E8Block(-1), S2xS2(), W()), "S4": ()}
 
 
 @dataclass(frozen=True)
@@ -178,7 +174,7 @@ class ManifoldExpr:
         blocks = []
         for b in self.summands:
             if b.spec is None:
-                blocks.extend(_expand(b))
+                blocks.extend(COMPOSITES[b.kind])
             else:
                 blocks.append(b)
         object.__setattr__(self, "summands",
@@ -206,10 +202,6 @@ class ManifoldExpr:
         return lattice.invariants(self.form).b_plus
 
     @property
-    def b_minus(self):
-        return lattice.invariants(self.form).b_minus
-
-    @property
     def spin(self):
         return all(b.spin for b in self.summands)
 
@@ -230,9 +222,6 @@ class ManifoldExpr:
 
     def non_sc_part(self):
         return tuple(b for b in self.summands if b.spec.part != "sc")
-
-    def n_part(self):
-        return tuple(b for b in self.summands if b.spec.part == "N")
 
     def render(self):
         if not self.summands:

@@ -257,108 +257,74 @@ def _prepare(x):
             f"sigma(M) > 0 needs orientation reversal: {e.args[0]}") from None
 
 
-def _standard_cover(x):
+# One row per scenario: W blocks required (True) or forbidden (False), the
+# Kirby-Siebenmann class must vanish, a spin simply-connected part required
+# (True), forbidden (False) or either (None), and the theorem.  auto tries
+# the rows in this order and joins their reasons in it.
+_SCENARIOS = {
+    "enriques": (True, True, None, "ThmA"),
+    "nonspin": (False, True, False, "ThmA"),
+    "spin": (False, False, True, "ThmB"),
+}
+
+
+def _certify_scenario(x, scenario, bound):
+    """Check one scenario's hypotheses in order, then run its theorem."""
+    w_blocks, ks_zero, spin, theorem = _SCENARIOS[scenario]
+    label = "spin" if spin else "non-spin"
+    if w_blocks and x.torsion_slots < 1:
+        raise HypothesesNotMet("at least one Enriques block required")
+    if not w_blocks and x.torsion_slots:
+        raise HypothesesNotMet(f"{label} scenario does not apply to W blocks")
+    if ks_zero and x.ks != 0:
+        raise HypothesesNotMet(
+            "Kirby-Siebenmann class must vanish for a smooth manifold")
+    normalized = _prepare(x)
+    if spin is not None:
+        sc = manifold.ManifoldExpr(normalized.sc_part())
+        if sc.spin != spin:
+            raise HypothesesNotMet(f"{label} simply-connected part required")
+        if abs(sc.sigma) <= 8:
+            raise HypothesesNotMet("|sigma(M)| > 8")
     try:
-        return cover.build_standard_cover(x)
+        ls = cover.build_standard_cover(normalized)
     except NoNontrivialCoverAvailable as e:
         raise HypothesesNotMet(str(e)) from None
-
-
-def _with_inputs(cert, original):
-    """Echo the expression as given, ahead of the normalized one."""
+    n = ls.b_plus_ell
+    slots = manifold.reflection_slots(normalized)
+    if theorem == "ThmA":
+        # after _prepare there is one slot per positive direction.  w_top
+        # does not depend on the class, so the largest liftable class alone
+        # decides the verdict: when it is Inconclusive no smaller one fires.
+        fam = build_family(normalized, ls, slots[:n])
+        c = largest_liftable_class(fam, bound)
+        cert = check_theorem_A(fam, c, scenario=scenario, bound=bound)
+    else:
+        fam = build_family(normalized, ls,
+                           [s for s in slots if s.kind == "S2xS2"][:n - 1])
+        cert = check_theorem_B(fam, scenario=scenario, bound=bound)
+    # echo the expression as given, ahead of the normalized one
     return replace(
-        cert, inputs=(("expression", original.render()),) + cert.inputs[1:])
-
-
-def _certify_spin(x, bound):
-    if x.torsion_slots:
-        raise HypothesesNotMet("spin scenario does not apply to W blocks")
-    normalized = _prepare(x)
-    sc = manifold.ManifoldExpr(normalized.sc_part())
-    if not sc.spin:
-        raise HypothesesNotMet("spin simply-connected part required")
-    if abs(sc.sigma) <= 8:
-        raise HypothesesNotMet("|sigma(M)| > 8")
-    ls = _standard_cover(normalized)
-    n = ls.b_plus_ell
-    slots = [s for s in manifold.reflection_slots(normalized)
-             if s.kind == "S2xS2"]
-    fam = build_family(normalized, ls, slots[:n - 1])
-    cert = check_theorem_B(fam, scenario="spin", bound=bound)
-    return _with_inputs(cert, x)
-
-
-def _certify_thm_a(x, normalized, scenario, bound):
-    """Shared path for the non-spin and Enriques scenarios."""
-    ls = _standard_cover(normalized)
-    n = ls.b_plus_ell
-    slots = list(manifold.reflection_slots(normalized))
-    if len(slots) < n:
-        raise HypothesesNotMet(
-            f"need {n} reflection slots, found {len(slots)}")
-    fam = build_family(normalized, ls, slots[:n])
-    # w_top does not depend on the class, so when the largest liftable
-    # class is Inconclusive no smaller one can fire: that class alone
-    # decides the verdict and the certificate.
-    c = largest_liftable_class(fam, bound)
-    cert = check_theorem_A(fam, c, scenario=scenario, bound=bound)
-    return _with_inputs(cert, x)
-
-
-def _certify_nonspin(x, bound):
-    if x.torsion_slots:
-        raise HypothesesNotMet(
-            "non-spin scenario does not apply to W blocks")
-    if x.ks != 0:
-        raise HypothesesNotMet(
-            "Kirby-Siebenmann class must vanish for a smooth manifold")
-    normalized = _prepare(x)
-    sc = manifold.ManifoldExpr(normalized.sc_part())
-    if sc.spin:
-        raise HypothesesNotMet("non-spin simply-connected part required")
-    if abs(sc.sigma) <= 8:
-        raise HypothesesNotMet("|sigma(M)| > 8")
-    return _certify_thm_a(x, normalized, "nonspin", bound)
-
-
-def _certify_enriques(x, bound):
-    if x.torsion_slots < 1:
-        raise HypothesesNotMet("at least one Enriques block required")
-    if x.ks != 0:
-        raise HypothesesNotMet(
-            "Kirby-Siebenmann class must vanish for a smooth manifold")
-    return _certify_thm_a(x, _prepare(x), "enriques", bound)
-
-
-_SCENARIOS = {
-    "spin": _certify_spin,
-    "nonspin": _certify_nonspin,
-    "enriques": _certify_enriques,
-}
+        cert, inputs=(("expression", x.render()),) + cert.inputs[1:])
 
 
 def certify(x, scenario="auto", bound=1):
     """End-to-end certificate: normalize, cover, build family, run checkers.
 
-    auto tries enriques, then nonspin, then spin; the first NonSmoothable
-    certificate wins.  Raises HypothesesNotMet when no scenario applies.
+    auto tries enriques, then nonspin, then spin, and returns the first
+    certificate.  The scenarios exclude each other: enriques needs a W
+    block and the other two forbid one, and nonspin and spin need opposite
+    spin of the same prepared part, so at most one gives a certificate.
+    Raises HypothesesNotMet, with every scenario's reason, when none does.
     """
     if scenario in _SCENARIOS:
-        return _SCENARIOS[scenario](x, bound)
+        return _certify_scenario(x, scenario, bound)
     if scenario != "auto":
         raise ValueError(f"unknown scenario {scenario!r}")
-    failures = []
-    fallback = None
-    for name in ("enriques", "nonspin", "spin"):
+    reasons = []
+    for name in _SCENARIOS:
         try:
-            cert = _SCENARIOS[name](x, bound)
+            return _certify_scenario(x, name, bound)
         except HypothesesNotMet as e:
-            failures.append(f"{name}: {e.args[0] if e.args else e}")
-            continue
-        if cert.verdict == NONSMOOTHABLE:
-            return cert
-        if fallback is None:
-            fallback = cert
-    if fallback is not None:
-        return fallback
-    raise HypothesesNotMet("; ".join(failures))
+            reasons.append(f"{name}: {e.args[0]}")
+    raise HypothesesNotMet("; ".join(reasons))

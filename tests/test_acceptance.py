@@ -308,6 +308,23 @@ def test_golden_certificate_bytes(capsys):
         digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == (
         "ff5c07aa95398db2cfdd44d3e2e3a30d2f20850c2f93cdacc3616fb01d0d71b1")
+    # Every HypothesesNotMet reason, under auto and each scenario, in text
+    # and JSON with its exit code, pinned while each scenario was its own
+    # function.
+    refused = ("CP2 # S1xY(b1=1)", "3*CP2 # 2*-CP2fake # S1xY(b1=1)",
+               "Enriques # S2xS2", "10*-CP2 # CP2 # S2xS2",
+               "8*-CP2 # S2xS2 # S1xY(b1=1)", "-E8 # S2xS2 # S1xY(b1=1)",
+               "-CP2fake # CP2 # S2xS2 # S1xY(b1=1)",
+               "W # CP2 # -CP2 # S1xY(b1=1)", "2*-E8 # 3*S2xS2 # S1xY(b1=1)")
+    digest = hashlib.sha256()
+    for text in refused:
+        for scenario in ("auto", "enriques", "nonspin", "spin"):
+            for flags in ([], ["--json"]):
+                code = cli.main(["certify", text, "--scenario", scenario]
+                                + flags)
+                digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert digest.hexdigest() == (
+        "0cb7049b18ce20d3b66b27af769ac497f2c38efaaaba04c464ded2be6ac75782")
 
 
 def test_criterion_8_corollary_reporter(capsys):

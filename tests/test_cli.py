@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -154,6 +158,53 @@ def test_exit_codes_partition():
     ]
     for argv in runs:
         assert cli.main(argv) in (0, 1, 3)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["spinc", "-CP2#S1xY(b1=1)"], 0),
+    (["invariants", "-K3"], 0),
+    (["certify", "-E8#-CP2fake#S2xS2#S1xY(b1=1)", "--json"], 0),
+    (["certify", "-3*CP2#S1xY(b1=1)"], 1),
+    (["certify", "--", "-E8#-CP2fake#S2xS2#S1xY(b1=1)"], 0),
+])
+def test_leading_dash_expression(argv, code, capsys):
+    # an expression that starts with "-" is not read as an option
+    assert cli.main(argv) == code
+    out, err = capsys.readouterr()
+    if argv[1] == "-3*CP2#S1xY(b1=1)":
+        assert err == "NegativeMultiplicity: multiplicity -3 must be >= 0\n"
+    else:
+        assert out and not err
+
+
+def test_leading_dash_file_after_double_dash(tmp_path, monkeypatch, capsys):
+    # after "--" a class-data path that starts with "-" is read as given
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "-classes.txt").write_text(
+        "V1\nrank 2\nw_1 = t1\nW1\nrank 1\nw_1 = t1\n")
+    argv = ["constraints", "--", "-CP2#2*S2xS2#S1xY(b1=1)", "-classes.txt"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.endswith("Incompatible\n")
+
+
+def test_leading_dash_keeps_help(capsys):
+    with pytest.raises(SystemExit) as e:
+        cli.main(["certify", "-h"])
+    assert e.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: fourfold certify")
+
+
+def test_module_run_warns_nothing():
+    # the package loads cli lazily, so runpy finds it not yet imported
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "fourfold.cli", "certify",
+         "2*-E8 # 3*S2xS2 # S1xY(b1=1)"],
+        capture_output=True, text=True, env=env, check=False)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.startswith("verdict: NonSmoothable\n")
 
 
 def test_invariants_output(capsys):

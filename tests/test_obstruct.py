@@ -246,9 +246,12 @@ def test_prepared_cover_has_closed_form_atoms(counts, n_block):
             terms_of(counts, n_block))))
     except FourfoldError:
         return
-    for atom in cover.build_standard_cover(prepared).form.atoms:
+    ls = cover.build_standard_cover(prepared)
+    for atom in ls.form.atoms:
         assert isinstance(atom, (lattice.Diag, lattice.Hyperbolic)) \
             or atom == lattice.E8(-1)
+    # Theorem A takes one generator per positive direction of the free form
+    assert ls.b_plus_ell == len(manifold.reflection_slots(prepared))
 
 
 def test_largest_liftable_class_refuses_positive_e8():
@@ -441,6 +444,30 @@ def test_replay_round_trip():
     for x in (spin_expr(), nonspin_expr(m=1, n=2)):
         cert = obstruct.certify(x)
         assert cli.replay(cert)
+
+
+@settings(deadline=None)
+@given(counts=random_blocks, n_block=st.sampled_from(["", "S1xY(b1=1)"]),
+       bound=st.integers(1, 2))
+def test_scenarios_exclude_each_other(counts, n_block, bound):
+    """At most one scenario certifies; auto returns it or joins the reasons."""
+    x = cli.parse(" # ".join(t for t in terms_of(counts, n_block) if t)
+                  or "S4")
+    certs, reasons = [], []
+    for name in ("enriques", "nonspin", "spin"):
+        try:
+            certs.append(obstruct.certify(x, name, bound))
+        except HypothesesNotMet as e:
+            reasons.append(f"{name}: {e.args[0]}")
+        except FourfoldError:
+            return
+    assert len(certs) <= 1
+    if certs:
+        assert obstruct.certify(x, bound=bound) == certs[0]
+    else:
+        with pytest.raises(HypothesesNotMet) as e:
+            obstruct.certify(x, bound=bound)
+        assert e.value.args[0] == "; ".join(reasons)
 
 
 def certify_outcome(x, bound):
