@@ -139,11 +139,10 @@ def _cmd_cover(x, args):
 
 def _cmd_spinc(x, args):
     ls = cover.build_standard_cover(x)
-    # every class carries the target's torsion part
-    torsion = f", torsion = {list(cover.w2_plus_w1sq(ls).torsion_bits)}\n"
+    torsion = f", torsion = {[1] * ls.torsion_bits}\n"   # the target's bits
     sys.stdout.writelines(
-        f"square = {c.square}: free = {list(c.free_part)}{torsion}"
-        for c in cover.enumerate_characteristics(ls, args.bound))
+        f"square = {square}: free = [{free}]{torsion}"
+        for square, free in cover._listing(ls, args.bound, render=True))
     return 0
 
 
@@ -315,14 +314,15 @@ def build_parser():
 
 
 def main(argv=None):
-    # argparse reads a token that holds a space as a positional and the
-    # grammar ignores whitespace, so "-K3 " is an expression, not an option;
-    # after "--" every token is a positional already
+    # argparse reads "-K3 " as a positional, not an option; the space comes
+    # off after parsing.  After "--" every token is a positional already
     argv = list(sys.argv[1:] if argv is None else argv)
     end = argv.index("--") if "--" in argv else len(argv)
-    argv[:end] = [a + " " if a[:1] == "-" and a[1:2] not in ("", "-", "h")
-                  else a for a in argv[:end]]
+    padded = {a + " " for a in argv[:end]
+              if a[:1] == "-" and a[1:2] not in ("", "-", "h")}
+    argv[:end] = [a + " " if a + " " in padded else a for a in argv[:end]]
     args = build_parser().parse_args(argv)
+    vars(args).update({n: v[:-1] for n, v in vars(args).items() if v in padded})
     try:
         x = parse(args.expr)
         if args.reverse:

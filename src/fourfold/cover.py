@@ -8,6 +8,7 @@ free lattice of the remaining summands plus one torsion bit per W block.
 """
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from . import lattice
@@ -145,31 +146,30 @@ def parity_box(ls, bound):
 
 
 def enumerate_characteristics(ls, bound=1):
-    """All valid classes with free entries in [-bound, bound], square descending.
+    """All valid classes with entries in [-bound, bound], in `_listing` order."""
+    torsion = (1,) * ls.torsion_bits
+    classes = _listing(ls, bound)
+    for i, (square, free) in enumerate(classes):  # in place: one list
+        classes[i] = CharClass(free, torsion, square, True)
+    return classes
 
-    The free parts are the whole parity_box; torsion bits are forced to
-    the target class.  The square is a sum over the form's atoms, so each
-    atom's (vector, square) pairs are listed once and folded together;
-    no class is re-checked.  Output order is canonical: square
-    descending, then lexicographic.
+
+def _listing(ls, bound, render=False):
+    """(square, free part) of every class, square descending, then lexicographic.
+
+    Squares fold atom by atom in `itertools.product`'s lexicographic order,
+    which the stable sort on square keeps for ties.  `render` joins by ", ".
     """
     box = parity_box(ls, bound)
-    keyed = [(0, ())]            # (-square, free part) sorts canonically
-    off = 0
+    columns = iter(box)
+    squares = [0]
     for atom in ls.form.atoms:
-        pairs = _atom_pairs(atom, box[off:off + atom.rank])
-        off += atom.rank
-        keyed = [(k - s, free + v) for k, free in keyed for v, s in pairs]
-    keyed.sort()
-    torsion = (1,) * ls.torsion_bits
-    for i, (k, free) in enumerate(keyed):   # in place: one full-size list
-        keyed[i] = CharClass(free, torsion, -k, True)
-    return keyed
-
-
-def _atom_pairs(atom, coords):
-    """(vector, square) for every vector of one atom's slice of the box."""
-    m = atom.matrix()
-    return [(v, sum(vi * mij * vj for row, vi in zip(m, v)
-                    for mij, vj in zip(row, v)))
-            for v in itertools.product(*coords)]
+        part = [sum(vi * mij * vj for row, vi in zip(atom.matrix(), v)
+                    for mij, vj in zip(row, v)) for v in
+                itertools.product(*itertools.islice(columns, atom.rank))]
+        squares = [s + t for s in squares for t in part]
+    if render:
+        box = [[str(v) for v in coords] for coords in box]
+    free = itertools.product(*box)
+    return sorted(zip(squares, map(", ".join, free) if render else free),
+                  key=operator.itemgetter(0), reverse=True)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fourfold import cli, manifold, obstruct
 from fourfold.errors import GenusZero, NegativeMultiplicity, ParseError
@@ -185,6 +189,53 @@ def test_leading_dash_file_after_double_dash(tmp_path, monkeypatch, capsys):
     argv = ["constraints", "--", "-CP2#2*S2xS2#S1xY(b1=1)", "-classes.txt"]
     assert cli.main(argv) == 0
     assert capsys.readouterr().out.endswith("Incompatible\n")
+
+
+@pytest.mark.parametrize("exists", [True, False])
+def test_leading_dash_file_without_double_dash(exists, tmp_path, monkeypatch,
+                                               capsys):
+    # the space that keeps "-c.txt" from reading as an option never
+    # reaches the path
+    monkeypatch.chdir(tmp_path)
+    if exists:
+        (tmp_path / "-c.txt").write_text(
+            "V1\nrank 2\nw_1 = t1\nW1\nrank 1\nw_1 = t1\n")
+    code = cli.main(["constraints", "2*S2xS2 # S1xY(b1=1)", "-c.txt"])
+    out, err = capsys.readouterr()
+    if exists:
+        assert code == 0 and out.endswith("Incompatible\n")
+    else:
+        assert code == 1
+        assert err.startswith("ParseError: ") and err.endswith("'-c.txt'\n")
+
+
+# the grammar's tokens; a parametrized block name gives its head, "S1xY(b1="
+_WORDS = sorted({name.split("{p}")[0] for name in cli._NAMES}
+                | set(manifold.COMPOSITES) | set("#*()=- "))
+# a drawn integer is always followed by a word, which never starts with a
+# digit, so no two integers merge: multiplicities and parameters stay <= 99
+_PIECES = st.one_of(
+    st.sampled_from(_WORDS),
+    st.builds("{}{}".format, st.integers(0, 99), st.sampled_from(_WORDS)))
+# well-formed sums too, so that most verdict paths are reached
+_BLOCK = st.builds(str.format,
+                   st.sampled_from([*cli._NAMES, *manifold.COMPOSITES]),
+                   p=st.integers(0, 99))
+_TERM = st.one_of(_BLOCK, st.builds("{}*{}".format, st.integers(0, 99), _BLOCK))
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(["invariants", "classify", "cover", "certify"]),
+       text=st.one_of(st.lists(_PIECES, max_size=16).map("".join),
+                      st.lists(_TERM, min_size=1, max_size=5).map(" # ".join)))
+def test_random_text_gets_documented_exit(command, text):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main([command, text])
+        except SystemExit as e:   # argparse rejected the command line
+            code = ("argparse", e.code)
+    assert code in (0, 1, 3, ("argparse", 2))
 
 
 def test_leading_dash_keeps_help(capsys):

@@ -159,7 +159,7 @@ def test_enumeration_stable_under_block_permutation():
         [(c.free_part, c.square) for c in cb]
 
 
-@pytest.mark.parametrize("text, bound", [
+BRUTE_FORCE_ROWS = [
     (text, bound)
     for text in ("CP2 # -CP2 # S1xY(b1=1)",
                  "CP2 # 2*-CP2 # S2xS2 # S1xY(b1=1)",
@@ -168,7 +168,10 @@ def test_enumeration_stable_under_block_permutation():
                  "2*W # CP2 # -CP2fake # S1xY(b1=1)",
                  "S1xY(b1=1)",
                  "W # S1xY(b1=1)")
-    for bound in (1, 2, 3)] + [("-E8 # S1xY(b1=1)", 1)])
+    for bound in (1, 2, 3)] + [("-E8 # S1xY(b1=1)", 1)]
+
+
+@pytest.mark.parametrize("text, bound", BRUTE_FORCE_ROWS)
 def test_enumeration_matches_brute_force(text, bound):
     """The oracle: every vector of the box, kept iff it is characteristic."""
     ls = cover.build_standard_cover(cli.parse(text))
@@ -202,12 +205,25 @@ def test_enumeration_matches_checked_path_random(counts, definite, n_block,
     assert got == want
 
 
+@pytest.mark.parametrize("text, bound", BRUTE_FORCE_ROWS)
+def test_spinc_renders_enumeration(text, bound, capsys):
+    """spinc prints exactly the enumerated classes, in their order."""
+    ls = cover.build_standard_cover(cli.parse(text))
+    want = "".join(
+        f"square = {c.square}: free = {list(c.free_part)}, "
+        f"torsion = {list(c.torsion_part)}\n"
+        for c in cover.enumerate_characteristics(ls, bound))
+    assert cli.main(["spinc", text, "--bound", str(bound)]) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_spinc_does_not_recheck_classes(monkeypatch, capsys):
     def refuse(*args, **kwargs):
-        raise AssertionError("spinc re-checked a class over the whole form")
+        raise AssertionError("spinc re-checked or built a class")
 
     monkeypatch.setattr(lattice, "is_characteristic", refuse)
     monkeypatch.setattr(lattice, "square", refuse)
+    monkeypatch.setattr(cover, "CharClass", refuse)
     code = cli.main(["spinc", "CP2 # 2*-CP2 # S2xS2 # S1xY(b1=1)",
                      "--bound", "3"])
     assert code == 0
