@@ -233,9 +233,8 @@ class LineSumBundle:
     """k real lines, line i with w1 = ti, plus a trivial bundle; rank is the sum.
 
     The total class is the product of (1 + ti), so wi is the elementary
-    symmetric polynomial e_i(t1..tk), built on demand with C(k, i) terms;
-    the same class data as total_sw_line_sum(k, [(1,), ..., (k,)],
-    rank - k) without expanding all 2^k monomials.
+    symmetric polynomial e_i(t1..tk), built on demand with C(k, i) terms
+    without expanding all 2^k monomials.
     """
 
     k: int
@@ -251,61 +250,20 @@ class LineSumBundle:
             (sum(1 << j for j in subset), 0, 0)
             for subset in itertools.combinations(range(self.k), i)})
 
-    def total(self, mode=PM1):
-        out = ExtPoly.zero(self.k, mode)
-        for i in range(min(self.k, self.rank) + 1):
-            out = out + self.w(i, mode)
-        return out
-
 
 def equivariant_euler(bundle, mode):
     """Equivariant Euler class of a bundle with the given symmetry type.
 
-    pm1: sum of w_{m-i} u^i for the fiberwise sign action;
     pm1_fixed: top class only (trivial action);
-    c4_spinor: sum of c_{r-i} v^i for the complex spinor pieces;
-    c4_hplus: w_b + w_{b-1} u, the pm1 class truncated by u^2 = 0.
+    c4_hplus: w_b + w_{b-1} u, the sign action's class sum of w_{b-i} u^i
+    truncated by u^2 = 0.
     """
     k, r = bundle.k, bundle.rank
-    if mode == "pm1":
-        out = ExtPoly.zero(k, PM1)
-        for i in range(r + 1):
-            out = out + bundle.w(r - i, PM1) * ExtPoly.u(k, i, PM1)
-        if r == 0:
-            out = ExtPoly.one(k, PM1)
-        return out
     if mode == "pm1_fixed":
         return bundle.w(r, PM1)
-    if mode == "c4_spinor":
-        out = ExtPoly.zero(k, C4)
-        for i in range(r + 1):
-            out = out + bundle.w(r - i, C4) * ExtPoly.v(k, i)
-        if r == 0:
-            out = ExtPoly.one(k, C4)
-        return out
     if mode == "c4_hplus":
-        if r == 0:
-            return ExtPoly.one(k, C4)
         return bundle.w(r, C4) + bundle.w(r - 1, C4) * ExtPoly.u(k, 1, C4)
     raise ModeMismatch(f"unknown equivariant Euler mode {mode!r}")
-
-
-def total_sw_line_sum(k, lines, trivial_rank=0):
-    """Class data of a sum of line bundles with w1 supported on torus generators.
-
-    Each entry of `lines` is an iterable of generator indices in 1..k; the
-    line contributes a factor 1 + sum of those generators.
-    """
-    lines = [tuple(s) for s in lines]
-    total = ExtPoly.one(k, PM1)
-    for subset in lines:
-        w1 = ExtPoly.zero(k, PM1)
-        for i in subset:
-            w1 = w1 + ExtPoly.t(k, i, PM1)
-        total = total * (ExtPoly.one(k, PM1) + w1)
-    rank = len(lines) + trivial_rank
-    sw = tuple(total.t_degree_part(i) for i in range(1, rank + 1))
-    return BundleClassData(k=k, rank=rank, sw=sw)
 
 
 def virtual_sw(numerator, denominator):

@@ -7,13 +7,14 @@ Expression grammar:
     block := CP2 | -CP2 | -CP2fake | S2xS2 | K3 | -K3 | E8 | -E8 | W
            | Enriques | S4 | S1xY(b1=INT) | S2xSigma(g=INT)
 
-Exit codes: 0 success or informational output, 1 input error,
-3 inconclusive or hypotheses not met.
+Exit codes: 0 success or informational output, 1 input error or a
+reader that closed the output early, 3 inconclusive or hypotheses not met.
 """
 
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 
@@ -327,9 +328,14 @@ def main(argv=None):
         x = parse(args.expr)
         if args.reverse:
             x = manifold.mirror(x)
-        return args.func(x, args)
+        code = args.func(x, args)
+        sys.stdout.flush()  # a closed reader fails here, not at exit
+        return code
     except FourfoldError as e:
         print(str(e), file=sys.stderr)
+        return 1
+    except BrokenPipeError:  # the reader left: drop what is still buffered
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -124,12 +124,6 @@ def w2_plus_w1sq(ls):
     )
 
 
-def spinc_minus_exists(ls, c):
-    """True iff the candidate class reduces to w2 + w1^2 mod 2."""
-    return ls.char_class(c.free_part,
-                         (b % 2 for b in c.torsion_part)).mod2_ok
-
-
 def parity_box(ls, bound):
     """Per free coordinate, the ascending entries a characteristic class may take.
 

@@ -5,12 +5,14 @@ planes, the rank-8 even unimodular definite lattice (either sign), and
 arbitrary square integer symmetric matrices.  Signatures are computed by
 rational congruence diagonalization, never floating point.
 
-The unimodular atoms (Diag, Hyperbolic, E8) also carry their Wu class `wu`
-and `maximizer(bound)`: the lexicographically smallest characteristic
-vector of largest square with entries in [-bound, bound].
+Every atom carries its `rank`, its `inertia` (b_plus, b_minus, b_zero) and
+whether it is `even`; RawMatrix computes them from its matrix.  The
+unimodular atoms (Diag, Hyperbolic, E8) also carry their Wu class `wu` and
+`maximizer(bound)`: the lexicographically smallest characteristic vector of
+largest square with entries in [-bound, bound].
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (DegenerateForm, DefiniteFormUnsupported,
@@ -34,6 +36,8 @@ _NEG_E8_MATRIX = tuple(tuple(-x for x in row) for row in E8_MATRIX)
 @dataclass(frozen=True)
 class Diag:
     eps: int  # +1 or -1
+    rank = 1
+    even = False
     wu = (1,)
 
     def __post_init__(self):
@@ -41,8 +45,8 @@ class Diag:
             raise ValueError(f"Diag sign must be +1 or -1, got {self.eps}")
 
     @property
-    def rank(self):
-        return 1
+    def inertia(self):
+        return (1, 0, 0) if self.eps > 0 else (0, 1, 0)
 
     def matrix(self):
         return ((self.eps,),)
@@ -57,11 +61,10 @@ class Diag:
 
 @dataclass(frozen=True)
 class Hyperbolic:
+    rank = 2
+    inertia = (1, 1, 0)
+    even = True
     wu = (0, 0)
-
-    @property
-    def rank(self):
-        return 2
 
     def matrix(self):
         return ((0, 1), (1, 0))
@@ -75,6 +78,8 @@ class Hyperbolic:
 @dataclass(frozen=True)
 class E8:
     sign: int  # +1 or -1
+    rank = 8
+    even = True
     wu = (0,) * 8
 
     def __post_init__(self):
@@ -82,8 +87,8 @@ class E8:
             raise ValueError(f"E8 sign must be +1 or -1, got {self.sign}")
 
     @property
-    def rank(self):
-        return 8
+    def inertia(self):
+        return (8, 0, 0) if self.sign > 0 else (0, 8, 0)
 
     def matrix(self):
         return E8_MATRIX if self.sign > 0 else _NEG_E8_MATRIX
@@ -117,6 +122,14 @@ class RawMatrix:
     def rank(self):
         return len(self.entries)
 
+    @property
+    def inertia(self):
+        return _raw_inertia(self.entries)
+
+    @property
+    def even(self):
+        return all(row[i] % 2 == 0 for i, row in enumerate(self.entries))
+
     def matrix(self):
         return self.entries
 
@@ -131,9 +144,6 @@ class IntersectionForm:
     @property
     def rank(self):
         return sum(a.rank for a in self.atoms)
-
-    def direct_sum(self, other):
-        return IntersectionForm(self.atoms + other.atoms)
 
     def matrix(self):
         """Full Gram matrix as a tuple of int tuples (block diagonal)."""
@@ -220,24 +230,6 @@ def _raw_inertia(matrix):
     return plus, minus, zero
 
 
-def _atom_inertia(atom):
-    if isinstance(atom, Diag):
-        return (1, 0, 0) if atom.eps > 0 else (0, 1, 0)
-    if isinstance(atom, Hyperbolic):
-        return (1, 1, 0)
-    if isinstance(atom, E8):
-        return (8, 0, 0) if atom.sign > 0 else (0, 8, 0)
-    return _raw_inertia(atom.matrix())
-
-
-def _atom_even(atom):
-    if isinstance(atom, Diag):
-        return False
-    if isinstance(atom, (Hyperbolic, E8)):
-        return True
-    return all(atom.matrix()[i][i] % 2 == 0 for i in range(atom.rank))
-
-
 def invariants(form, unimodular_only=False):
     """Rank, signature, b_plus/b_minus, parity, and definiteness of a form.
 
@@ -247,11 +239,11 @@ def invariants(form, unimodular_only=False):
     plus = minus = zero = 0
     even = True
     for atom in form.atoms:
-        p, m, z = _atom_inertia(atom)
+        p, m, z = atom.inertia
         plus += p
         minus += m
         zero += z
-        even = even and _atom_even(atom)
+        even = even and atom.even
     if zero and unimodular_only:
         raise DegenerateForm(f"form has {zero} null direction(s)")
     rank = form.rank

@@ -28,6 +28,7 @@ class BlockSpec(NamedTuple):
     h1_torsion: int  # Z2 torsion of H1: rank H^1(-; Z2) = b1 + h1_torsion
     mirror: str      # kind of the orientation-reversed block; "" if unknown
     part: str        # "sc": simply connected; "N": twisted by the cover; "": W
+    reflect: object = None  # H^2 -> H^2 of its reflection slot; None: no slot
 
 
 _H = (lattice.Hyperbolic(),)
@@ -41,9 +42,11 @@ BLOCKS = {
     "NegK3": BlockSpec("-K3", lambda b: (lattice.E8(1),) * 2 + _H * 3,
                        lambda p: 0, True, 0, 0, "K3", "sc"),
     "S2xS2": BlockSpec("S2xS2", lambda b: _H,
-                       lambda p: 0, True, 0, 0, "S2xS2", "sc"),
+                       lambda p: 0, True, 0, 0, "S2xS2", "sc",
+                       lambda v: (-v[1], -v[0])),
     "CP2": BlockSpec("CP2", lambda b: (lattice.Diag(1),),
-                     lambda p: 0, False, 0, 0, "NegCP2", "sc"),
+                     lambda p: 0, False, 0, 0, "NegCP2", "sc",
+                     lambda v: (-v[0],)),
     "NegCP2": BlockSpec("-CP2", lambda b: (lattice.Diag(-1),),
                         lambda p: 0, False, 0, 0, "CP2", "sc"),
     "NegCP2Fake": BlockSpec("-CP2fake", lambda b: (lattice.Diag(-1),),
@@ -233,10 +236,6 @@ def expr(*blocks):
     return ManifoldExpr(tuple(blocks))
 
 
-def connected_sum(a, b):
-    return ManifoldExpr(a.summands + b.summands)
-
-
 def mirror(x):
     """Orientation reversal: swap each block for its mirror."""
     out = []
@@ -314,23 +313,17 @@ class Slot:
     """A reflection slot: one H+-flipping self-map supported on one summand."""
 
     block_index: int   # index into expr.summands
-    kind: str          # "S2xS2" or "CP2"
+    kind: str          # a kind whose BLOCKS row has a reflection
 
     def act(self, component):
         """Induced sign action on the block's H^2 coordinates."""
-        if self.kind == "S2xS2":
-            a, b = component
-            return (-b, -a)
-        return (-component[0],)
+        return BLOCKS[self.kind].reflect(component)
 
 
 def reflection_slots(x):
-    """One slot per S2xS2 summand and per CP2 summand, in block order."""
-    slots = []
-    for i, b in enumerate(x.summands):
-        if b.kind in ("S2xS2", "CP2"):
-            slots.append(Slot(block_index=i, kind=b.kind))
-    return tuple(slots)
+    """One slot per summand whose block has a reflection, in block order."""
+    return tuple(Slot(block_index=i, kind=b.kind)
+                 for i, b in enumerate(x.summands) if b.spec.reflect)
 
 
 def block_table():

@@ -77,11 +77,11 @@ def build_family(x, ls, slots):
 
 
 def lift_valid(f, c):
-    """True iff every generator carries the candidate class to plus/minus itself.
+    """True iff each generator maps its block's part of c to plus/minus itself.
 
-    Slot reflections move only their own summand; the sign ambiguity is
-    allowed because the characteristic bundle is an O(2)-bundle, so the
-    twisted Euler class is defined up to the cover's sign action.
+    Models the per-block lift sign; whether the theorem needs one global
+    sign instead (g.c = +/-c on the whole free part, as the deck involution
+    negates every twisted coefficient at once) is an open question.
     """
     offsets = f.cover.free_block_offsets()
     for slot in f.generators:

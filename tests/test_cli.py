@@ -245,17 +245,33 @@ def test_leading_dash_keeps_help(capsys):
     assert capsys.readouterr().out.startswith("usage: fourfold certify")
 
 
+def module_env():
+    """The environment for `python -m fourfold.cli` from this checkout."""
+    src = str(Path(cli.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def test_module_run_warns_nothing():
     # the package loads cli lazily, so runpy finds it not yet imported
-    src = str(Path(cli.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
     run = subprocess.run(
         [sys.executable, "-W", "error", "-m", "fourfold.cli", "certify",
          "2*-E8 # 3*S2xS2 # S1xY(b1=1)"],
-        capture_output=True, text=True, env=env, check=False)
+        capture_output=True, text=True, env=module_env(), check=False)
     assert (run.returncode, run.stderr) == (0, "")
     assert run.stdout.startswith("verdict: NonSmoothable\n")
+
+
+@pytest.mark.parametrize("argv", [["spinc", "S2xS2 # S1xY(b1=1)"],
+                                  ["invariants", "K3"]])
+def test_closed_reader_ends_quietly(argv):
+    child = subprocess.Popen(
+        [sys.executable, "-m", "fourfold.cli", *argv], env=module_env(),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    child.stdout.close()  # the child starts up long after this
+    with child.stderr:
+        err = child.stderr.read()
+    assert (child.wait(timeout=60), err) == (1, b"")
 
 
 def test_invariants_output(capsys):

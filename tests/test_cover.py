@@ -84,20 +84,18 @@ def test_target_class_nonspin_diag_bits():
     assert lattice.is_characteristic(free_form, target.free_bits)
 
 
-# --- spinc_minus_exists ---
+# --- the mod-2 condition on candidate classes ---
 
 def test_zero_class_exists_for_spin():
     ls = standard_cover(manifold.S2xS2(), manifold.S1xY(1))
     c = ls.char_class((0, 0))
     assert c.mod2_ok
-    assert cover.spinc_minus_exists(ls, c)
 
 
 def test_odd_entry_on_hyperbolic_rejected():
     ls = standard_cover(manifold.S2xS2(), manifold.S1xY(1))
     c = ls.char_class((1, 0))
     assert not c.mod2_ok
-    assert not cover.spinc_minus_exists(ls, c)
 
 
 def test_nonspin_witness_class():
@@ -109,7 +107,7 @@ def test_nonspin_witness_class():
     # block order: -E8 (8 coords), n hyperbolics, m copies of -CP2, fake -CP2
     free = (0,) * 8 + (0, 0) * n + (1,) * m + (1,)
     c = ls.char_class(free)
-    assert cover.spinc_minus_exists(ls, c)
+    assert c.mod2_ok
     assert c.square == -m - 1
 
 

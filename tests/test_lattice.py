@@ -58,10 +58,13 @@ def test_zero_rank_form():
 
 def test_raw_matrix_matches_atom_arithmetic():
     for atom in ATOMS:
+        raw_atom = lattice.RawMatrix(atom.matrix())
         direct = lattice.invariants(form_of(atom))
-        raw = lattice.invariants(form_of(lattice.RawMatrix(atom.matrix())))
+        raw = lattice.invariants(form_of(raw_atom))
         assert (direct.rank, direct.signature, direct.parity) == \
             (raw.rank, raw.signature, raw.parity)
+        assert (atom.rank, atom.inertia, atom.even) == \
+            (raw_atom.rank, raw_atom.inertia, raw_atom.even)
 
 
 def test_raw_matrix_validation():
@@ -189,7 +192,7 @@ atom_lists = st.lists(st.sampled_from(ATOMS), min_size=0, max_size=6)
 @given(atom_lists, atom_lists)
 def test_signature_additive(a, b):
     fa, fb = form_of(*a), form_of(*b)
-    total = lattice.invariants(fa.direct_sum(fb))
+    total = lattice.invariants(lattice.IntersectionForm(fa.atoms + fb.atoms))
     assert total.signature == (lattice.invariants(fa).signature
                                + lattice.invariants(fb).signature)
 

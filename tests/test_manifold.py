@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -60,7 +62,7 @@ def test_unknown_kind_rejected():
 
 def test_s4_is_identity():
     x = manifold.expr(manifold.K3(), manifold.S2xS2())
-    y = manifold.connected_sum(x, manifold.expr(manifold.Block("S4")))
+    y = manifold.expr(*x.summands, manifold.Block("S4"))
     assert x == y
 
 
@@ -82,7 +84,7 @@ def test_spin_sum_invariants():
        st.lists(st.sampled_from(BLOCK_SAMPLES), max_size=5))
 def test_connected_sum_additivity(a, b):
     xa, xb = manifold.expr(*a), manifold.expr(*b)
-    x = manifold.connected_sum(xa, xb)
+    x = manifold.expr(*a, *b)
     assert x.sigma == xa.sigma + xb.sigma
     assert x.b1 == xa.b1 + xb.b1
     assert x.b2 == xa.b2 + xb.b2
@@ -201,6 +203,29 @@ def test_slots_per_summand():
     y = manifold.expr(*([manifold.CP2()] * 2), manifold.NegCP2())
     assert [s.kind for s in manifold.reflection_slots(y)] == ["CP2", "CP2"]
     assert manifold.reflection_slots(manifold.expr()) == ()
+
+
+def test_reflection_column():
+    assert {b.kind for b in BLOCK_SAMPLES} == set(manifold.BLOCKS)
+    for b in BLOCK_SAMPLES:
+        reflect = b.spec.reflect
+        if b.kind not in ("S2xS2", "CP2"):
+            assert reflect is None, b.kind
+            continue
+        m = b.form.matrix()
+
+        def pair(u, v):
+            return sum(ui * mij * vj
+                       for ui, row in zip(u, m) for mij, vj in zip(row, v))
+
+        box = list(itertools.product((-1, 0, 1), repeat=b.b2))
+        for u in box:
+            assert reflect(reflect(u)) == u
+            for v in box:
+                assert pair(reflect(u), reflect(v)) == pair(u, v)
+        # it flips a positive direction, so a family of it twists H+
+        assert any(pair(v, v) > 0 and reflect(v) == tuple(-x for x in v)
+                   for v in box)
 
 
 def test_slot_sign_action():

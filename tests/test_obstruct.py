@@ -79,7 +79,8 @@ def test_family_top_class_full_rank():
 def test_family_zero_generators():
     fam, _ = family_for(spin_expr(), k=0)
     assert fam.k == 0
-    assert fam.h_plus_bundle.total() == ExtPoly.one(0)
+    assert fam.h_plus_bundle.w(0) == ExtPoly.one(0)
+    assert fam.h_plus_bundle.w(1).is_zero()
 
 
 def test_family_rejects_bad_slots():
@@ -127,6 +128,41 @@ def test_lift_rejects_moved_component():
     fam, ls = family_for(x)
     moved = ls.char_class((1, 0))  # reflection sends (1,0) to (0,-1)
     assert not obstruct.lift_valid(fam, moved)
+
+
+def lifts_with_global_sign(f, c):
+    """True iff each generator carries c to +/-c on the whole free part."""
+    offsets = f.cover.free_block_offsets()
+    free = tuple(c.free_part)
+    for slot in f.generators:
+        off, span = offsets[slot.block_index]
+        image = list(free)
+        image[off:off + span] = slot.act(free[off:off + span])
+        if tuple(image) not in (free, tuple(-v for v in free)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_criterion_4_needs_per_block_lift_signs(k):
+    """Criterion 4 certifies only under lift_valid's per-block signs.
+
+    The CP2 slot negates the odd CP2 entry while the odd -CP2 entries stay
+    put, so for k >= 1 the certified class has no global sign.  If the
+    engine ever takes the global reading, these are the rows to recheck.
+    """
+    x = cli.parse(f"Enriques # {k}*-CP2 # S2xSigma(g=1)")
+    prepared = obstruct._prepare(x)
+    ls = cover.build_standard_cover(prepared)
+    fam = obstruct.build_family(
+        prepared, ls, manifold.reflection_slots(prepared)[:ls.b_plus_ell])
+    for bound in (1, 2, 3):
+        c = obstruct.largest_liftable_class(fam, bound)
+        cert = obstruct.certify(x, bound=bound)
+        assert (cert.verdict, cert.c1_square) == \
+            (obstruct.NONSMOOTHABLE, c.square)
+        assert obstruct.lift_valid(fam, c)
+        assert lifts_with_global_sign(fam, c) == (k == 0), bound
 
 
 # --- theorem A ---
@@ -283,12 +319,10 @@ def test_certify_does_not_enumerate(monkeypatch):
     assert (cert.c1_square, cert.sigma) == (-31, -39)
 
 
-def test_build_family_does_not_expand_line_sum(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("build_family expanded the 2^k line-sum product")
-
-    monkeypatch.setattr(charpoly, "total_sw_line_sum", refuse)
+def test_build_family_does_not_expand_line_sum():
     x = cli.parse("2*-E8 # 40*S2xS2 # S2xSigma(g=1)")
+    fam, _ = family_for(x, k=39)
+    assert type(fam.h_plus_bundle) is charpoly.LineSumBundle
     cert = obstruct.certify(x)
     assert (cert.verdict, cert.theorem_used, cert.base_dim) == \
         (obstruct.NONSMOOTHABLE, "ThmB", 39)
