@@ -22,6 +22,7 @@ from . import charpoly, cover, lattice, manifold, obstruct
 from .errors import (
     FourfoldError,
     HypothesesNotMet,
+    InvalidSetting,
     NegativeMultiplicity,
     ParseError,
 )
@@ -251,8 +252,10 @@ def _cmd_constraints(x, args):
     normalized = manifold.normalize_homeo_type(x)
     ls = cover.build_standard_cover(normalized)
     slots = manifold.reflection_slots(normalized)
-    k = min(ls.b_plus_ell, len(slots)) if args.generators is None \
-        else args.generators
+    top = min(ls.b_plus_ell, len(slots))
+    k = top if args.generators is None else args.generators
+    if not 0 <= k <= top:
+        raise InvalidSetting(f"generators must be in 0..{top}, got {k}")
     fam = obstruct.build_family(normalized, ls, slots[:k])
     v1, w1 = _parse_constraint_file(args.data, fam.k)
     report = obstruct.corollary_constraints(fam, v1, w1)

@@ -8,6 +8,7 @@ free lattice of the remaining summands plus one torsion bit per W block.
 """
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -18,6 +19,10 @@ from .errors import (
     NoNontrivialCoverAvailable,
 )
 from .manifold import N_KINDS, ManifoldExpr
+
+# the most classes one listing may hold: at least the 531,441 of
+# -E8 # 2*S2xS2 # S1xY(b1=1) at bound 2, which peak at 132 MB in `spinc`
+MAX_CLASSES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -130,13 +135,19 @@ def parity_box(ls, bound):
     Every atom of a cover's form is unimodular (Diag, Hyperbolic or E8),
     so a vector is characteristic iff it reduces to the Wu class mod 2:
     each coordinate takes the entries in [-bound, bound] whose parity is
-    its bit of w2_plus_w1sq.
+    its bit of w2_plus_w1sq.  Raises InvalidSetting, before building any
+    list, when the box holds more than MAX_CLASSES classes.
     """
     if bound < 1:
         raise InvalidSetting("bound must be >= 1")
+    bits = w2_plus_w1sq(ls).free_bits
+    # of the 2 bound + 1 entries, bound + 1 share bound's parity
+    if math.prod(bound + (bound % 2 == bit) for bit in bits) > MAX_CLASSES:
+        raise InvalidSetting(
+            f"bound {bound} gives more than {MAX_CLASSES} classes")
     by_parity = [[v for v in range(-bound, bound + 1) if v % 2 == bit]
                  for bit in (0, 1)]
-    return [by_parity[bit] for bit in w2_plus_w1sq(ls).free_bits]
+    return [by_parity[bit] for bit in bits]
 
 
 def enumerate_characteristics(ls, bound=1):

@@ -54,6 +54,8 @@ class NoNontrivialCoverAvailable(FourfoldError):
 # charpoly
 
 class ModeMismatch(FourfoldError):
+    """Operands over tori of different dimension."""
+
     code = "ModeMismatch"
 
 

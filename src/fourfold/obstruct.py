@@ -135,7 +135,7 @@ def check_theorem_A(f, c, scenario="manual", bound=1):
         raise PreconditionViolated(
             "generators do not lift: class not carried to plus/minus itself")
     b = f.cover.b_plus_ell
-    w_top = charpoly.equivariant_euler(f.h_plus_bundle, "pm1_fixed")
+    w_top = f.h_plus_bundle.w(b)
     sigma = f.manifold.sigma
     transcript = [
         f"b_plus_ell = {b}",
@@ -170,7 +170,7 @@ def check_theorem_B(f, scenario="manual", bound=1):
     b = f.cover.b_plus_ell
     w_b = f.h_plus_bundle.w(b)
     w_b1 = f.h_plus_bundle.w(b - 1)
-    euler = charpoly.equivariant_euler(f.h_plus_bundle, "c4_hplus")
+    euler = w_b + w_b1 * charpoly.ExtPoly.u(f.k)
     sigma = f.manifold.sigma
     witness = w_b if w_b else w_b1
     transcript = [
@@ -225,7 +225,7 @@ def corollary_constraints(f, v1, w1):
         raise RankMismatch(
             f"class data must live over T^{f.k}")
     virt = charpoly.virtual_sw(w1, v1)
-    euler = charpoly.equivariant_euler(f.h_plus_bundle, "pm1_fixed")
+    euler = f.h_plus_bundle.w(f.cover.b_plus_ell)
     n_minus_m = w1.rank - v1.rank
     entries = []
     for i in range(max(0, n_minus_m + 1), f.k + 1):
@@ -315,8 +315,11 @@ def certify(x, scenario="auto", bound=1):
     certificate.  The scenarios exclude each other: enriques needs a W
     block and the other two forbid one, and nonspin and spin need opposite
     spin of the same prepared part, so at most one gives a certificate.
-    Raises HypothesesNotMet, with every scenario's reason, when none does.
+    Raises HypothesesNotMet, with every scenario's reason, when none does,
+    and InvalidSetting, before any scenario runs, for a bound below 1.
     """
+    if bound < 1:
+        raise InvalidSetting("bound must be >= 1")
     if scenario in _SCENARIOS:
         return _certify_scenario(x, scenario, bound)
     if scenario != "auto":

@@ -178,16 +178,16 @@ def test_criterion_6_oracle_equivalence(capsys):
 
     for _ in range(200):
         k = rng.randint(1, 4)
-        q_terms = {(rng.randrange(1 << k), rng.randint(0, 2), 0)
+        q_terms = {(rng.randrange(1 << k), rng.randint(0, 2))
                    for _ in range(rng.randint(1, 5))}
-        q = ExtPoly(k, charpoly.PM1, frozenset(q_terms))
+        q = ExtPoly(k, frozenset(q_terms))
         m = rng.randint(0, 2)
-        d_terms = {(0, m, 0)}
+        d_terms = {(0, m)}
         for _ in range(rng.randint(0, 4)):
             mask, up = rng.randrange(1 << k), rng.randint(0, m)
             if (mask, up) != (0, m):
-                d_terms.add((mask, up, 0))
-        d = ExtPoly(k, charpoly.PM1, frozenset(d_terms))
+                d_terms.add((mask, up))
+        d = ExtPoly(k, frozenset(d_terms))
         quotient, neg = charpoly.laurent_divide(q * d, d)
         if quotient != q or neg != (q.min_u() < 0):
             failures.append(("laurent", q.render(), d.render()))
@@ -339,8 +339,7 @@ def test_criterion_8_corollary_reporter(capsys):
         report_ = obstruct.corollary_constraints(
             fam, BundleClassData(k=k, rank=m, sw=()),
             BundleClassData(k=k, rank=n, sw=()))
-        euler_nonzero = bool(
-            charpoly.equivariant_euler(fam.h_plus_bundle, "pm1_fixed"))
+        euler_nonzero = bool(fam.h_plus_bundle.w(fam.h_plus_bundle.rank))
         degree_zero = next((e for e in report_.entries if e.degree == 0),
                            None)
         violated = degree_zero is not None and not degree_zero.satisfied

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fourfold import charpoly
-from fourfold.charpoly import C4, PM1, BundleClassData, ExtPoly
+from fourfold.charpoly import BundleClassData, ExtPoly
 from fourfold.errors import (
     FourfoldError,
     ModeMismatch,
@@ -13,10 +13,6 @@ from fourfold.errors import (
     NonMonicDenominator,
     UDegreeOverflow,
 )
-
-
-def poly(k, *terms, mode=PM1):
-    return ExtPoly(k, mode, frozenset(terms))
 
 
 # --- ring arithmetic ---
@@ -33,11 +29,9 @@ def test_generator_squares_to_zero():
     assert (t1 * t1).is_zero()
 
 
-def test_u_squares_to_zero_in_c4():
-    u = ExtPoly.u(1, 1, mode=C4)
-    assert (u * u).is_zero()
-    u_pm1 = ExtPoly.u(1, 1)
-    assert u_pm1 * u_pm1 == ExtPoly.u(1, 2)
+def test_u_powers_add():
+    u = ExtPoly.u(1, 1)
+    assert u * u == ExtPoly.u(1, 2)
 
 
 def test_addition_is_xor():
@@ -49,7 +43,9 @@ def test_mode_mismatch():
     with pytest.raises(ModeMismatch):
         ExtPoly.t(2, 1) * ExtPoly.t(3, 1)
     with pytest.raises(ModeMismatch):
-        ExtPoly.u(2, 1) + ExtPoly.u(2, 1, mode=C4)
+        ExtPoly.u(2, 1) + ExtPoly.u(3, 1)
+    with pytest.raises(ModeMismatch):
+        charpoly.laurent_divide(ExtPoly.u(2, 1), ExtPoly.u(3, 1))
 
 
 def test_render_canonical():
@@ -58,8 +54,8 @@ def test_render_canonical():
     assert p.render() == "t1*t2 + u^2"
     assert ExtPoly.zero(k).render() == "0"
     assert ExtPoly.one(k).render() == "1"
-    q = ExtPoly.v(1) + ExtPoly.u(1, 1, mode=C4)
-    assert q.render() == "v + u"
+    q = ExtPoly.u(1) + ExtPoly.t(1, 1)
+    assert q.render() == "t1 + u"
 
 
 def test_udeg_cap(monkeypatch):
@@ -83,12 +79,12 @@ def total_sw_line_sum(k, lines, trivial_rank=0):
     factor 1 + sum of those generators to the total class.
     """
     lines = [tuple(s) for s in lines]
-    total = ExtPoly.one(k, PM1)
+    total = ExtPoly.one(k)
     for subset in lines:
-        w1 = ExtPoly.zero(k, PM1)
+        w1 = ExtPoly.zero(k)
         for i in subset:
-            w1 = w1 + ExtPoly.t(k, i, PM1)
-        total = total * (ExtPoly.one(k, PM1) + w1)
+            w1 = w1 + ExtPoly.t(k, i)
+        total = total * (ExtPoly.one(k) + w1)
     rank = len(lines) + trivial_rank
     sw = tuple(total.t_degree_part(i) for i in range(1, rank + 1))
     return BundleClassData(k=k, rank=rank, sw=sw)
@@ -97,8 +93,8 @@ def total_sw_line_sum(k, lines, trivial_rank=0):
 def random_poly(k, rng, max_u=2):
     terms = set()
     for _ in range(rng.randint(0, 5)):
-        terms.add((rng.randrange(1 << k), rng.randint(0, max_u), 0))
-    return ExtPoly(k, PM1, frozenset(terms))
+        terms.add((rng.randrange(1 << k), rng.randint(0, max_u)))
+    return ExtPoly(k, frozenset(terms))
 
 
 @settings(max_examples=60)
@@ -115,25 +111,18 @@ def test_mul_associative_commutative(seed):
 # --- equivariant Euler classes ---
 
 def test_hplus_euler_c4_form():
+    # theorem B's class w_b + w_{b-1} u; u^2 never arises in it
     k = 2
     b = total_sw_line_sum(k, [(1,), (2,)], 1)  # rank 3, b = 3
-    euler = charpoly.equivariant_euler(b, "c4_hplus")
-    w3 = b.w(3, C4)
-    w2 = b.w(2, C4)
-    assert euler == w3 + w2 * ExtPoly.u(k, 1, mode=C4)
-    assert w3.is_zero() and w2 == ExtPoly.t(k, 1, C4) * ExtPoly.t(k, 2, C4)
+    w3, w2 = b.w(3), b.w(2)
+    assert w3.is_zero() and w2 == ExtPoly.t(k, 1) * ExtPoly.t(k, 2)
+    euler = w3 + w2 * ExtPoly.u(k)
+    assert euler.render() == "t1*t2*u" and euler.max_u() == 1
 
 
 def test_fixed_euler_is_top_class():
     b = total_sw_line_sum(2, [(1,), (2,)], 0)
-    assert charpoly.equivariant_euler(b, "pm1_fixed") == \
-        ExtPoly.t(2, 1) * ExtPoly.t(2, 2)
-
-
-def test_unknown_mode_rejected():
-    b = BundleClassData(k=1, rank=1, sw=(ExtPoly.t(1, 1),))
-    with pytest.raises(ModeMismatch):
-        charpoly.equivariant_euler(b, "nope")
+    assert b.w(b.rank) == ExtPoly.t(2, 1) * ExtPoly.t(2, 2)
 
 
 # --- line-sum bundles ---
@@ -177,9 +166,8 @@ def test_line_sum_bundle_matches_expansion(k):
             k, [(i,) for i in range(1, k + 1)], trivial)
         bundle = charpoly.LineSumBundle(k, k + trivial)
         assert bundle.rank == oracle.rank
-        for mode in (PM1, C4):
-            for i in range(-1, bundle.rank + 2):
-                assert bundle.w(i, mode) == oracle.w(i, mode), (trivial, i)
+        for i in range(-1, bundle.rank + 2):
+            assert bundle.w(i) == oracle.w(i), (trivial, i)
 
 
 # --- virtual classes ---
@@ -269,20 +257,15 @@ def test_laurent_non_exact_rejected():
         charpoly.laurent_divide(ExtPoly.one(k), den)
 
 
-def test_laurent_c4_rejected():
-    with pytest.raises(ModeMismatch):
-        charpoly.laurent_divide(ExtPoly.v(1), ExtPoly.v(1))
-
-
 def monic_poly(k, rng):
     m = rng.randint(0, 2)
-    terms = {(0, m, 0)}
+    terms = {(0, m)}
     for _ in range(rng.randint(0, 4)):
         mask = rng.randrange(1 << k)
         up = rng.randint(0, m)
         if (mask, up) != (0, m):
-            terms.add((mask, up, 0))
-    return ExtPoly(k, PM1, frozenset(terms))
+            terms.add((mask, up))
+    return ExtPoly(k, frozenset(terms))
 
 
 @settings(max_examples=60, deadline=None)

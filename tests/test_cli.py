@@ -4,13 +4,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fourfold import cli, manifold, obstruct
+from fourfold import cli, cover, manifold, obstruct
 from fourfold.errors import GenusZero, NegativeMultiplicity, ParseError
 
 
@@ -128,11 +130,17 @@ def test_certify_mirror_failure_is_hypotheses_not_met(capsys):
         "HypothesesNotMet"
 
 
-@pytest.mark.parametrize("command", ["spinc", "certify"])
-def test_bound_below_one_is_input_error(command, capsys):
-    text = "-E8 # -CP2fake # S2xS2 # S1xY(b1=1)"
-    assert cli.main([command, text, "--bound", "0"]) == 1
-    assert capsys.readouterr().err == "InvalidSetting: bound must be >= 1\n"
+@pytest.mark.parametrize("command, text", [
+    ("spinc", "-E8 # -CP2fake # S2xS2 # S1xY(b1=1)"),
+    ("certify", "-E8 # -CP2fake # S2xS2 # S1xY(b1=1)"),
+    ("certify", "2*-E8 # 3*S2xS2 # S1xY(b1=1)"),   # the theorem B path
+], ids=["spinc", "certify", "certify-spin"])
+def test_bound_below_one_is_input_error(command, text, capsys):
+    json_flag = ["--json"] if command == "certify" else []
+    for tail in (["--bound", "0"], ["--bound", "-5", *json_flag]):
+        assert cli.main([command, text, *tail]) == 1
+        assert capsys.readouterr() == (
+            "", "InvalidSetting: bound must be >= 1\n")
 
 
 def test_certify_json_flag(capsys):
@@ -224,18 +232,77 @@ _BLOCK = st.builds(str.format,
 _TERM = st.one_of(_BLOCK, st.builds("{}*{}".format, st.integers(0, 99), _BLOCK))
 
 
+def documented_exit(argv):
+    """True iff cli.main ends argv in exit 0, 1 or 3, or argparse's 2."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:   # argparse rejected the command line
+            code = ("argparse", e.code)
+    return code in (0, 1, 3, ("argparse", 2))
+
+
 @settings(max_examples=300, deadline=None)
 @given(command=st.sampled_from(["invariants", "classify", "cover", "certify"]),
        text=st.one_of(st.lists(_PIECES, max_size=16).map("".join),
                       st.lists(_TERM, min_size=1, max_size=5).map(" # ".join)))
 def test_random_text_gets_documented_exit(command, text):
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = cli.main([command, text])
-        except SystemExit as e:   # argparse rejected the command line
-            code = ("argparse", e.code)
-    assert code in (0, 1, 3, ("argparse", 2))
+    assert documented_exit([command, text])
+
+
+# sums whose parity boxes stay small: no K3, multiplicities <= 3; most
+# end in summands that give a cover and an indefinite part
+_SMALL_SUM = st.builds(
+    "{}{}".format,
+    st.lists(st.builds("{}*{}".format, st.integers(0, 3), st.builds(
+        str.format, st.sampled_from(
+            [n for n in (*cli._NAMES, *manifold.COMPOSITES) if "K3" not in n]),
+        p=st.integers(0, 3))), min_size=1, max_size=4).map(" # ".join),
+    st.sampled_from(["", " # S1xY(b1=1)", " # S2xS2 # S1xY(b1=1)",
+                     " # 2*S2xS2 # S2xSigma(g=2)"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_SMALL_SUM, bound=st.integers(-1, 3))
+def test_random_spinc_gets_documented_exit(text, bound):
+    # a lowered cap keeps every listing under 20,000 classes
+    with mock.patch.object(cover, "MAX_CLASSES", 20_000):
+        assert documented_exit(["spinc", text, "--bound", str(bound)])
+
+
+def _poly(tokens):
+    return st.lists(st.lists(st.sampled_from(tokens), min_size=1,
+                             max_size=3).map("*".join),
+                    min_size=1, max_size=3).map(" + ".join)
+
+
+def _w_line(tokens):
+    return st.builds("w_{} = {}".format, st.integers(0, 4), _poly(tokens))
+
+
+_DATA_LINE = st.one_of(
+    st.sampled_from(["V1", "W1", "// note", "", "rank", "rank x"]),
+    st.builds("rank {}".format, st.integers(-2, 4)),
+    _w_line(["t1", "t2", "t3", "t9", "u", "u^2", "1", "0", "x"]),
+    st.text(max_size=12))
+# mostly well-formed files too, so that reports get printed
+_SECTION = st.builds(lambda rank, lines: [f"rank {rank}", *lines],
+                     st.integers(0, 3),
+                     st.lists(_w_line(["t1", "t2", "1"]), max_size=2))
+_DATA = st.one_of(
+    st.lists(_DATA_LINE, max_size=8),
+    st.builds(lambda v, w: ["V1", *v, "W1", *w], _SECTION, _SECTION))
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_SMALL_SUM, lines=_DATA, generators=st.integers(-3, 5))
+def test_random_class_data_gets_documented_exit(tmp_path_factory, text, lines,
+                                                generators):
+    data = tmp_path_factory.mktemp("data") / "classes.txt"
+    data.write_text("\n".join(lines), encoding="utf-8")
+    assert documented_exit(["constraints", text, str(data),
+                            "--generators", str(generators)])
 
 
 def test_leading_dash_keeps_help(capsys):
@@ -305,6 +372,27 @@ def test_spinc_output(capsys):
     assert all("square = -1" in line for line in out)
 
 
+def test_spinc_class_cap(monkeypatch, capsys):
+    # the count is worked out before any list is built, so a huge bound
+    # is refused at once
+    start = time.perf_counter()
+    code = cli.main(["spinc", "-E8 # 2*S2xS2 # S1xY(b1=1)",
+                     "--bound", "1000000000"])
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert capsys.readouterr() == ("", (
+        f"InvalidSetting: bound 1000000000 gives more than "
+        f"{cover.MAX_CLASSES} classes\n"))
+    text = "-CP2 # S2xS2 # S1xY(b1=1)"   # two classes at bound 1
+    monkeypatch.setattr(cover, "MAX_CLASSES", 1)
+    assert cli.main(["spinc", text]) == 1
+    assert capsys.readouterr().err == \
+        "InvalidSetting: bound 1 gives more than 1 classes\n"
+    monkeypatch.setattr(cover, "MAX_CLASSES", 2)
+    assert cli.main(["spinc", text]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+
+
 # --- constraints data files ---
 
 def test_constraints_file_roundtrip(tmp_path, capsys):
@@ -351,6 +439,17 @@ def test_constraints_file_read_errors(content, tmp_path, capsys):
     code = cli.main(["constraints", "2*S2xS2 # S1xY(b1=1)", str(data)])
     assert code == 1
     assert capsys.readouterr().err.startswith("ParseError: ")
+
+
+@pytest.mark.parametrize("generators", ["-1", "9"])
+def test_constraints_generators_out_of_range(generators, tmp_path, capsys):
+    data = tmp_path / "classes.txt"
+    data.write_text("V1\nrank 1\nW1\nrank 2\nw_1 = t1 + t2\n")
+    code = cli.main(["constraints", "3*S2xS2 # S1xY(b1=1)", str(data),
+                     "--generators", generators])
+    assert code == 1
+    assert capsys.readouterr() == ("", (
+        f"InvalidSetting: generators must be in 0..3, got {generators}\n"))
 
 
 def test_parse_poly_syntax():
