@@ -2,15 +2,21 @@
 
 import importlib
 
-from . import charpoly, cover, lattice, manifold, obstruct  # noqa: F401
-from .obstruct import Certificate, certify  # noqa: F401
-
 __version__ = "0.1.0"
+
+_MODULES = ("charpoly", "cli", "cover", "errors", "lattice", "manifold",
+            "obstruct")
+# public names -> the module that defines them
+_NAMES = {"Certificate": "obstruct", "certify": "obstruct",
+          "parse": "cli", "emit_json": "cli"}
 
 
 def __getattr__(name):
-    # cli loads on first use, so `python -m fourfold.cli` runs it only once
-    if name in ("cli", "parse", "emit_json"):
-        cli = importlib.import_module(".cli", __name__)
-        return cli if name == "cli" else getattr(cli, name)
+    # every module loads on first use, so a command imports only what it
+    # runs, and `python -m fourfold.cli` runs cli only once
+    if name in _MODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _NAMES:
+        module = importlib.import_module(f".{_NAMES[name]}", __name__)
+        return getattr(module, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

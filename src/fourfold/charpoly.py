@@ -9,8 +9,8 @@ Negative powers of u appear only inside Laurent division.
 
 import itertools
 import os
-from dataclasses import dataclass
 
+from ._frozen import frozen
 from .errors import (
     InvalidSetting,
     ModeMismatch,
@@ -36,7 +36,22 @@ def max_udeg():
     return cap
 
 
-@dataclass(frozen=True)
+def _capped(poly):
+    """poly, once its u-degree is checked against max_udeg().
+
+    Called where the u-degree can grow: u, __mul__ and shift_u, and so
+    laurent_divide, which builds its quotient from them.  A poly free of
+    u passes without reading the environment.
+    """
+    top = poly.max_u()
+    if top > 0:
+        cap = max_udeg()
+        if top > cap:
+            raise UDegreeOverflow(f"u-degree {top} exceeds cap {cap}")
+    return poly
+
+
+@frozen
 class ExtPoly:
     """A mod-2 polynomial: set of terms (generator bitmask, u power)."""
 
@@ -45,10 +60,7 @@ class ExtPoly:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", frozenset(self.terms))
-        cap = max_udeg()
-        for mask, up in self.terms:
-            if up > cap:
-                raise UDegreeOverflow(f"u-degree {up} exceeds cap {cap}")
+        for mask, _ in self.terms:
             if mask >> self.k:
                 raise ValueError("generator index out of range")
 
@@ -70,7 +82,7 @@ class ExtPoly:
 
     @classmethod
     def u(cls, k, power=1):
-        return cls(k, frozenset({(0, power)}))
+        return _capped(cls(k, frozenset({(0, power)})))
 
     # predicates and views
 
@@ -98,7 +110,8 @@ class ExtPoly:
         return ExtPoly(self.k, keep)
 
     def shift_u(self, delta):
-        return ExtPoly(self.k, {(m, up + delta) for m, up in self.terms})
+        return _capped(
+            ExtPoly(self.k, {(m, up + delta) for m, up in self.terms}))
 
     # arithmetic
 
@@ -118,7 +131,7 @@ class ExtPoly:
             for m2, u2 in other.terms:
                 if not m1 & m2:  # ti^2 = 0
                     acc ^= {(m1 | m2, u1 + u2)}
-        return ExtPoly(self.k, frozenset(acc))
+        return _capped(ExtPoly(self.k, frozenset(acc)))
 
     # rendering
 
@@ -153,7 +166,7 @@ def invert_unit(p):
     return out
 
 
-@dataclass(frozen=True)
+@frozen
 class BundleClassData:
     """Rank plus total characteristic class data of a (virtual) bundle.
 
@@ -185,7 +198,7 @@ class BundleClassData:
         return sum(self.sw, ExtPoly.one(self.k))
 
 
-@dataclass(frozen=True)
+@frozen
 class LineSumBundle:
     """k real lines, line i with w1 = ti, plus a trivial bundle; rank is the sum.
 

@@ -13,12 +13,13 @@ reader that closed the output early, 3 inconclusive or hypotheses not met.
 
 import argparse
 import functools
-import json
 import os
 import re
 import sys
 
-from . import charpoly, cover, lattice, manifold, obstruct
+# obstruct, charpoly and json load in the commands that use them, which
+# spares `spinc` and the listing commands their import
+from . import cover, lattice, manifold
 from .errors import (
     FourfoldError,
     HypothesesNotMet,
@@ -43,21 +44,27 @@ def _parse_block(text, offset):
     if text in manifold.COMPOSITES:
         return (manifold.Block(text),)
     m = re.fullmatch(r"(.*=)(-?\d+)\)", text)
-    name, param = (m.group(1) + "{p})", int(m.group(2))) if m else (text, 0)
+    name, param = (m.group(1) + "{p})", m.group(2)) if m else (text, "0")
     if name not in _NAMES:
         raise ParseError(f"unknown block {text!r}", offset)
     kind, sign = _NAMES[name]
-    try:
-        return (manifold.Block(kind, sign, param),)
+    try:   # int() refuses more than sys.get_int_max_str_digits() digits
+        return (manifold.Block(kind, sign, int(param)),)
     except ValueError as e:
         raise ParseError(str(e), offset) from None
 
 
 def parse(text):
-    """Parse a connected-sum expression into a ManifoldExpr."""
+    """Parse a connected-sum expression into a ManifoldExpr.
+
+    Raises InvalidSetting, before the list of blocks grows, when the sum
+    has more than cover.MAX_SUMMANDS summands; a composite counts the
+    summands it expands to.
+    """
     if not text or not text.strip():
         raise ParseError("empty expression", 0)
     blocks = []
+    count = 0
     pos = 0
     parts = text.split("#")
     for part in parts:
@@ -69,11 +76,18 @@ def parse(text):
             raise ParseError(f"cannot parse term {part.strip()!r}", bad)
         mult = 1
         if m.group("mult") is not None:
-            mult = int(m.group("mult"))
+            try:
+                mult = int(m.group("mult"))
+            except ValueError as e:  # too many digits for int()
+                raise ParseError(str(e), pos + m.start("mult")) from None
             if mult < 0:
                 raise NegativeMultiplicity(
                     f"multiplicity {mult} must be >= 0")
         block = _parse_block(m.group("block"), pos + m.start("block"))
+        count += mult * len(manifold.COMPOSITES.get(block[0].kind, block))
+        if count > cover.MAX_SUMMANDS:
+            raise InvalidSetting(
+                f"more than {cover.MAX_SUMMANDS} summands")
         blocks.extend(block * mult)
         pos += len(part) + 1
     return manifold.ManifoldExpr(tuple(blocks))
@@ -81,6 +95,7 @@ def parse(text):
 
 def replay(cert):
     """Re-run a certificate from its echoed inputs; True iff it reproduces."""
+    from . import obstruct
     x = parse(cert.input("expression"))
     again = obstruct.certify(x, scenario=cert.input("scenario"),
                              bound=int(cert.input("bound")))
@@ -89,6 +104,7 @@ def replay(cert):
 
 def emit_json(cert):
     """Stable machine-readable form of a certificate."""
+    import json
     index = {}
     if cert.index_kind:
         index[cert.index_kind] = cert.index_value
@@ -149,6 +165,8 @@ def _cmd_spinc(x, args):
 
 
 def _cmd_certify(x, args):
+    import json
+    from . import obstruct
     try:
         cert = obstruct.certify(x, scenario=args.scenario, bound=args.bound)
     except HypothesesNotMet as e:
@@ -170,7 +188,12 @@ def _cmd_certify(x, args):
 
 
 def _parse_constraint_file(path, k):
-    """Read V1/W1 class data: sections with `rank N` then `w_i = <poly>`."""
+    """Read V1/W1 class data: sections with `rank N` then `w_i = <poly>`.
+
+    Every term of a `w_i` line must have degree i: a t and each power of
+    u count one.
+    """
+    from . import charpoly
     sections = {}
     current = None
     try:
@@ -201,8 +224,13 @@ def _parse_constraint_file(path, k):
         m = re.fullmatch(r"w_(\d+)\s*=\s*(.*)", line)
         if not m:
             raise ParseError(f"cannot parse class data line {line!r}")
-        sections[current]["sw"][int(m.group(1))] = parse_poly(
-            m.group(2), k)
+        degree = int(m.group(1))
+        poly = parse_poly(m.group(2), k)
+        if any(mask.bit_count() + up != degree for mask, up in poly.terms):
+            raise ParseError(
+                f"every term of w_{degree} must have degree {degree}: "
+                f"{line!r}")
+        sections[current]["sw"][degree] = poly
     out = {}
     for name in ("V1", "W1"):
         if name not in sections or sections[name]["rank"] is None:
@@ -220,6 +248,7 @@ def _parse_constraint_file(path, k):
 
 def parse_poly(text, k):
     """Parse the canonical polynomial syntax (sums of t/u/v monomials)."""
+    from . import charpoly
     text = text.strip()
     if text == "0":
         return charpoly.ExtPoly.zero(k)
@@ -249,6 +278,7 @@ def parse_poly(text, k):
 
 
 def _cmd_constraints(x, args):
+    from . import obstruct
     normalized = manifold.normalize_homeo_type(x)
     ls = cover.build_standard_cover(normalized)
     slots = manifold.reflection_slots(normalized)

@@ -10,9 +10,9 @@ free lattice of the remaining summands plus one torsion bit per W block.
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 from . import lattice
+from ._frozen import frozen
 from .errors import (
     DimensionMismatch,
     InvalidSetting,
@@ -23,9 +23,12 @@ from .manifold import N_KINDS, ManifoldExpr
 # the most classes one listing may hold: at least the 531,441 of
 # -E8 # 2*S2xS2 # S1xY(b1=1) at bound 2, which peak at 132 MB in `spinc`
 MAX_CLASSES = 1_000_000
+# the most summands one expression may hold, composites counted expanded:
+# room for benchmark rows of thousands of summands
+MAX_SUMMANDS = 100_000
 
 
-@dataclass(frozen=True)
+@frozen
 class LocalSystem:
     base: object                 # ManifoldExpr
     selection: tuple             # bool per block: cover nontrivial there
@@ -69,7 +72,7 @@ class LocalSystem:
         )
 
 
-@dataclass(frozen=True)
+@frozen
 class CharClass:
     """Candidate twisted Euler class: free lattice vector plus torsion bits."""
 
@@ -79,7 +82,7 @@ class CharClass:
     mod2_ok: bool
 
 
-@dataclass(frozen=True)
+@frozen
 class Mod2Class:
     """A mod-2 class given per free coordinate and per W torsion generator."""
 

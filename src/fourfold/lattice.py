@@ -12,9 +12,7 @@ unimodular atoms (Diag, Hyperbolic, E8) also carry their Wu class `wu` and
 largest square with entries in [-bound, bound].
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
-
+from ._frozen import frozen
 from .errors import (DegenerateForm, DefiniteFormUnsupported,
                      DimensionMismatch, PreconditionViolated)
 
@@ -33,7 +31,7 @@ E8_MATRIX = (
 _NEG_E8_MATRIX = tuple(tuple(-x for x in row) for row in E8_MATRIX)
 
 
-@dataclass(frozen=True)
+@frozen
 class Diag:
     eps: int  # +1 or -1
     rank = 1
@@ -59,7 +57,7 @@ class Diag:
         return (-(bound if bound % 2 else bound - 1),)
 
 
-@dataclass(frozen=True)
+@frozen
 class Hyperbolic:
     rank = 2
     inertia = (1, 1, 0)
@@ -75,7 +73,7 @@ class Hyperbolic:
         return (-e, -e)
 
 
-@dataclass(frozen=True)
+@frozen
 class E8:
     sign: int  # +1 or -1
     rank = 8
@@ -101,7 +99,7 @@ class E8:
         return (0,) * 8
 
 
-@dataclass(frozen=True)
+@frozen
 class RawMatrix:
     entries: tuple
 
@@ -134,7 +132,7 @@ class RawMatrix:
         return self.entries
 
 
-@dataclass(frozen=True)
+@frozen
 class IntersectionForm:
     atoms: tuple = ()
 
@@ -160,7 +158,7 @@ class IntersectionForm:
         return tuple(tuple(row) for row in rows)
 
 
-@dataclass(frozen=True)
+@frozen
 class FormInvariants:
     rank: int
     signature: int
@@ -171,7 +169,7 @@ class FormInvariants:
     b_zero: int = 0    # null directions; 0 for nondegenerate forms
 
 
-@dataclass(frozen=True)
+@frozen
 class NormalForm:
     """Descriptor of the indefinite (or zero) normal form of a form."""
 
@@ -193,6 +191,8 @@ class NormalForm:
 
 def _raw_inertia(matrix):
     """Inertia (b_plus, b_minus, b_zero) by rational congruence diagonalization."""
+    from fractions import Fraction  # only a RawMatrix atom comes here
+
     n = len(matrix)
     a = [[Fraction(matrix[i][j]) for j in range(n)] for i in range(n)]
     plus = minus = zero = 0

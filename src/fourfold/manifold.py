@@ -5,10 +5,10 @@ A ManifoldExpr is a multiset of standard blocks with additive invariants
 rewrites the simply-connected part into its homeomorphism normal form.
 """
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import lattice
+from ._frozen import frozen
 from .errors import (
     DefinitePartUnsupported,
     GenusZero,
@@ -62,15 +62,14 @@ N_KINDS = tuple(k for k, spec in BLOCKS.items() if spec.part == "N")
 _ORDER = {kind: i for i, kind in enumerate(BLOCKS)}
 
 
-@dataclass(frozen=True)
+@frozen
 class Block:
     kind: str
     sign: int = 0    # only for E8
     param: int = 0   # b1(Y) for S1xY, genus for S2xSigma
-    # the BLOCKS row of the kind; None for the COMPOSITES
-    spec: BlockSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # not a field: the BLOCKS row of the kind; None for the COMPOSITES
         object.__setattr__(self, "spec", BLOCKS.get(self.kind))
         if self.spec is None and self.kind not in COMPOSITES:
             raise ValueError(f"unknown block kind {self.kind!r}")
@@ -169,7 +168,7 @@ def S2xSigma(genus):
 COMPOSITES = {"Enriques": (E8Block(-1), S2xS2(), W()), "S4": ()}
 
 
-@dataclass(frozen=True)
+@frozen
 class ManifoldExpr:
     summands: tuple = ()
 
@@ -308,7 +307,7 @@ def normalize_homeo_type(x, reverse=False):
     return ManifoldExpr(normal_sc + rest)
 
 
-@dataclass(frozen=True)
+@frozen
 class Slot:
     """A reflection slot: one H+-flipping self-map supported on one summand."""
 

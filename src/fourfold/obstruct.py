@@ -11,9 +11,8 @@ two obstruction checks:
              -> no smooth structure.
 """
 
-from dataclasses import dataclass, replace
-
 from . import charpoly, cover, manifold
+from ._frozen import frozen
 from .errors import (
     DefinitePartUnsupported,
     HypothesesNotMet,
@@ -31,7 +30,7 @@ NONSMOOTHABLE = "NonSmoothable"
 INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
+@frozen
 class FamilyDescriptor:
     manifold: object            # ManifoldExpr, normalized
     cover: object               # LocalSystem
@@ -40,7 +39,7 @@ class FamilyDescriptor:
     h_plus_bundle: object       # LineSumBundle over T^k
 
 
-@dataclass(frozen=True)
+@frozen
 class Certificate:
     verdict: str
     theorem_used: str           # "ThmA", "ThmB", or "none"
@@ -198,7 +197,7 @@ def check_theorem_B(f, scenario="manual", bound=1):
     return _certificate(f, 0, sigma, transcript, scenario, bound)
 
 
-@dataclass(frozen=True)
+@frozen
 class ConstraintEntry:
     degree: int
     virtual_class: str
@@ -206,7 +205,7 @@ class ConstraintEntry:
     satisfied: bool
 
 
-@dataclass(frozen=True)
+@frozen
 class ConstraintReport:
     n_minus_m: int
     euler: str
@@ -304,8 +303,8 @@ def _certify_scenario(x, scenario, bound):
                            [s for s in slots if s.kind == "S2xS2"][:n - 1])
         cert = check_theorem_B(fam, scenario=scenario, bound=bound)
     # echo the expression as given, ahead of the normalized one
-    return replace(
-        cert, inputs=(("expression", x.render()),) + cert.inputs[1:])
+    return cert.replace(
+        inputs=(("expression", x.render()),) + cert.inputs[1:])
 
 
 def certify(x, scenario="auto", bound=1):

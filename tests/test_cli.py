@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fourfold import cli, cover, manifold, obstruct
-from fourfold.errors import GenusZero, NegativeMultiplicity, ParseError
+from fourfold.errors import (GenusZero, InvalidSetting, NegativeMultiplicity,
+                             ParseError)
 
 
 # --- parsing ---
@@ -329,6 +330,40 @@ def test_module_run_warns_nothing():
     assert run.stdout.startswith("verdict: NonSmoothable\n")
 
 
+COLD_PATH = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+import fourfold.cli
+imported = set(sys.modules) - before
+with contextlib.redirect_stdout(io.StringIO()):
+    code = fourfold.cli.main(["spinc", "CP2 # 2*-CP2 # S1xY(b1=1)"])
+print(json.dumps([code, sorted(imported), sorted(set(sys.modules) - before)]))
+"""
+
+
+def test_cold_path_imports_only_what_it_runs():
+    run = subprocess.run([sys.executable, "-c", COLD_PATH], env=module_env(),
+                         capture_output=True, text=True, check=True)
+    code, imported, after_spinc = json.loads(run.stdout)
+    assert code == 0
+    assert "fourfold.cover" in imported
+    unwanted = {"dataclasses", "inspect", "fractions", "decimal", "json",
+                "fourfold.obstruct", "fourfold.charpoly"}
+    assert unwanted.isdisjoint(imported)
+    assert unwanted.isdisjoint(after_spinc)
+
+
+def test_package_names_resolve_on_first_use():
+    import fourfold
+    assert fourfold.obstruct.certify is obstruct.certify
+    from fourfold import Certificate, certify, emit_json, parse
+    assert (Certificate, certify) == (obstruct.Certificate, obstruct.certify)
+    assert (parse, emit_json) == (cli.parse, cli.emit_json)
+    assert fourfold.errors.ParseError is ParseError
+    with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
+        fourfold.nonesuch
+
+
 @pytest.mark.parametrize("argv", [["spinc", "S2xS2 # S1xY(b1=1)"],
                                   ["invariants", "K3"]])
 def test_closed_reader_ends_quietly(argv):
@@ -393,6 +428,29 @@ def test_spinc_class_cap(monkeypatch, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 2
 
 
+def test_summand_cap(monkeypatch, capsys):
+    # the count is checked before the list of blocks grows
+    start = time.perf_counter()
+    code = cli.main(["certify", "1000000000*CP2"])
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert capsys.readouterr() == ("", (
+        f"InvalidSetting: more than {cover.MAX_SUMMANDS} summands\n"))
+    assert cover.MAX_SUMMANDS >= 100_000
+    monkeypatch.setattr(cover, "MAX_SUMMANDS", 4)
+    assert cli.parse("Enriques # 0*K3 # S4 # S1xY(b1=1)").b1 == 2
+    with pytest.raises(InvalidSetting, match="more than 4 summands"):
+        cli.parse("Enriques # 2*S1xY(b1=1)")   # Enriques counts 3
+
+
+@pytest.mark.parametrize("text", [
+    "1" * 5000 + "*CP2", "S2xSigma(g=" + "1" * 5000 + ")"],
+    ids=["multiplicity", "genus"])
+def test_number_past_int_digit_limit(text, capsys):
+    assert cli.main(["invariants", text]) == 1
+    assert capsys.readouterr().err.startswith("ParseError: ")
+
+
 # --- constraints data files ---
 
 def test_constraints_file_roundtrip(tmp_path, capsys):
@@ -431,7 +489,8 @@ def test_constraints_file_errors(tmp_path):
 
 @pytest.mark.parametrize("content", [
     None, "V1\nrank\n", "V1\nrank x\n", "V1\nrank -3\nW1\nrank 1\n",
-    "V1\nrank 1\nw_1 = t9\nW1\nrank 1\n", "V1\nrank 1\nw_1 = u\nW1\nrank 1\n"])
+    "V1\nrank 1\nw_1 = t9\nW1\nrank 1\n", "V1\nrank 1\nw_1 = u\nW1\nrank 1\n",
+    "V1\nrank 1\nW1\nrank 1\nw_1 = t1*t2\n", "V1\nrank 1\nw_1 = 1\nW1\nrank 1\n"])
 def test_constraints_file_read_errors(content, tmp_path, capsys):
     data = tmp_path / "classes.txt"
     if content is not None:

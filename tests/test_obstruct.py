@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import pytest
@@ -91,7 +90,7 @@ def test_family_rejects_bad_slots():
         obstruct.build_family(x, ls, (manifold.Slot(99, "S2xS2"),))
     with pytest.raises(SlotUnavailable):
         obstruct.build_family(x, ls, (slots[0], slots[0]))
-    squeezed = dataclasses.replace(ls, b_plus_ell=1)
+    squeezed = ls.replace(b_plus_ell=1)
     with pytest.raises(TooManyGenerators):
         obstruct.build_family(x, squeezed, slots[:2])
 
