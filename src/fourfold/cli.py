@@ -157,10 +157,10 @@ def _cmd_cover(x, args):
 
 def _cmd_spinc(x, args):
     ls = cover.build_standard_cover(x)
-    torsion = f", torsion = {[1] * ls.torsion_bits}\n"   # the target's bits
-    sys.stdout.writelines(
-        f"square = {square}: free = [{free}]{torsion}"
-        for square, free in cover._listing(ls, args.bound, render=True))
+    tail = f"], torsion = {[1] * ls.torsion_bits}\n"   # the target's bits
+    for square, lines in cover._listing(ls, args.bound, tail):
+        head = f"square = {square}: free = ["
+        sys.stdout.write(head + head.join(lines))   # each line ends in "\n"
     return 0
 
 
@@ -224,8 +224,14 @@ def _parse_constraint_file(path, k):
         m = re.fullmatch(r"w_(\d+)\s*=\s*(.*)", line)
         if not m:
             raise ParseError(f"cannot parse class data line {line!r}")
-        degree = int(m.group(1))
-        poly = parse_poly(m.group(2), k)
+        try:   # int() refuses more than sys.get_int_max_str_digits() digits
+            degree = int(m.group(1))
+        except ValueError as e:
+            raise ParseError(f"{e}: {line!r}") from None
+        try:
+            poly = parse_poly(m.group(2), k)
+        except ParseError as e:   # name the line
+            raise ParseError(f"{e.args[0]}: {line!r}") from None
         if any(mask.bit_count() + up != degree for mask, up in poly.terms):
             raise ParseError(
                 f"every term of w_{degree} must have degree {degree}: "
@@ -260,19 +266,16 @@ def parse_poly(text, k):
             factor = factor.strip()
             if factor == "1":
                 continue
-            m = re.fullmatch(r"t(\d+)", factor)
-            if m:
-                try:
-                    out = out * charpoly.ExtPoly.t(k, int(m.group(1)))
-                except ValueError as e:
-                    raise ParseError(str(e)) from None
-                continue
-            m = re.fullmatch(r"u(?:\^(\d+))?", factor)
-            if m:
-                power = int(m.group(1) or 1)
-                out = out * charpoly.ExtPoly.u(k, power)
-                continue
-            raise ParseError(f"cannot parse polynomial factor {factor!r}")
+            m = re.fullmatch(r"t(\d+)|u(?:\^(\d+))?", factor)
+            if m is None:
+                raise ParseError(f"cannot parse polynomial factor {factor!r}")
+            try:   # t_i outside 1..k, or more digits than int() accepts
+                out = out * (charpoly.ExtPoly.t(k, int(m[1])) if m[1]
+                             else charpoly.ExtPoly.u(k, int(m[2] or 1)))
+            except FourfoldError:   # UDegreeOverflow, InvalidSetting
+                raise
+            except ValueError as e:
+                raise ParseError(str(e)) from None
         poly = poly + out
     return poly
 

@@ -9,7 +9,6 @@ free lattice of the remaining summands plus one torsion bit per W block.
 
 import itertools
 import math
-import operator
 
 from . import lattice
 from ._frozen import frozen
@@ -21,7 +20,7 @@ from .errors import (
 from .manifold import N_KINDS, ManifoldExpr
 
 # the most classes one listing may hold: at least the 531,441 of
-# -E8 # 2*S2xS2 # S1xY(b1=1) at bound 2, which peak at 132 MB in `spinc`
+# -E8 # 2*S2xS2 # S1xY(b1=1) at bound 2, which peak at 95 MB in `spinc`
 MAX_CLASSES = 1_000_000
 # the most summands one expression may hold, composites counted expanded:
 # room for benchmark rows of thousands of summands
@@ -133,13 +132,13 @@ def w2_plus_w1sq(ls):
 
 
 def parity_box(ls, bound):
-    """Per free coordinate, the ascending entries a characteristic class may take.
+    """Per free coordinate, the range of entries a characteristic class may take.
 
     Every atom of a cover's form is unimodular (Diag, Hyperbolic or E8),
     so a vector is characteristic iff it reduces to the Wu class mod 2:
     each coordinate takes the entries in [-bound, bound] whose parity is
-    its bit of w2_plus_w1sq.  Raises InvalidSetting, before building any
-    list, when the box holds more than MAX_CLASSES classes.
+    its bit of w2_plus_w1sq, ascending in steps of 2.  Raises
+    InvalidSetting when the box holds more than MAX_CLASSES classes.
     """
     if bound < 1:
         raise InvalidSetting("bound must be >= 1")
@@ -148,36 +147,37 @@ def parity_box(ls, bound):
     if math.prod(bound + (bound % 2 == bit) for bit in bits) > MAX_CLASSES:
         raise InvalidSetting(
             f"bound {bound} gives more than {MAX_CLASSES} classes")
-    by_parity = [[v for v in range(-bound, bound + 1) if v % 2 == bit]
-                 for bit in (0, 1)]
-    return [by_parity[bit] for bit in bits]
+    return [range(-bound + (bound % 2 != bit), bound + 1, 2) for bit in bits]
 
 
 def enumerate_characteristics(ls, bound=1):
     """All valid classes with entries in [-bound, bound], in `_listing` order."""
     torsion = (1,) * ls.torsion_bits
-    classes = _listing(ls, bound)
-    for i, (square, free) in enumerate(classes):  # in place: one list
-        classes[i] = CharClass(free, torsion, square, True)
-    return classes
+    return [CharClass(free, torsion, square, True)
+            for square, frees in _listing(ls, bound, ()) for free in frees]
 
 
-def _listing(ls, bound, render=False):
-    """(square, free part) of every class, square descending, then lexicographic.
+def _listing(ls, bound, tail):
+    """(square, suffixes) per square, descending; each suffix list lexicographic.
 
-    Squares fold atom by atom in `itertools.product`'s lexicographic order,
-    which the stable sort on square keeps for ties.  `render` joins by ", ".
+    A suffix is a class's free part followed by `tail`: a tuple if `tail`
+    is one, else text, its entries joined by ", ".  Atoms fold from the
+    last to the first into buckets by square.  Prepending an atom's pieces,
+    in `itertools.product`'s lexicographic order, to each bucket keeps the
+    buckets lexicographic, so only the distinct squares are sorted.
     """
-    box = parity_box(ls, bound)
-    columns = iter(box)
-    squares = [0]
-    for atom in ls.form.atoms:
-        part = [sum(vi * mij * vj for row, vi in zip(atom.matrix(), v)
-                    for mij, vj in zip(row, v)) for v in
-                itertools.product(*itertools.islice(columns, atom.rank))]
-        squares = [s + t for s in squares for t in part]
-    if render:
-        box = [[str(v) for v in coords] for coords in box]
-    free = itertools.product(*box)
-    return sorted(zip(squares, map(", ".join, free) if render else free),
-                  key=operator.itemgetter(0), reverse=True)
+    columns = parity_box(ls, bound)
+    buckets = {0: [tail]}
+    sep = ""    # a text piece ends in ", " unless the tail follows it
+    for atom in reversed(ls.form.atoms):
+        matrix, folded = atom.matrix(), {}
+        for v in itertools.product(*columns[len(columns) - atom.rank:]):
+            part = sum(vi * mij * vj for row, vi in zip(matrix, v)
+                       for mij, vj in zip(row, v))
+            piece = v if type(tail) is tuple else ", ".join(map(str, v)) + sep
+            for s, suffixes in buckets.items():
+                bucket = folded.setdefault(s + part, [])
+                bucket.extend(map(piece.__add__, suffixes))
+        del columns[len(columns) - atom.rank:]
+        buckets, sep = folded, ", "
+    return [(s, buckets[s]) for s in sorted(buckets, reverse=True)]

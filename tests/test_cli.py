@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -451,6 +452,22 @@ def test_number_past_int_digit_limit(text, capsys):
     assert capsys.readouterr().err.startswith("ParseError: ")
 
 
+@pytest.mark.parametrize("text", ["S1xY(b1=1)", "W # S1xY(b1=1)"])
+def test_spinc_huge_bound_without_free_coordinates(text):
+    # with no free coordinate there is one class at any bound, and no
+    # column of entries is built; the child's address space is capped so
+    # that code building one fails fast instead of filling memory
+    cap = 1 << 30
+    run = subprocess.run(
+        [sys.executable, "-m", "fourfold.cli", "spinc", text,
+         "--bound", str(10 ** 12)],
+        env=module_env(), capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.count("\n") == 1
+    assert run.stdout.startswith("square = 0: free = [], torsion = ")
+
+
 # --- constraints data files ---
 
 def test_constraints_file_roundtrip(tmp_path, capsys):
@@ -490,7 +507,11 @@ def test_constraints_file_errors(tmp_path):
 @pytest.mark.parametrize("content", [
     None, "V1\nrank\n", "V1\nrank x\n", "V1\nrank -3\nW1\nrank 1\n",
     "V1\nrank 1\nw_1 = t9\nW1\nrank 1\n", "V1\nrank 1\nw_1 = u\nW1\nrank 1\n",
-    "V1\nrank 1\nW1\nrank 1\nw_1 = t1*t2\n", "V1\nrank 1\nw_1 = 1\nW1\nrank 1\n"])
+    "V1\nrank 1\nW1\nrank 1\nw_1 = t1*t2\n", "V1\nrank 1\nw_1 = 1\nW1\nrank 1\n",
+    pytest.param(f"V1\nrank 1\nw_{'9' * 5000} = 1\nW1\nrank 1\n",
+                 id="degree-past-int-digit-limit"),
+    pytest.param(f"V1\nrank 1\nW1\nrank 1\nw_1 = u^{'9' * 5000}\n",
+                 id="power-past-int-digit-limit")])
 def test_constraints_file_read_errors(content, tmp_path, capsys):
     data = tmp_path / "classes.txt"
     if content is not None:

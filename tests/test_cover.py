@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import itertools
 import math
 
@@ -187,13 +190,18 @@ def test_enumeration_matches_brute_force(text, bound):
        bound=st.integers(1, 3))
 def test_enumeration_matches_checked_path_random(counts, definite, n_block,
                                                  bound):
-    """The fold against char_class, which checks and squares every class."""
+    """The fold against char_class, which checks and squares every class.
+
+    Both the classes and spinc's text are checked, each against the sorted
+    oracle.
+    """
     names = ("CP2", "-CP2", "-CP2fake", "S2xS2", "W")
     terms = [f"{n}*{name}" for n, name in zip(counts, names)]
     if definite:
         terms.append(definite)
         bound = 1
-    ls = cover.build_standard_cover(cli.parse(" # ".join(terms + [n_block])))
+    text = " # ".join(terms + [n_block])
+    ls = cover.build_standard_cover(cli.parse(text))
     box = cover.parity_box(ls, bound)
     assume(math.prod(len(coords) for coords in box) <= 4096)
     want = sorted((ls.char_class(v) for v in itertools.product(*box)),
@@ -201,6 +209,12 @@ def test_enumeration_matches_checked_path_random(counts, definite, n_block,
     got = cover.enumerate_characteristics(ls, bound)
     assert all(c.mod2_ok for c in got)
     assert got == want
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["spinc", text, "--bound", str(bound)]) == 0
+    assert out.getvalue() == "".join(
+        f"square = {c.square}: free = {list(c.free_part)}, "
+        f"torsion = {list(c.torsion_part)}\n" for c in want)
 
 
 @pytest.mark.parametrize("text, bound", BRUTE_FORCE_ROWS)
@@ -213,6 +227,17 @@ def test_spinc_renders_enumeration(text, bound, capsys):
         for c in cover.enumerate_characteristics(ls, bound))
     assert cli.main(["spinc", text, "--bound", str(bound)]) == 0
     assert capsys.readouterr().out == want
+
+
+def test_spinc_big_listing_bytes():
+    """The 531,441 classes with the most tied squares, pinned before the
+    listing was folded into square buckets."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["spinc", "-E8 # 2*S2xS2 # S1xY(b1=1)",
+                         "--bound", "2"]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        "952eb37f6c02701584a7cbfeedd8ee32b775fd2e1760283010155a3fe272396a")
 
 
 def test_spinc_does_not_recheck_classes(monkeypatch, capsys):
