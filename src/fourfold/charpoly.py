@@ -8,47 +8,9 @@ Negative powers of u appear only inside Laurent division.
 """
 
 import itertools
-import os
 
 from ._frozen import frozen
-from .errors import (
-    InvalidSetting,
-    ModeMismatch,
-    NonExactDivision,
-    NonMonicDenominator,
-    UDegreeOverflow,
-)
-
-DEFAULT_MAX_UDEG = 64
-
-
-def max_udeg():
-    raw = os.environ.get("FOURFOLD_MAX_UDEG")
-    if raw is None:
-        return DEFAULT_MAX_UDEG
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = -1
-    if cap < 0:
-        raise InvalidSetting(
-            f"FOURFOLD_MAX_UDEG must be a non-negative integer, got {raw!r}")
-    return cap
-
-
-def _capped(poly):
-    """poly, once its u-degree is checked against max_udeg().
-
-    Called where the u-degree can grow: u, __mul__ and shift_u, and so
-    laurent_divide, which builds its quotient from them.  A poly free of
-    u passes without reading the environment.
-    """
-    top = poly.max_u()
-    if top > 0:
-        cap = max_udeg()
-        if top > cap:
-            raise UDegreeOverflow(f"u-degree {top} exceeds cap {cap}")
-    return poly
+from .errors import ModeMismatch, NonExactDivision, NonMonicDenominator
 
 
 @frozen
@@ -82,7 +44,7 @@ class ExtPoly:
 
     @classmethod
     def u(cls, k, power=1):
-        return _capped(cls(k, frozenset({(0, power)})))
+        return cls(k, frozenset({(0, power)}))
 
     # predicates and views
 
@@ -110,8 +72,7 @@ class ExtPoly:
         return ExtPoly(self.k, keep)
 
     def shift_u(self, delta):
-        return _capped(
-            ExtPoly(self.k, {(m, up + delta) for m, up in self.terms}))
+        return ExtPoly(self.k, {(m, up + delta) for m, up in self.terms})
 
     # arithmetic
 
@@ -131,7 +92,7 @@ class ExtPoly:
             for m2, u2 in other.terms:
                 if not m1 & m2:  # ti^2 = 0
                     acc ^= {(m1 | m2, u1 + u2)}
-        return _capped(ExtPoly(self.k, frozenset(acc)))
+        return ExtPoly(self.k, frozenset(acc))
 
     # rendering
 
@@ -166,6 +127,12 @@ def invert_unit(p):
     return out
 
 
+def require_pure(i, w):
+    """Refuse a class w_i that holds a u: class data lives on T^k alone."""
+    if any(up for _, up in w.terms):
+        raise ValueError(f"w{i} must be a pure base class")
+
+
 @frozen
 class BundleClassData:
     """Rank plus total characteristic class data of a (virtual) bundle.
@@ -180,11 +147,10 @@ class BundleClassData:
 
     def __post_init__(self):
         object.__setattr__(self, "sw", tuple(self.sw))
-        for i, w in enumerate(self.sw):
+        for i, w in enumerate(self.sw, 1):
             if w.k != self.k:
                 raise ModeMismatch("class data over the wrong torus")
-            if any(up for _, up in w.terms):
-                raise ValueError(f"w{i + 1} must be a pure base class")
+            require_pure(i, w)
 
     def w(self, i):
         """Degree-i class, with w0 = 1 and wi = 0 above the stored range."""

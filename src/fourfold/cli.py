@@ -8,7 +8,9 @@ Expression grammar:
            | Enriques | S4 | S1xY(b1=INT) | S2xSigma(g=INT)
 
 Exit codes: 0 success or informational output, 1 input error or a
-reader that closed the output early, 3 inconclusive or hypotheses not met.
+reader that closed the output early, 2 usage error (argparse: a missing
+argument, an option value of the wrong type or an unknown command),
+3 inconclusive or hypotheses not met.
 """
 
 import argparse
@@ -191,7 +193,9 @@ def _parse_constraint_file(path, k):
     """Read V1/W1 class data: sections with `rank N` then `w_i = <poly>`.
 
     Every term of a `w_i` line must have degree i: a t and each power of
-    u count one.
+    u count one.  Only w_1..w_k are kept, as a pure base class over T^k
+    has degree at most k: a line above k is dropped when 0, and any
+    other holds a u, which class data may not.
     """
     from . import charpoly
     sections = {}
@@ -242,18 +246,20 @@ def _parse_constraint_file(path, k):
         if name not in sections or sections[name]["rank"] is None:
             raise ParseError(f"missing section or rank for {name}")
         rank = sections[name]["rank"]
-        top = max(sections[name]["sw"], default=0)
-        sw = tuple(sections[name]["sw"].get(i, charpoly.ExtPoly.zero(k))
-                   for i in range(1, max(rank, top) + 1))
+        given = sections[name]["sw"]
+        sw = tuple(given.get(i, charpoly.ExtPoly.zero(k))
+                   for i in range(1, k + 1))
         try:
             out[name] = charpoly.BundleClassData(k=k, rank=rank, sw=sw)
+            for i in sorted(i for i in given if i > k):
+                charpoly.require_pure(i, given[i])
         except ValueError as e:
             raise ParseError(f"{name}: {e}") from None
     return out["V1"], out["W1"]
 
 
 def parse_poly(text, k):
-    """Parse the canonical polynomial syntax (sums of t/u/v monomials)."""
+    """Parse the canonical polynomial syntax (sums of t/u monomials)."""
     from . import charpoly
     text = text.strip()
     if text == "0":
@@ -272,8 +278,6 @@ def parse_poly(text, k):
             try:   # t_i outside 1..k, or more digits than int() accepts
                 out = out * (charpoly.ExtPoly.t(k, int(m[1])) if m[1]
                              else charpoly.ExtPoly.u(k, int(m[2] or 1)))
-            except FourfoldError:   # UDegreeOverflow, InvalidSetting
-                raise
             except ValueError as e:
                 raise ParseError(str(e)) from None
         poly = poly + out

@@ -12,7 +12,7 @@ class FourfoldError(Exception):
 
 
 class InvalidSetting(FourfoldError, ValueError):
-    """A bound or an environment value outside its allowed range."""
+    """An option or an input size outside its allowed range."""
 
     code = "InvalidSetting"
 
@@ -65,10 +65,6 @@ class NonMonicDenominator(FourfoldError):
 
 class NonExactDivision(FourfoldError):
     code = "NonExactDivision"
-
-
-class UDegreeOverflow(FourfoldError):
-    code = "UDegreeOverflow"
 
 
 # obstruct

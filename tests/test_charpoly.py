@@ -6,13 +6,7 @@ from hypothesis import strategies as st
 
 from fourfold import charpoly
 from fourfold.charpoly import BundleClassData, ExtPoly
-from fourfold.errors import (
-    FourfoldError,
-    ModeMismatch,
-    NonExactDivision,
-    NonMonicDenominator,
-    UDegreeOverflow,
-)
+from fourfold.errors import ModeMismatch, NonExactDivision, NonMonicDenominator
 
 
 # --- ring arithmetic ---
@@ -56,19 +50,6 @@ def test_render_canonical():
     assert ExtPoly.one(k).render() == "1"
     q = ExtPoly.u(1) + ExtPoly.t(1, 1)
     assert q.render() == "t1 + u"
-
-
-def test_udeg_cap(monkeypatch):
-    monkeypatch.setenv("FOURFOLD_MAX_UDEG", "4")
-    assert charpoly.max_udeg() == 4
-    with pytest.raises(UDegreeOverflow):
-        ExtPoly.u(1, 5)
-    for bad in ("abc", "-1"):
-        monkeypatch.setenv("FOURFOLD_MAX_UDEG", bad)
-        with pytest.raises(FourfoldError, match="FOURFOLD_MAX_UDEG"):
-            ExtPoly.u(1, 1)
-    monkeypatch.delenv("FOURFOLD_MAX_UDEG")
-    assert charpoly.max_udeg() == charpoly.DEFAULT_MAX_UDEG
 
 
 def total_sw_line_sum(k, lines, trivial_rank=0):

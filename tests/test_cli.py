@@ -174,6 +174,17 @@ def test_exit_codes_partition():
         assert cli.main(argv) in (0, 1, 3)
 
 
+@pytest.mark.parametrize("argv", [
+    ["certify"], ["certify", "K3", "--bound", "x"], ["nonesuch", "K3"]],
+    ids=["missing-expression", "bound-not-int", "unknown-command"])
+def test_usage_error_exits_two(argv, capsys):
+    # argparse ends a usage error with exit 2, as README documents
+    with pytest.raises(SystemExit) as e:
+        cli.main(argv)
+    assert e.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: fourfold")
+
+
 @pytest.mark.parametrize("argv, code", [
     (["spinc", "-CP2#S1xY(b1=1)"], 0),
     (["invariants", "-K3"], 0),
@@ -273,25 +284,28 @@ def test_random_spinc_gets_documented_exit(text, bound):
         assert documented_exit(["spinc", text, "--bound", str(bound)])
 
 
-def _poly(tokens):
-    return st.lists(st.lists(st.sampled_from(tokens), min_size=1,
-                             max_size=3).map("*".join),
+def _poly(factor):
+    return st.lists(st.lists(factor, min_size=1, max_size=3).map("*".join),
                     min_size=1, max_size=3).map(" + ".join)
 
 
-def _w_line(tokens):
-    return st.builds("w_{} = {}".format, st.integers(0, 4), _poly(tokens))
+def _w_line(factor):
+    # degrees up to 12 pass the k of most sums: lines above the torus too
+    return st.builds("w_{} = {}".format, st.integers(0, 12), _poly(factor))
 
 
 _DATA_LINE = st.one_of(
     st.sampled_from(["V1", "W1", "// note", "", "rank", "rank x"]),
     st.builds("rank {}".format, st.integers(-2, 4)),
-    _w_line(["t1", "t2", "t3", "t9", "u", "u^2", "1", "0", "x"]),
+    _w_line(st.one_of(
+        st.sampled_from(["t1", "t2", "t3", "t9", "u", "1", "0", "x"]),
+        st.builds("u^{}".format, st.integers(0, 100)))),
     st.text(max_size=12))
 # mostly well-formed files too, so that reports get printed
 _SECTION = st.builds(lambda rank, lines: [f"rank {rank}", *lines],
                      st.integers(0, 3),
-                     st.lists(_w_line(["t1", "t2", "1"]), max_size=2))
+                     st.lists(_w_line(st.sampled_from(["t1", "t2", "1"])),
+                              max_size=2))
 _DATA = st.one_of(
     st.lists(_DATA_LINE, max_size=8),
     st.builds(lambda v, w: ["V1", *v, "W1", *w], _SECTION, _SECTION))
@@ -511,7 +525,9 @@ def test_constraints_file_errors(tmp_path):
     pytest.param(f"V1\nrank 1\nw_{'9' * 5000} = 1\nW1\nrank 1\n",
                  id="degree-past-int-digit-limit"),
     pytest.param(f"V1\nrank 1\nW1\nrank 1\nw_1 = u^{'9' * 5000}\n",
-                 id="power-past-int-digit-limit")])
+                 id="power-past-int-digit-limit"),
+    pytest.param("V1\nrank 1\nW1\nrank 1\nw_70 = u^70\n",
+                 id="u-above-torus")])
 def test_constraints_file_read_errors(content, tmp_path, capsys):
     data = tmp_path / "classes.txt"
     if content is not None:
@@ -519,6 +535,30 @@ def test_constraints_file_read_errors(content, tmp_path, capsys):
     code = cli.main(["constraints", "2*S2xS2 # S1xY(b1=1)", str(data)])
     assert code == 1
     assert capsys.readouterr().err.startswith("ParseError: ")
+
+
+@pytest.mark.parametrize("content, same_as", [
+    ("V1\nrank 100000000\nw_1 = t1\nW1\nrank 100000000\n",
+     "V1\nrank 1\nw_1 = t1\nW1\nrank 1\n"),
+    ("V1\nrank 1\nw_100000000 = 0\nW1\nrank 1\nw_1 = t1\n",
+     "V1\nrank 1\nW1\nrank 1\nw_1 = t1\n")], ids=["rank", "degree"])
+def test_constraints_huge_rank_or_degree(content, same_as, tmp_path, capsys):
+    # class data is kept over T^k only, so a huge rank or a zero line of
+    # huge degree builds nothing; the child's address space is capped so
+    # that code building a class per degree fails fast instead of filling
+    # memory
+    cap = 1 << 30
+    data = tmp_path / "classes.txt"
+    data.write_text(content)
+    run = subprocess.run(
+        [sys.executable, "-m", "fourfold.cli", "constraints",
+         "2*S2xS2 # S1xY(b1=1)", str(data)],
+        env=module_env(), capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert (run.returncode, run.stderr) == (0, "")
+    data.write_text(same_as)
+    assert cli.main(["constraints", "2*S2xS2 # S1xY(b1=1)", str(data)]) == 0
+    assert run.stdout == capsys.readouterr().out
 
 
 @pytest.mark.parametrize("generators", ["-1", "9"])

@@ -5,7 +5,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fourfold import cli, cover, lattice, manifold
@@ -184,6 +184,7 @@ def test_enumeration_matches_brute_force(text, bound):
     assert cover.enumerate_characteristics(ls, bound) == want
 
 
+@settings(deadline=None)   # boxes of up to 4,096 classes, each checked
 @given(counts=st.lists(st.integers(0, 2), min_size=5, max_size=5),
        definite=st.sampled_from(["", "-E8", "K3", "-K3"]),
        n_block=st.sampled_from(["S1xY(b1=1)", "S2xSigma(g=1)"]),
