@@ -21,7 +21,7 @@ import sys
 
 # obstruct, charpoly and json load in the commands that use them, which
 # spares `spinc` and the listing commands their import
-from . import cover, lattice, manifold
+from . import cover, manifold
 from .errors import (
     FourfoldError,
     HypothesesNotMet,
@@ -30,28 +30,28 @@ from .errors import (
     ParseError,
 )
 
-# block name -> (kind, E8 sign); "{p}" stands for a block's parameter
-_NAMES = {spec.name.format(s="-" if sign < 0 else "", p="{p}"): (kind, sign)
-          for kind, spec in manifold.BLOCKS.items()
-          for sign in ((1, -1) if "{s}" in spec.name else (0,))}
+# block name -> its shared Block; a name with a parameter, written with
+# "{p}" in its place, -> its kind
+_NAMES = {**manifold.NAMED,
+          **{spec.name.format(p="{p}"): kind
+             for kind, spec in manifold.BLOCKS.items() if "{p}" in spec.name}}
 
 _TERM_RE = re.compile(
-    r"\s*(?:(?P<mult>-?\d+)\s*\*\s*)?"
-    r"(?P<block>-?[A-Za-z][A-Za-z0-9]*(?:\s*\(\s*[A-Za-z0-9]+\s*=\s*-?\d+\s*\))?)"
-    r"\s*")
+    r"\s*(?:(?P<mult>-?\d+)\s*\*\s*)?(?P<name>-?[A-Za-z][A-Za-z0-9]*)"
+    r"(?:\s*\(\s*(?P<key>[A-Za-z0-9]+)\s*=\s*(?P<param>-?\d+)\s*\))?\s*")
 
 
-def _parse_block(text, offset):
-    text = re.sub(r"\s+", "", text)
-    if text in manifold.COMPOSITES:
-        return (manifold.Block(text),)
-    m = re.fullmatch(r"(.*=)(-?\d+)\)", text)
-    name, param = (m.group(1) + "{p})", m.group(2)) if m else (text, "0")
-    if name not in _NAMES:
+def _parse_block(m, offset):
+    """The Block a term's match names: shared, or built with its parameter."""
+    name, key, param = m["name"], m["key"], m["param"]
+    found = _NAMES.get(name if param is None else f"{name}({key}={{p}})")
+    if found is None:
+        text = name if param is None else f"{name}({key}={param})"
         raise ParseError(f"unknown block {text!r}", offset)
-    kind, sign = _NAMES[name]
+    if param is None:
+        return found
     try:   # int() refuses more than sys.get_int_max_str_digits() digits
-        return (manifold.Block(kind, sign, int(param)),)
+        return manifold.Block(found, param=int(param))
     except ValueError as e:
         raise ParseError(str(e), offset) from None
 
@@ -61,7 +61,8 @@ def parse(text):
 
     Raises InvalidSetting, before the list of blocks grows, when the sum
     has more than cover.MAX_SUMMANDS summands; a composite counts the
-    summands it expands to.
+    summands it expands to, so a term of S4 adds nothing at any
+    multiplicity.
     """
     if not text or not text.strip():
         raise ParseError("empty expression", 0)
@@ -77,20 +78,22 @@ def parse(text):
             bad = pos + (len(part) - len(part.lstrip()))
             raise ParseError(f"cannot parse term {part.strip()!r}", bad)
         mult = 1
-        if m.group("mult") is not None:
+        if m["mult"] is not None:
             try:
-                mult = int(m.group("mult"))
+                mult = int(m["mult"])
             except ValueError as e:  # too many digits for int()
                 raise ParseError(str(e), pos + m.start("mult")) from None
             if mult < 0:
                 raise NegativeMultiplicity(
                     f"multiplicity {mult} must be >= 0")
-        block = _parse_block(m.group("block"), pos + m.start("block"))
-        count += mult * len(manifold.COMPOSITES.get(block[0].kind, block))
+        block = _parse_block(m, pos + m.start("name"))
+        size = len(manifold.COMPOSITES.get(block.kind, (block,)))
+        count += mult * size
         if count > cover.MAX_SUMMANDS:
             raise InvalidSetting(
                 f"more than {cover.MAX_SUMMANDS} summands")
-        blocks.extend(block * mult)
+        if size:
+            blocks += [block] * mult
         pos += len(part) + 1
     return manifold.ManifoldExpr(tuple(blocks))
 
@@ -104,9 +107,37 @@ def replay(cert):
     return again == cert
 
 
+def _dumps(doc):
+    """The text of json.dumps(doc, indent=2) for a document of str, int,
+    None, dicts and lists.
+
+    With an indent json.dumps always runs its pure-Python encoder; this
+    writer lays out the same text and encodes strings with the same C
+    function.
+    """
+    from json.encoder import encode_basestring_ascii as string
+
+    def value(v, indent):
+        if v is None:
+            return "null"
+        if type(v) is str:
+            return string(v)
+        if type(v) is int:
+            return int.__repr__(v)
+        brackets = "{}" if type(v) is dict else "[]"
+        if not v:
+            return brackets
+        inner = indent + "  "
+        items = ([f"{string(k)}: {value(x, inner)}" for k, x in v.items()]
+                 if type(v) is dict else [value(x, inner) for x in v])
+        return (brackets[0] + inner + ("," + inner).join(items) + indent
+                + brackets[1])
+
+    return value(doc, "\n")
+
+
 def emit_json(cert):
     """Stable machine-readable form of a certificate."""
-    import json
     index = {}
     if cert.index_kind:
         index[cert.index_kind] = cert.index_value
@@ -122,20 +153,20 @@ def emit_json(cert):
         "inputs": dict(cert.inputs),
         "transcript": list(cert.transcript),
     }
-    return json.dumps(doc, indent=2)
+    return _dumps(doc)
 
 
 def _cmd_invariants(x, args):
-    inv = lattice.invariants(x.form)
+    inv = x.inv
     print(f"expression: {x.render()}")
-    print(f"sigma = {x.sigma}")
+    print(f"sigma = {inv.sigma}")
     print(f"b1 = {x.b1}")
-    print(f"b2 = {x.b2}")
+    print(f"b2 = {inv.b2}")
     print(f"b_plus = {inv.b_plus}")
     print(f"b_minus = {inv.b_minus}")
-    print(f"parity = {inv.parity}")
-    print(f"spin = {x.spin}")
-    print(f"ks = {x.ks}")
+    print(f"parity = {'even' if inv.even else 'odd'}")
+    print(f"spin = {inv.spin}")
+    print(f"ks = {inv.ks}")
     return 0
 
 
@@ -167,14 +198,12 @@ def _cmd_spinc(x, args):
 
 
 def _cmd_certify(x, args):
-    import json
     from . import obstruct
     try:
         cert = obstruct.certify(x, scenario=args.scenario, bound=args.bound)
     except HypothesesNotMet as e:
         if args.json:
-            print(json.dumps({"verdict": "HypothesesNotMet",
-                              "reason": str(e)}, indent=2))
+            print(_dumps({"verdict": "HypothesesNotMet", "reason": str(e)}))
         else:
             print(f"HypothesesNotMet: {e.args[0] if e.args else e}")
         return 3

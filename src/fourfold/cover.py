@@ -17,7 +17,7 @@ from .errors import (
     InvalidSetting,
     NoNontrivialCoverAvailable,
 )
-from .manifold import N_KINDS, ManifoldExpr
+from .manifold import N_KINDS
 
 # the most classes one listing may hold: at least the 531,441 of
 # -E8 # 2*S2xS2 # S1xY(b1=1) at bound 2, which peak at 95 MB in `spinc`
@@ -43,7 +43,7 @@ class LocalSystem:
                 zip(self.base.summands, self.selection)):
             if twisted:
                 continue
-            span = sum(a.rank for a in block.form_atoms)
+            span = block.b2
             offsets[i] = (off, span)
             off += span
         return offsets
@@ -97,7 +97,8 @@ def build_standard_cover(x):
 
     The twisted coefficients kill the free second cohomology of those
     summands and contribute no w1-square, so b_+ with twisted coefficients
-    equals b_+ of the remaining part.
+    equals b_+ of the remaining part: of the simply-connected part, as a
+    W block has no free cohomology.
     """
     selection = tuple(b.kind in N_KINDS for b in x.summands)
     if not any(selection):
@@ -107,13 +108,13 @@ def build_standard_cover(x):
         raise NoNontrivialCoverAvailable(
             "no S1xY or S2xSigma summand: the standard cover recipe "
             "does not apply")
-    free_form = ManifoldExpr(tuple(
-        b for b, twisted in zip(x.summands, selection) if not twisted)).form
     return LocalSystem(
         base=x,
         selection=selection,
-        form=free_form,
-        b_plus_ell=lattice.invariants(free_form).b_plus,
+        form=lattice.IntersectionForm(
+            a for b, twisted in zip(x.summands, selection) if not twisted
+            for a in b.form_atoms),
+        b_plus_ell=x.sc.b_plus,
         torsion_bits=x.torsion_slots,
     )
 

@@ -5,6 +5,7 @@ A ManifoldExpr is a multiset of standard blocks with additive invariants
 rewrites the simply-connected part into its homeomorphism normal form.
 """
 
+import operator
 from typing import NamedTuple
 
 from . import lattice
@@ -21,7 +22,7 @@ class BlockSpec(NamedTuple):
     """The facts that fix a block's invariants; one row of BLOCKS."""
 
     name: str        # rendered: {s} is "-" on a negative E8, {p} the param
-    atoms: object    # block -> its intersection-form atoms
+    atoms: object    # block -> its intersection form as (atom, count) pairs
     b1: object       # param -> first Betti number
     spin: bool       # W is non-spin through its torsion w2; the rest iff even
     ks: int          # Kirby-Siebenmann bit
@@ -31,35 +32,78 @@ class BlockSpec(NamedTuple):
     reflect: object = None  # H^2 -> H^2 of its reflection slot; None: no slot
 
 
-_H = (lattice.Hyperbolic(),)
+# lattice atoms are immutable, so every block shares these
+_H = lattice.Hyperbolic()
+_E8 = {1: lattice.E8(1), -1: lattice.E8(-1)}
+_DIAG = {1: lattice.Diag(1), -1: lattice.Diag(-1)}
 
 # one row per block kind, in the canonical summand order
 BLOCKS = {
-    "E8": BlockSpec("{s}E8", lambda b: (lattice.E8(b.sign),),
+    "E8": BlockSpec("{s}E8", lambda b: ((_E8[b.sign], 1),),
                     lambda p: 0, True, 1, 0, "E8", "sc"),
-    "K3": BlockSpec("K3", lambda b: (lattice.E8(-1),) * 2 + _H * 3,
+    "K3": BlockSpec("K3", lambda b: ((_E8[-1], 2), (_H, 3)),
                     lambda p: 0, True, 0, 0, "NegK3", "sc"),
-    "NegK3": BlockSpec("-K3", lambda b: (lattice.E8(1),) * 2 + _H * 3,
+    "NegK3": BlockSpec("-K3", lambda b: ((_E8[1], 2), (_H, 3)),
                        lambda p: 0, True, 0, 0, "K3", "sc"),
-    "S2xS2": BlockSpec("S2xS2", lambda b: _H,
+    "S2xS2": BlockSpec("S2xS2", lambda b: ((_H, 1),),
                        lambda p: 0, True, 0, 0, "S2xS2", "sc",
                        lambda v: (-v[1], -v[0])),
-    "CP2": BlockSpec("CP2", lambda b: (lattice.Diag(1),),
+    "CP2": BlockSpec("CP2", lambda b: ((_DIAG[1], 1),),
                      lambda p: 0, False, 0, 0, "NegCP2", "sc",
                      lambda v: (-v[0],)),
-    "NegCP2": BlockSpec("-CP2", lambda b: (lattice.Diag(-1),),
+    "NegCP2": BlockSpec("-CP2", lambda b: ((_DIAG[-1], 1),),
                         lambda p: 0, False, 0, 0, "CP2", "sc"),
-    "NegCP2Fake": BlockSpec("-CP2fake", lambda b: (lattice.Diag(-1),),
+    "NegCP2Fake": BlockSpec("-CP2fake", lambda b: ((_DIAG[-1], 1),),
                             lambda p: 0, False, 1, 0, "", "sc"),
     "W": BlockSpec("W", lambda b: (), lambda p: 0, False, 1, 1, "W", ""),
-    "S1xY": BlockSpec("S1xY(b1={p})", lambda b: _H * b.param,
+    "S1xY": BlockSpec("S1xY(b1={p})", lambda b: ((_H, b.param),),
                       lambda p: 1 + p, True, 0, 0, "S1xY", "N"),
-    "S2xSigma": BlockSpec("S2xSigma(g={p})", lambda b: _H,
+    "S2xSigma": BlockSpec("S2xSigma(g={p})", lambda b: ((_H, 1),),
                           lambda p: 2 * p, True, 0, 0, "S2xSigma", "N"),
 }
 # kinds forming the N part of a connected sum (nontrivial double covers live here)
 N_KINDS = tuple(k for k, spec in BLOCKS.items() if spec.part == "N")
 _ORDER = {kind: i for i, kind in enumerate(BLOCKS)}
+_key = operator.attrgetter("key")
+
+
+class Invariants(tuple):
+    """The additive invariants of a block or of a sum of blocks.
+
+    A tuple (b_plus, b_minus, ks_count, odd, nonspin, torsion) whose
+    entries add over summands, so a sum's are the entrywise sums of its
+    blocks'.  No block's form is degenerate: b2 = b_plus + b_minus.  A
+    tuple subclass rather than a NamedTuple: it is built in C, and its
+    class costs nothing to create at import.
+    """
+
+    __slots__ = ()
+    b_plus = property(operator.itemgetter(0))
+    b_minus = property(operator.itemgetter(1))
+    ks_count = property(operator.itemgetter(2))  # summands with KS bit 1
+    odd = property(operator.itemgetter(3))       # summands with odd forms
+    nonspin = property(operator.itemgetter(4))   # summands not spin
+    torsion = property(operator.itemgetter(5))   # W summands: H1 Z2 slots
+
+    @property
+    def sigma(self):
+        return self.b_plus - self.b_minus
+
+    @property
+    def b2(self):
+        return self.b_plus + self.b_minus
+
+    @property
+    def ks(self):
+        return self.ks_count % 2
+
+    @property
+    def even(self):
+        return not self.odd
+
+    @property
+    def spin(self):
+        return not self.nonspin
 
 
 @frozen
@@ -69,9 +113,8 @@ class Block:
     param: int = 0   # b1(Y) for S1xY, genus for S2xSigma
 
     def __post_init__(self):
-        # not a field: the BLOCKS row of the kind; None for the COMPOSITES
-        object.__setattr__(self, "spec", BLOCKS.get(self.kind))
-        if self.spec is None and self.kind not in COMPOSITES:
+        spec = BLOCKS.get(self.kind)
+        if spec is None and self.kind not in COMPOSITES:
             raise ValueError(f"unknown block kind {self.kind!r}")
         if self.kind == "S2xSigma" and self.param < 1:
             raise GenusZero("S2xSigma requires positive genus")
@@ -79,10 +122,28 @@ class Block:
             raise ValueError("b1 must be non-negative")
         if self.kind == "E8" and self.sign not in (1, -1):
             raise ValueError("E8 block needs sign +1 or -1")
+        # not fields: the BLOCKS row of the kind (None for the COMPOSITES),
+        # the sort key, and the invariants, read off the row's (atom,
+        # count) pairs at a cost that does not grow with the parameter
+        object.__setattr__(self, "spec", spec)
+        if spec is None:
+            return
+        object.__setattr__(self, "key", (_ORDER[self.kind], -self.sign,
+                                         self.param))
+        b_plus = b_minus = 0
+        odd = False
+        for atom, n in spec.atoms(self):
+            p, m, _ = atom.inertia
+            b_plus += n * p
+            b_minus += n * m
+            odd = odd or not atom.even
+        object.__setattr__(self, "inv", Invariants((
+            b_plus, b_minus, spec.ks, int(odd), int(not spec.spin),
+            spec.h1_torsion)))
 
     @property
     def form_atoms(self):
-        return self.spec.atoms(self)
+        return tuple(a for a, n in self.spec.atoms(self) for _ in range(n))
 
     @property
     def form(self):
@@ -94,11 +155,11 @@ class Block:
 
     @property
     def b2(self):
-        return sum(a.rank for a in self.form_atoms)
+        return self.inv.b2
 
     @property
     def sigma(self):
-        return lattice.invariants(self.form).signature
+        return self.inv.sigma
 
     @property
     def spin(self):
@@ -117,42 +178,47 @@ class Block:
                                      p=self.param)
 
 
-def _sort_key(b):
-    return (_ORDER[b.kind], -b.sign, b.param)
+# one shared Block per name without a parameter: values are immutable, so
+# one object serves every sum that holds it
+NAMED = {b.render(): b for b in (
+    Block(kind, sign) for kind, spec in BLOCKS.items() if "{p}" not in spec.name
+    for sign in ((1, -1) if "{s}" in spec.name else (0,)))}
 
 
 # convenience constructors
 
 def CP2():
-    return Block("CP2")
+    return NAMED["CP2"]
 
 
 def NegCP2():
-    return Block("NegCP2")
+    return NAMED["-CP2"]
 
 
 def NegCP2Fake():
-    return Block("NegCP2Fake")
+    return NAMED["-CP2fake"]
 
 
 def S2xS2():
-    return Block("S2xS2")
+    return NAMED["S2xS2"]
 
 
 def K3():
-    return Block("K3")
+    return NAMED["K3"]
 
 
 def NegK3():
-    return Block("NegK3")
+    return NAMED["-K3"]
 
 
 def E8Block(sign=-1):
-    return Block("E8", sign=sign)
+    if sign not in (1, -1):
+        return Block("E8", sign)   # which refuses the sign
+    return NAMED["E8" if sign > 0 else "-E8"]
 
 
 def W():
-    return Block("W")
+    return NAMED["W"]
 
 
 def S1xY(b1=0):
@@ -166,6 +232,7 @@ def S2xSigma(genus):
 # composite blocks and their summands: Enriques surfaces decompose as
 # -E8 # S2xS2 # W, and S4 is the identity
 COMPOSITES = {"Enriques": (E8Block(-1), S2xS2(), W()), "S4": ()}
+NAMED.update((kind, Block(kind)) for kind in COMPOSITES)
 
 
 @frozen
@@ -179,8 +246,16 @@ class ManifoldExpr:
                 blocks.extend(COMPOSITES[b.kind])
             else:
                 blocks.append(b)
-        object.__setattr__(self, "summands",
-                           tuple(sorted(blocks, key=_sort_key)))
+        blocks.sort(key=_key)
+        # the one walk: each block's Invariants to its part; the fields are
+        # then added in C.  A zero row makes an empty part sum to zeros
+        sc, rest = [(0,) * 6], []
+        for b in blocks:
+            (sc if b.spec.part == "sc" else rest).append(b.inv)
+        object.__setattr__(self, "summands", tuple(blocks))
+        # not fields: the sum's Invariants, and its simply-connected part's
+        object.__setattr__(self, "sc", Invariants(map(sum, zip(*sc))))
+        object.__setattr__(self, "inv", Invariants(map(sum, zip(*sc, *rest))))
 
     @property
     def form(self):
@@ -189,7 +264,7 @@ class ManifoldExpr:
 
     @property
     def sigma(self):
-        return lattice.invariants(self.form).signature
+        return self.inv.sigma
 
     @property
     def b1(self):
@@ -197,23 +272,23 @@ class ManifoldExpr:
 
     @property
     def b2(self):
-        return sum(b.b2 for b in self.summands)
+        return self.inv.b2
 
     @property
     def b_plus(self):
-        return lattice.invariants(self.form).b_plus
+        return self.inv.b_plus
 
     @property
     def spin(self):
-        return all(b.spin for b in self.summands)
+        return self.inv.spin
 
     @property
     def ks(self):
-        return sum(b.ks for b in self.summands) % 2
+        return self.inv.ks
 
     @property
     def torsion_slots(self):
-        return sum(b.spec.h1_torsion for b in self.summands)
+        return self.inv.torsion
 
     @property
     def h1z2_rank(self):
@@ -246,24 +321,22 @@ def mirror(x):
     return ManifoldExpr(tuple(out))
 
 
-def _normalize_sc(sc_blocks, w_count):
+def _normalize_sc(sc, w_count):
     """Normal form of the simply-connected part, as a tuple of blocks.
 
-    w_count is the number of W summands in the ambient expression; a
-    rational homology sphere with torsion w2 pairs with E8 summands in the
-    normal form used for the Enriques-type decompositions.
+    sc holds the part's Invariants.  w_count is the number of W summands
+    in the ambient expression; a rational homology sphere with torsion w2
+    pairs with E8 summands in the normal form used for the Enriques-type
+    decompositions.
     """
-    sc = ManifoldExpr(sc_blocks)
-    inv = lattice.invariants(sc.form)
-    if inv.rank == 0:
+    if sc.b2 == 0:
         return ()
-    if inv.definite != "indefinite":
+    if not (sc.b_plus and sc.b_minus):
         raise DefinitePartUnsupported(
             "the simply-connected part must be indefinite or empty")
-    ks = sum(b.ks for b in sc_blocks) % 2
-    sigma, bp, bm = inv.signature, inv.b_plus, inv.b_minus
+    sigma, bp, bm, ks = sc.sigma, sc.b_plus, sc.b_minus, sc.ks
 
-    if inv.parity == "even":
+    if sc.even:
         p = abs(sigma) // 8
         if ks != p % 2:
             raise SpinKSInconsistent(
@@ -301,10 +374,8 @@ def normalize_homeo_type(x, reverse=False):
     """
     if reverse:
         x = mirror(x)
-    sc = x.sc_part()
-    rest = x.non_sc_part()
-    normal_sc = _normalize_sc(sc, x.torsion_slots)
-    return ManifoldExpr(normal_sc + rest)
+    return ManifoldExpr(_normalize_sc(x.sc, x.torsion_slots)
+                        + x.non_sc_part())
 
 
 @frozen

@@ -110,14 +110,15 @@ def largest_liftable_class(f, bound):
 def _certificate(f, c1_square, sigma, transcript, scenario, bound,
                  theorem="none", witness="", index_kind="", index_value=None):
     """The certificate of family f; a named theorem makes it NonSmoothable."""
+    normalized = f.manifold.render()
     return Certificate(
         verdict=INCONCLUSIVE if theorem == "none" else NONSMOOTHABLE,
         theorem_used=theorem, base_dim=f.k, b_plus_ell=f.cover.b_plus_ell,
         witness_monomial=witness, c1_square=c1_square, sigma=sigma,
         index_kind=index_kind, index_value=index_value,
         inputs=(
-            ("expression", f.manifold.render()),
-            ("normalized", f.manifold.render()),
+            ("expression", normalized),
+            ("normalized", normalized),
             ("scenario", scenario),
             ("bound", str(bound)),
         ),
@@ -245,9 +246,8 @@ def corollary_constraints(f, v1, w1):
 
 def _prepare(x):
     """Orient so the simply-connected signature is nonpositive, then normalize."""
-    sc_sigma = manifold.ManifoldExpr(x.sc_part()).sigma
     try:
-        return manifold.normalize_homeo_type(x, reverse=sc_sigma > 0)
+        return manifold.normalize_homeo_type(x, reverse=x.sc.sigma > 0)
     except DefinitePartUnsupported:
         raise HypothesesNotMet(
             "indefinite simply-connected part required") from None
@@ -280,7 +280,7 @@ def _certify_scenario(x, scenario, bound):
             "Kirby-Siebenmann class must vanish for a smooth manifold")
     normalized = _prepare(x)
     if spin is not None:
-        sc = manifold.ManifoldExpr(normalized.sc_part())
+        sc = normalized.sc
         if sc.spin != spin:
             raise HypothesesNotMet(f"{label} simply-connected part required")
         if abs(sc.sigma) <= 8:

@@ -61,6 +61,68 @@ def test_parse_errors():
     assert e.value.offset == 5
 
 
+def _int_error(digits):
+    """int()'s message for a number of that many digits."""
+    try:
+        int("9" * digits)
+    except ValueError as e:
+        return str(e)
+
+
+# malformed terms: the message and offset of each ParseError
+@pytest.mark.parametrize("text, message, offset", [
+    ("", "empty expression", 0),
+    ("   ", "empty expression", 0),
+    ("K3 # # S2xS2", "empty connected-sum term", 4),
+    (" # K3", "empty connected-sum term", 0),
+    ("K3 # ", "empty connected-sum term", 4),
+    ("K3 ## K3", "empty connected-sum term", 4),
+    ("K3 # Bogus", "unknown block 'Bogus'", 5),
+    ("S1xY", "unknown block 'S1xY'", 0),
+    ("S1xY(g=2)", "unknown block 'S1xY(g=2)'", 0),
+    ("S1xY(B1=1)", "unknown block 'S1xY(B1=1)'", 0),
+    ("CP2(b1=1)", "unknown block 'CP2(b1=1)'", 0),
+    ("Enriques(b1=1)", "unknown block 'Enriques(b1=1)'", 0),
+    ("E8(s=1)", "unknown block 'E8(s=1)'", 0),
+    ("-Enriques", "unknown block '-Enriques'", 0),
+    ("-S4", "unknown block '-S4'", 0),
+    ("-W", "unknown block '-W'", 0),
+    ("s4", "unknown block 's4'", 0),
+    ("S4 # e8", "unknown block 'e8'", 5),
+    ("3*-K3x", "unknown block '-K3x'", 2),
+    ("CP2 #\n-CP2x", "unknown block '-CP2x'", 6),
+    ("K3\t#\tS2xs2", "unknown block 'S2xs2'", 5),
+    ("CP2 # -CP2 # 2*CP2fake", "unknown block 'CP2fake'", 15),
+    ("S1xY(b1=1) # 4 * S2xSigma (b1=2)", "unknown block 'S2xSigma(b1=2)'",
+     17),
+    ("S1xY(b1=-1)", "b1 must be non-negative", 0),
+    ("2*", "cannot parse term '2*'", 0),
+    ("*K3", "cannot parse term '*K3'", 0),
+    ("K3(", "cannot parse term 'K3('", 0),
+    ("--CP2", "cannot parse term '--CP2'", 0),
+    ("2*3*CP2", "cannot parse term '2*3*CP2'", 0),
+    ("2 * - CP2", "cannot parse term '2 * - CP2'", 0),
+    ("S1xY(b1=)", "cannot parse term 'S1xY(b1=)'", 0),
+    ("S1xY(b1=1", "cannot parse term 'S1xY(b1=1'", 0),
+    ("S1xY(b1=1))", "cannot parse term 'S1xY(b1=1))'", 0),
+    ("S1xY(b1=+1)", "cannot parse term 'S1xY(b1=+1)'", 0),
+    ("S2xSigma(g=1)(g=1)", "cannot parse term 'S2xSigma(g=1)(g=1)'", 0),
+    ("K3 # S2 xS2", "cannot parse term 'S2 xS2'", 5),
+    ("K3 # S1xY(b1=1)x", "cannot parse term 'S1xY(b1=1)x'", 5),
+    ("K3 # (b1=1)", "cannot parse term '(b1=1)'", 5),
+    ("K3 # S1xY(=1)", "cannot parse term 'S1xY(=1)'", 5),
+    ("S2xSigma( g = 1 ) # S1xY(b1 =x)", "cannot parse term 'S1xY(b1 =x)'",
+     20),
+    ("9" * 5000 + "*CP2", _int_error(5000), 0),
+    ("K3 # " + "9" * 4400 + "*CP2", _int_error(4400), 5),
+    ("CP2 # S1xY(b1=" + "9" * 5000 + ")", _int_error(5000), 6),
+], ids=lambda v: v[:24] if isinstance(v, str) else None)
+def test_parse_error_table(text, message, offset):
+    with pytest.raises(ParseError) as e:
+        cli.parse(text)
+    assert (e.value.args[0], e.value.offset) == (message, offset)
+
+
 def test_parse_render_round_trip():
     for text in ("K3", "2*-E8 # 3*S2xS2 # S1xY(b1=1)",
                  "Enriques # -CP2 # S2xSigma(g=1)",
@@ -87,6 +149,49 @@ def test_emit_json_deterministic_bytes():
     a = cli.emit_json(obstruct.certify(x))
     b = cli.emit_json(obstruct.certify(cli.parse(x.render())))
     assert a == b
+
+
+# every scalar a certificate document holds, in dicts and lists up to
+# three deep: None, ints of any sign, and strings with quotes,
+# backslashes, control and non-ASCII characters
+_JSON_DOC = st.recursive(
+    st.one_of(st.none(), st.integers(), st.text()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=12)
+
+
+@given(_JSON_DOC)
+def test_json_writer_matches_json_dumps(doc):
+    assert cli._dumps(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("text, scenario, verdict", [
+    ("2*-E8 # 3*S2xS2 # S1xY(b1=1)", "spin", "NonSmoothable"),
+    ("-E8 # -CP2fake # S2xS2 # S1xY(b1=1)", "nonspin", "NonSmoothable"),
+    ("Enriques # 2*-CP2 # S2xSigma(g=1)", "enriques", "NonSmoothable"),
+    ("2*W # CP2 # -CP2 # S1xY(b1=1)", "enriques", "Inconclusive"),
+    ("CP2 # -CP2 # S1xY(b1=1)", "nonspin", "HypothesesNotMet"),
+    ("2*S2xS2 # S1xY(b1=1)", "auto", "HypothesesNotMet"),
+])
+def test_certify_json_bytes_are_json_dumps(text, scenario, verdict, capsys):
+    # json.dumps(json.loads(out), indent=2) == out holds only for the
+    # text json.dumps itself writes
+    cli.main(["certify", text, "--scenario", scenario, "--json"])
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert doc["verdict"] == verdict
+    assert out == json.dumps(doc, indent=2) + "\n"
+
+
+def test_emit_json_empty_index_and_transcript():
+    cert = obstruct.certify(cli.parse("2*-E8 # 3*S2xS2 # S1xY(b1=1)"))
+    bare = cert.replace(index_kind="", index_value=None, c1_square=None,
+                        sigma=0, base_dim=-1, transcript=())
+    doc = json.loads(cli.emit_json(bare))
+    assert (doc["index"], doc["transcript"], doc["c1_square"]) == \
+        ({}, [], None)
+    assert cli.emit_json(bare) == json.dumps(doc, indent=2)
 
 
 def test_emit_json_nonspin_values():
@@ -335,6 +440,19 @@ def module_env():
         filter(None, (src, os.environ.get("PYTHONPATH")))))
 
 
+def capped_child(argv):
+    """Run `python -m fourfold.cli argv` in a child whose address space is
+    capped at 1 GB, so that code building a list per unit of a huge input
+    fails fast instead of filling memory; (completed run, wall seconds)."""
+    cap = 1 << 30
+    start = time.perf_counter()
+    run = subprocess.run(
+        [sys.executable, "-m", "fourfold.cli", *argv],
+        env=module_env(), capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    return run, time.perf_counter() - start
+
+
 def test_module_run_warns_nothing():
     # the package loads cli lazily, so runpy finds it not yet imported
     run = subprocess.run(
@@ -458,6 +576,31 @@ def test_summand_cap(monkeypatch, capsys):
         cli.parse("Enriques # 2*S1xY(b1=1)")   # Enriques counts 3
 
 
+@pytest.mark.parametrize("mult", [10 ** 8, 10 ** 100], ids=["1e8", "1e100"])
+def test_huge_multiple_of_s4_adds_nothing(mult, capsys):
+    # S4 expands to no summands, so its term adds no block at any count
+    text = "2*-E8 # 3*S2xS2 # S1xY(b1=1)"
+    run, _ = capped_child(["certify", f"{mult}*S4 # {text}"])
+    assert run.stderr == ""
+    assert (run.returncode, run.stdout) == \
+        (cli.main(["certify", text]), capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("command, code, line", [
+    ("invariants", 0, "b2 = 200000003"),
+    ("classify", 0, "CP2 # -CP2 # -CP2 # S1xY(b1=100000000)"),
+    ("cover", 0, "free_rank_ell = 3"),
+    ("certify", 3, "HypothesesNotMet: enriques: "),
+])
+def test_huge_s1xy_parameter_builds_nothing(command, code, line):
+    # a block's invariants are closed-form in its parameter, and the cover
+    # twists S1xY, so no command builds the 10^8 hyperbolic planes
+    run, seconds = capped_child([command, "CP2 # 2*-CP2 # S1xY(b1=100000000)"])
+    assert (run.returncode, run.stderr) == (code, "")
+    assert line in run.stdout
+    assert seconds < 1
+
+
 @pytest.mark.parametrize("text", [
     "1" * 5000 + "*CP2", "S2xSigma(g=" + "1" * 5000 + ")"],
     ids=["multiplicity", "genus"])
@@ -469,14 +612,8 @@ def test_number_past_int_digit_limit(text, capsys):
 @pytest.mark.parametrize("text", ["S1xY(b1=1)", "W # S1xY(b1=1)"])
 def test_spinc_huge_bound_without_free_coordinates(text):
     # with no free coordinate there is one class at any bound, and no
-    # column of entries is built; the child's address space is capped so
-    # that code building one fails fast instead of filling memory
-    cap = 1 << 30
-    run = subprocess.run(
-        [sys.executable, "-m", "fourfold.cli", "spinc", text,
-         "--bound", str(10 ** 12)],
-        env=module_env(), capture_output=True, text=True, timeout=60,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    # column of entries is built
+    run, _ = capped_child(["spinc", text, "--bound", str(10 ** 12)])
     assert (run.returncode, run.stderr) == (0, "")
     assert run.stdout.count("\n") == 1
     assert run.stdout.startswith("square = 0: free = [], torsion = ")
@@ -544,17 +681,10 @@ def test_constraints_file_read_errors(content, tmp_path, capsys):
      "V1\nrank 1\nW1\nrank 1\nw_1 = t1\n")], ids=["rank", "degree"])
 def test_constraints_huge_rank_or_degree(content, same_as, tmp_path, capsys):
     # class data is kept over T^k only, so a huge rank or a zero line of
-    # huge degree builds nothing; the child's address space is capped so
-    # that code building a class per degree fails fast instead of filling
-    # memory
-    cap = 1 << 30
+    # huge degree builds nothing
     data = tmp_path / "classes.txt"
     data.write_text(content)
-    run = subprocess.run(
-        [sys.executable, "-m", "fourfold.cli", "constraints",
-         "2*S2xS2 # S1xY(b1=1)", str(data)],
-        env=module_env(), capture_output=True, text=True, timeout=60,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    run, _ = capped_child(["constraints", "2*S2xS2 # S1xY(b1=1)", str(data)])
     assert (run.returncode, run.stderr) == (0, "")
     data.write_text(same_as)
     assert cli.main(["constraints", "2*S2xS2 # S1xY(b1=1)", str(data)]) == 0

@@ -92,6 +92,35 @@ def test_connected_sum_additivity(a, b):
     assert x.spin == (xa.spin and xb.spin)
 
 
+# every kind, both E8 signs and the composites, parameters 0-5
+ANY_BLOCK = st.one_of(st.sampled_from(list(manifold.NAMED.values())),
+                      st.builds(manifold.S1xY, st.integers(0, 5)),
+                      st.builds(manifold.S2xSigma, st.integers(1, 5)))
+
+
+@given(st.lists(ANY_BLOCK, max_size=8), st.booleans())
+def test_sum_invariants_match_the_atom_walk(blocks, reverse):
+    x = manifold.expr(*blocks)
+    if reverse and all(b.spec.mirror for b in x.summands):
+        x = manifold.mirror(x)
+    for b in x.summands:
+        inv = lattice.invariants(b.form)
+        assert (b.inv.b_plus, b.inv.b_minus, b.inv.even) == \
+            (inv.b_plus, inv.b_minus, inv.parity == "even")
+        assert (b.b2, b.sigma) == (inv.rank, inv.signature)
+    for part, summands in ((x.inv, x.summands), (x.sc, x.sc_part())):
+        inv = lattice.invariants(manifold.ManifoldExpr(summands).form)
+        assert (part.b_plus, part.b_minus, part.b2, part.sigma, part.even) \
+            == (inv.b_plus, inv.b_minus, inv.rank, inv.signature,
+                inv.parity == "even")
+        assert part.ks == sum(b.ks for b in summands) % 2
+        assert part.spin == all(b.spin for b in summands)
+        assert part.torsion == sum(b.spec.h1_torsion for b in summands)
+    assert (x.sigma, x.b_plus, x.b2, x.ks, x.spin, x.torsion_slots) == \
+        (x.inv.sigma, x.inv.b_plus, x.inv.b2, x.inv.ks, x.inv.spin,
+         x.inv.torsion)
+
+
 # --- mirror ---
 
 def test_mirror_blocks():
