@@ -178,13 +178,12 @@ def _cmd_classify(x, args):
 
 def _cmd_cover(x, args):
     ls = cover.build_standard_cover(x)
-    target = cover.w2_plus_w1sq(ls)
     print(f"b_plus_ell = {ls.b_plus_ell}")
     print(f"free_rank_ell = {ls.form.rank}")
     print(f"torsion_bits = {ls.torsion_bits}")
     print("b1_ell = 0 (reported, not computed)")
-    print(f"w2_plus_w1sq free bits = {list(target.free_bits)}")
-    print(f"w2_plus_w1sq torsion bits = {list(target.torsion_bits)}")
+    print(f"w2_plus_w1sq free bits = {list(cover.w2_plus_w1sq(ls))}")
+    print(f"w2_plus_w1sq torsion bits = {[1] * ls.torsion_bits}")
     return 0
 
 
@@ -322,7 +321,7 @@ def _cmd_constraints(x, args):
     k = top if args.generators is None else args.generators
     if not 0 <= k <= top:
         raise InvalidSetting(f"generators must be in 0..{top}, got {k}")
-    fam = obstruct.build_family(normalized, ls, slots[:k])
+    fam = obstruct.build_family(ls, slots[:k])
     v1, w1 = _parse_constraint_file(args.data, fam.k)
     report = obstruct.corollary_constraints(fam, v1, w1)
     print(f"n_minus_m = {report.n_minus_m}")

@@ -17,7 +17,6 @@ from .errors import (
     InvalidSetting,
     NoNontrivialCoverAvailable,
 )
-from .manifold import N_KINDS
 
 # the most classes one listing may hold: at least the 531,441 of
 # -E8 # 2*S2xS2 # S1xY(b1=1) at bound 2, which peak at 95 MB in `spinc`
@@ -29,8 +28,7 @@ MAX_SUMMANDS = 100_000
 
 @frozen
 class LocalSystem:
-    base: object                 # ManifoldExpr
-    selection: tuple             # bool per block: cover nontrivial there
+    base: object                 # ManifoldExpr, twisted on its "N" part
     form: object                 # free part of H^2 with twisted coefficients
     b_plus_ell: int
     torsion_bits: int            # one per W block
@@ -39,9 +37,8 @@ class LocalSystem:
         """Map block index -> (offset, span) into the free twisted lattice."""
         offsets = {}
         off = 0
-        for i, (block, twisted) in enumerate(
-                zip(self.base.summands, self.selection)):
-            if twisted:
+        for i, block in enumerate(self.base.summands):
+            if block.spec.part == "N":
                 continue
             span = block.b2
             offsets[i] = (off, span)
@@ -81,17 +78,6 @@ class CharClass:
     mod2_ok: bool
 
 
-@frozen
-class Mod2Class:
-    """A mod-2 class given per free coordinate and per W torsion generator."""
-
-    free_bits: tuple
-    torsion_bits: tuple
-
-    def is_zero(self):
-        return not any(self.free_bits) and not any(self.torsion_bits)
-
-
 def build_standard_cover(x):
     """The standard cover: nontrivial on every S1xY / S2xSigma summand.
 
@@ -100,8 +86,8 @@ def build_standard_cover(x):
     equals b_+ of the remaining part: of the simply-connected part, as a
     W block has no free cohomology.
     """
-    selection = tuple(b.kind in N_KINDS for b in x.summands)
-    if not any(selection):
+    kept = [b for b in x.summands if b.spec.part != "N"]
+    if len(kept) == len(x.summands):
         if x.h1z2_rank == 0:
             raise NoNontrivialCoverAvailable(
                 "H^1(X; Z2) = 0: no nontrivial double cover exists")
@@ -110,26 +96,20 @@ def build_standard_cover(x):
             "does not apply")
     return LocalSystem(
         base=x,
-        selection=selection,
-        form=lattice.IntersectionForm(
-            a for b, twisted in zip(x.summands, selection) if not twisted
-            for a in b.form_atoms),
+        form=lattice.IntersectionForm(a for b in kept for a in b.form_atoms),
         b_plus_ell=x.sc.b_plus,
         torsion_bits=x.torsion_slots,
     )
 
 
 def w2_plus_w1sq(ls):
-    """The mod-2 class every twisted Euler class must reduce to.
+    """The free bits of the mod-2 class every twisted Euler class reduces to.
 
-    On free coordinates this is the atoms' Wu class (1 on rank-1 diagonal
-    coordinates, 0 on even atoms); on each W block it is the nonzero
-    torsion bit; on twisted summands it vanishes.
+    They are the atoms' Wu class: 1 on rank-1 diagonal coordinates, 0 on
+    even atoms.  The class vanishes on twisted summands, and its bit on
+    each of the ls.torsion_bits W blocks is 1.
     """
-    return Mod2Class(
-        free_bits=tuple(bit for atom in ls.form.atoms for bit in atom.wu),
-        torsion_bits=(1,) * ls.torsion_bits,
-    )
+    return tuple(bit for atom in ls.form.atoms for bit in atom.wu)
 
 
 def parity_box(ls, bound):
@@ -143,7 +123,7 @@ def parity_box(ls, bound):
     """
     if bound < 1:
         raise InvalidSetting("bound must be >= 1")
-    bits = w2_plus_w1sq(ls).free_bits
+    bits = w2_plus_w1sq(ls)
     # of the 2 bound + 1 entries, bound + 1 share bound's parity
     if math.prod(bound + (bound % 2 == bit) for bit in bits) > MAX_CLASSES:
         raise InvalidSetting(

@@ -61,8 +61,6 @@ BLOCKS = {
     "S2xSigma": BlockSpec("S2xSigma(g={p})", lambda b: ((_H, 1),),
                           lambda p: 2 * p, True, 0, 0, "S2xSigma", "N"),
 }
-# kinds forming the N part of a connected sum (nontrivial double covers live here)
-N_KINDS = tuple(k for k, spec in BLOCKS.items() if spec.part == "N")
 _ORDER = {kind: i for i, kind in enumerate(BLOCKS)}
 _key = operator.attrgetter("key")
 
@@ -378,22 +376,9 @@ def normalize_homeo_type(x, reverse=False):
                         + x.non_sc_part())
 
 
-@frozen
-class Slot:
-    """A reflection slot: one H+-flipping self-map supported on one summand."""
-
-    block_index: int   # index into expr.summands
-    kind: str          # a kind whose BLOCKS row has a reflection
-
-    def act(self, component):
-        """Induced sign action on the block's H^2 coordinates."""
-        return BLOCKS[self.kind].reflect(component)
-
-
 def reflection_slots(x):
-    """One slot per summand whose block has a reflection, in block order."""
-    return tuple(Slot(block_index=i, kind=b.kind)
-                 for i, b in enumerate(x.summands) if b.spec.reflect)
+    """Indices of the summands whose BLOCKS row has a reflection, ascending."""
+    return tuple(i for i, b in enumerate(x.summands) if b.spec.reflect)
 
 
 def block_table():

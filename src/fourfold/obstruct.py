@@ -11,6 +11,8 @@ two obstruction checks:
              -> no smooth structure.
 """
 
+import functools
+
 from . import charpoly, cover, manifold
 from ._frozen import frozen
 from .errors import (
@@ -32,9 +34,8 @@ INCONCLUSIVE = "Inconclusive"
 
 @frozen
 class FamilyDescriptor:
-    manifold: object            # ManifoldExpr, normalized
-    cover: object               # LocalSystem
-    generators: tuple           # one Slot per torus generator
+    cover: object               # LocalSystem over the normalized sum
+    generators: tuple           # one slot, a summand index, per generator
     k: int                      # base torus dimension
     h_plus_bundle: object       # LineSumBundle over T^k
 
@@ -57,13 +58,19 @@ class Certificate:
         return dict(self.inputs)[key]
 
 
-def build_family(x, ls, slots):
-    """Multiple mapping torus over T^k from k distinct reflection slots."""
+def build_family(ls, slots):
+    """Multiple mapping torus over T^k from k distinct reflection slots.
+
+    A slot is an index into ls.base.summands whose block has a reflection,
+    as manifold.reflection_slots lists them.
+    """
     slots = tuple(slots)
-    available = set(manifold.reflection_slots(x))
-    for s in slots:
-        if s not in available:
-            raise SlotUnavailable(f"no reflection slot {s} on {x.render()}")
+    summands = ls.base.summands
+    for i in slots:
+        if not (type(i) is int and 0 <= i < len(summands)
+                and summands[i].spec.reflect):
+            raise SlotUnavailable(
+                f"no reflection slot {i!r} on {ls.base.render()}")
     if len(set(slots)) != len(slots):
         raise SlotUnavailable("reflection slots must be pairwise distinct")
     k = len(slots)
@@ -71,7 +78,7 @@ def build_family(x, ls, slots):
         raise TooManyGenerators(
             f"{k} generators exceed b_plus_ell = {ls.b_plus_ell}")
     return FamilyDescriptor(
-        manifold=x, cover=ls, generators=slots, k=k,
+        cover=ls, generators=slots, k=k,
         h_plus_bundle=charpoly.LineSumBundle(k, ls.b_plus_ell))
 
 
@@ -83,10 +90,12 @@ def lift_valid(f, c):
     negates every twisted coefficient at once) is an open question.
     """
     offsets = f.cover.free_block_offsets()
-    for slot in f.generators:
-        off, span = offsets[slot.block_index]
+    summands = f.cover.base.summands
+    for i in f.generators:
+        off, span = offsets[i]
         comp = tuple(c.free_part[off:off + span])
-        if slot.act(comp) not in (comp, tuple(-x for x in comp)):
+        image = summands[i].spec.reflect(comp)
+        if image not in (comp, tuple(-x for x in comp)):
             return False
     return True
 
@@ -110,7 +119,7 @@ def largest_liftable_class(f, bound):
 def _certificate(f, c1_square, sigma, transcript, scenario, bound,
                  theorem="none", witness="", index_kind="", index_value=None):
     """The certificate of family f; a named theorem makes it NonSmoothable."""
-    normalized = f.manifold.render()
+    normalized = f.cover.base.render()
     return Certificate(
         verdict=INCONCLUSIVE if theorem == "none" else NONSMOOTHABLE,
         theorem_used=theorem, base_dim=f.k, b_plus_ell=f.cover.b_plus_ell,
@@ -136,7 +145,7 @@ def check_theorem_A(f, c, scenario="manual", bound=1):
             "generators do not lift: class not carried to plus/minus itself")
     b = f.cover.b_plus_ell
     w_top = f.h_plus_bundle.w(b)
-    sigma = f.manifold.sigma
+    sigma = f.cover.base.sigma
     transcript = [
         f"b_plus_ell = {b}",
         f"base_dim = {f.k}",
@@ -163,15 +172,14 @@ def check_theorem_A(f, c, scenario="manual", bound=1):
 
 def check_theorem_B(f, scenario="manual", bound=1):
     """Zero-class obstruction: fires when w_b or w_{b-1} is nonzero and sigma < 0."""
-    target = cover.w2_plus_w1sq(f.cover)
-    if not target.is_zero():
+    if f.cover.torsion_bits or any(cover.w2_plus_w1sq(f.cover)):
         raise ZeroClassUnavailable(
             "w2 + w1^2 != 0: no candidate class with c1 = 0 exists")
     b = f.cover.b_plus_ell
     w_b = f.h_plus_bundle.w(b)
     w_b1 = f.h_plus_bundle.w(b - 1)
     euler = w_b + w_b1 * charpoly.ExtPoly.u(f.k)
-    sigma = f.manifold.sigma
+    sigma = f.cover.base.sigma
     witness = w_b if w_b else w_b1
     transcript = [
         f"b_plus_ell = {b}",
@@ -267,8 +275,11 @@ _SCENARIOS = {
 }
 
 
-def _certify_scenario(x, scenario, bound):
-    """Check one scenario's hypotheses in order, then run its theorem."""
+def _certify_scenario(x, scenario, bound, prepared):
+    """Check one scenario's hypotheses in order, then run its theorem.
+
+    prepared() returns _prepare(x), or the HypothesesNotMet it raised.
+    """
     w_blocks, ks_zero, spin, theorem = _SCENARIOS[scenario]
     label = "spin" if spin else "non-spin"
     if w_blocks and x.torsion_slots < 1:
@@ -278,7 +289,9 @@ def _certify_scenario(x, scenario, bound):
     if ks_zero and x.ks != 0:
         raise HypothesesNotMet(
             "Kirby-Siebenmann class must vanish for a smooth manifold")
-    normalized = _prepare(x)
+    normalized = prepared()
+    if isinstance(normalized, HypothesesNotMet):
+        raise normalized
     if spin is not None:
         sc = normalized.sc
         if sc.spin != spin:
@@ -295,12 +308,12 @@ def _certify_scenario(x, scenario, bound):
         # after _prepare there is one slot per positive direction.  w_top
         # does not depend on the class, so the largest liftable class alone
         # decides the verdict: when it is Inconclusive no smaller one fires.
-        fam = build_family(normalized, ls, slots[:n])
+        fam = build_family(ls, slots[:n])
         c = largest_liftable_class(fam, bound)
         cert = check_theorem_A(fam, c, scenario=scenario, bound=bound)
     else:
-        fam = build_family(normalized, ls,
-                           [s for s in slots if s.kind == "S2xS2"][:n - 1])
+        s2 = [i for i in slots if normalized.summands[i].kind == "S2xS2"]
+        fam = build_family(ls, s2[:n - 1])
         cert = check_theorem_B(fam, scenario=scenario, bound=bound)
     # echo the expression as given, ahead of the normalized one
     return cert.replace(
@@ -319,14 +332,22 @@ def certify(x, scenario="auto", bound=1):
     """
     if bound < 1:
         raise InvalidSetting("bound must be >= 1")
+
+    @functools.cache   # each scenario that gets as far prepares x once
+    def prepared():
+        try:
+            return _prepare(x)
+        except HypothesesNotMet as e:
+            return e
+
     if scenario in _SCENARIOS:
-        return _certify_scenario(x, scenario, bound)
+        return _certify_scenario(x, scenario, bound, prepared)
     if scenario != "auto":
         raise ValueError(f"unknown scenario {scenario!r}")
     reasons = []
     for name in _SCENARIOS:
         try:
-            return _certify_scenario(x, name, bound)
+            return _certify_scenario(x, name, bound, prepared)
         except HypothesesNotMet as e:
             reasons.append(f"{name}: {e.args[0]}")
     raise HypothesesNotMet("; ".join(reasons))

@@ -334,7 +334,7 @@ def test_criterion_8_corollary_reporter(capsys):
         k = rng.randint(1, 5)
         x = manifold.expr(*([manifold.S2xS2()] * k), manifold.S1xY(1))
         ls = cover.build_standard_cover(x)
-        fam = obstruct.build_family(x, ls, manifold.reflection_slots(x))
+        fam = obstruct.build_family(ls, manifold.reflection_slots(x))
         m, n = rng.randint(0, 8), rng.randint(0, 8)
         report_ = obstruct.corollary_constraints(
             fam, BundleClassData(k=k, rank=m, sw=()),

@@ -33,11 +33,12 @@ def test_n_part_contributes_nothing_free():
     assert ls.form.rank == 2
 
 
-def test_selection_nonzero_exactly_on_n_blocks():
+def test_free_offsets_skip_exactly_the_n_blocks():
     x = manifold.expr(manifold.K3(), manifold.S1xY(2), manifold.S2xSigma(1))
     ls = cover.build_standard_cover(x)
-    for block, twisted in zip(x.summands, ls.selection):
-        assert twisted == (block.kind in manifold.N_KINDS)
+    offsets = ls.free_block_offsets()
+    for i, block in enumerate(x.summands):
+        assert (i not in offsets) == (block.kind in ("S1xY", "S2xSigma"))
 
 
 def test_no_cover_when_h1_trivial():
@@ -57,15 +58,14 @@ def test_no_recipe_cover_without_n_blocks():
 def test_target_class_spin_no_torsion():
     ls = standard_cover(manifold.E8Block(-1), manifold.S2xS2(),
                      manifold.S1xY(1))
-    assert cover.w2_plus_w1sq(ls).is_zero()
+    assert not any(cover.w2_plus_w1sq(ls)) and ls.torsion_bits == 0
 
 
 def test_target_class_w_torsion_bit():
     ls = standard_cover(manifold.E8Block(-1), manifold.S2xS2(), manifold.W(),
                      manifold.S1xY(1))
-    target = cover.w2_plus_w1sq(ls)
-    assert not any(target.free_bits)
-    assert target.torsion_bits == (1,)
+    assert not any(cover.w2_plus_w1sq(ls))
+    assert ls.torsion_bits == 1
 
 
 def test_target_class_nonspin_diag_bits():
@@ -77,14 +77,14 @@ def test_target_class_nonspin_diag_bits():
     free_form = ls.form
     off = 0
     for atom in free_form.atoms:
-        bits = target.free_bits[off:off + atom.rank]
+        bits = target[off:off + atom.rank]
         if isinstance(atom, lattice.Diag):
             assert bits == (1,)
         else:
             assert not any(bits)
         off += atom.rank
     # the target is itself characteristic for the free form
-    assert lattice.is_characteristic(free_form, target.free_bits)
+    assert lattice.is_characteristic(free_form, target)
 
 
 # --- the mod-2 condition on candidate classes ---

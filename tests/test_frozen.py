@@ -10,11 +10,11 @@ SPIN = "-E8 # -CP2fake # 3*S2xS2 # S1xY(b1=1)"
 
 
 def samples():
-    """One value of each of the 20 classes, with its fields in order."""
+    """One value of each value class, with its fields in order."""
     x = manifold.normalize_homeo_type(cli.parse(SPIN))
     ls = cover.build_standard_cover(x)
     slots = manifold.reflection_slots(x)
-    fam = obstruct.build_family(x, ls, slots[:2])
+    fam = obstruct.build_family(ls, slots[:2])
     v1 = charpoly.BundleClassData(2, 1, (charpoly.ExtPoly.t(2, 1),))
     report = obstruct.corollary_constraints(fam, v1, v1)
     raw = lattice.RawMatrix(((0, 1), (1, 0)))
@@ -32,15 +32,13 @@ def samples():
             "diag_plus", "diag_minus"]),
         (manifold.Block("S1xY", param=1), ["kind", "sign", "param"]),
         (x, ["summands"]),
-        (slots[0], ["block_index", "kind"]),
         (charpoly.ExtPoly.u(2) + charpoly.ExtPoly.t(2, 1), ["k", "terms"]),
         (v1, ["k", "rank", "sw"]),
         (fam.h_plus_bundle, ["k", "rank"]),
-        (ls, ["base", "selection", "form", "b_plus_ell", "torsion_bits"]),
+        (ls, ["base", "form", "b_plus_ell", "torsion_bits"]),
         (ls.char_class((0,) * ls.form.rank), [
             "free_part", "torsion_part", "square", "mod2_ok"]),
-        (cover.w2_plus_w1sq(ls), ["free_bits", "torsion_bits"]),
-        (fam, ["manifold", "cover", "generators", "k", "h_plus_bundle"]),
+        (fam, ["cover", "generators", "k", "h_plus_bundle"]),
         (obstruct.certify(x), [
             "verdict", "theorem_used", "base_dim", "b_plus_ell",
             "witness_monomial", "c1_square", "sigma", "index_kind",

@@ -228,9 +228,10 @@ def test_smooth_blocks_have_zero_ks():
 
 def test_slots_per_summand():
     x = manifold.expr(*([manifold.S2xS2()] * 3))
-    assert len(manifold.reflection_slots(x)) == 3
+    assert manifold.reflection_slots(x) == (0, 1, 2)
     y = manifold.expr(*([manifold.CP2()] * 2), manifold.NegCP2())
-    assert [s.kind for s in manifold.reflection_slots(y)] == ["CP2", "CP2"]
+    assert [y.summands[i].kind for i in manifold.reflection_slots(y)] == [
+        "CP2", "CP2"]
     assert manifold.reflection_slots(manifold.expr()) == ()
 
 
@@ -258,8 +259,8 @@ def test_reflection_column():
 
 
 def test_slot_sign_action():
-    s2 = manifold.Slot(0, "S2xS2")
-    assert s2.act((1, 0)) == (0, -1)
-    assert s2.act((1, 1)) == (-1, -1)
-    cp = manifold.Slot(0, "CP2")
-    assert cp.act((1,)) == (-1,)
+    s2 = manifold.BLOCKS["S2xS2"].reflect
+    assert s2((1, 0)) == (0, -1)
+    assert s2((1, 1)) == (-1, -1)
+    cp = manifold.BLOCKS["CP2"].reflect
+    assert cp((1,)) == (-1,)

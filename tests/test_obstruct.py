@@ -20,11 +20,11 @@ from fourfold.errors import (
 
 def family_for(x, k=None, kind=None):
     ls = cover.build_standard_cover(x)
-    slots = [s for s in manifold.reflection_slots(x)
-             if kind is None or s.kind == kind]
+    slots = [i for i in manifold.reflection_slots(x)
+             if kind is None or x.summands[i].kind == kind]
     if k is None:
         k = len(slots)
-    return obstruct.build_family(x, ls, slots[:k]), ls
+    return obstruct.build_family(ls, slots[:k]), ls
 
 
 def spin_expr(e8=2, s2=3):
@@ -83,16 +83,21 @@ def test_family_zero_generators():
 
 
 def test_family_rejects_bad_slots():
-    x = spin_expr()
+    # sorted: -E8 # S2xS2 # S2xS2 # -CP2 # W # S1xY(b1=1); slots 1 and 2
+    x = cli.parse("S2xS2 # -CP2 # W # -E8 # S2xS2 # S1xY(b1=1)")
     ls = cover.build_standard_cover(x)
     slots = manifold.reflection_slots(x)
-    with pytest.raises(SlotUnavailable):
-        obstruct.build_family(x, ls, (manifold.Slot(99, "S2xS2"),))
-    with pytest.raises(SlotUnavailable):
-        obstruct.build_family(x, ls, (slots[0], slots[0]))
+    assert slots == (1, 2)
+    # negative indices must not wrap round to the last summands
+    bad = [(-1,), (-5,), (-6,), (6,), (99,), (0,), (3,), (4,), (5,),
+           (1, 1), (2, 1, 2), (True,), ("1",), (1.0,)]
+    for generators in bad:
+        with pytest.raises(SlotUnavailable):
+            obstruct.build_family(ls, generators)
+    assert obstruct.build_family(ls, (2, 1)).generators == (2, 1)
     squeezed = ls.replace(b_plus_ell=1)
     with pytest.raises(TooManyGenerators):
-        obstruct.build_family(x, squeezed, slots[:2])
+        obstruct.build_family(squeezed, slots)
 
 
 # --- lift_valid ---
@@ -133,13 +138,22 @@ def lifts_with_global_sign(f, c):
     """True iff each generator carries c to +/-c on the whole free part."""
     offsets = f.cover.free_block_offsets()
     free = tuple(c.free_part)
-    for slot in f.generators:
-        off, span = offsets[slot.block_index]
+    for i in f.generators:
+        off, span = offsets[i]
         image = list(free)
-        image[off:off + span] = slot.act(free[off:off + span])
+        image[off:off + span] = f.cover.base.summands[i].spec.reflect(
+            free[off:off + span])
         if tuple(image) not in (free, tuple(-v for v in free)):
             return False
     return True
+
+
+def certify_family(x):
+    """The Theorem A family certify builds for x."""
+    prepared = obstruct._prepare(x)
+    ls = cover.build_standard_cover(prepared)
+    return obstruct.build_family(
+        ls, manifold.reflection_slots(prepared)[:ls.b_plus_ell])
 
 
 @pytest.mark.parametrize("k", range(5))
@@ -148,13 +162,11 @@ def test_criterion_4_needs_per_block_lift_signs(k):
 
     The CP2 slot negates the odd CP2 entry while the odd -CP2 entries stay
     put, so for k >= 1 the certified class has no global sign.  If the
-    engine ever takes the global reading, these are the rows to recheck.
+    engine ever takes the global reading, these are the rows to recheck,
+    with those of the test below.
     """
     x = cli.parse(f"Enriques # {k}*-CP2 # S2xSigma(g=1)")
-    prepared = obstruct._prepare(x)
-    ls = cover.build_standard_cover(prepared)
-    fam = obstruct.build_family(
-        prepared, ls, manifold.reflection_slots(prepared)[:ls.b_plus_ell])
+    fam = certify_family(x)
     for bound in (1, 2, 3):
         c = obstruct.largest_liftable_class(fam, bound)
         cert = obstruct.certify(x, bound=bound)
@@ -162,6 +174,29 @@ def test_criterion_4_needs_per_block_lift_signs(k):
             (obstruct.NONSMOOTHABLE, c.square)
         assert obstruct.lift_valid(fam, c)
         assert lifts_with_global_sign(fam, c) == (k == 0), bound
+
+
+@pytest.mark.parametrize("text", [
+    "2*W # CP2 # -CP2 # S1xY(b1=1)",
+    "2*W # S2xS2 # CP2 # 2*-CP2 # S1xY(b1=1)",
+])
+def test_rows_deciding_on_per_block_lift_signs(text):
+    """Inconclusive at bounds 1-2, NonSmoothable from bound 3 on.
+
+    At every bound the deciding class lifts under lift_valid, the CP2 slot
+    negating its entry, but has no global sign: the odd -CP2 entries stay.
+    """
+    x = cli.parse(text)
+    fam = certify_family(x)
+    for bound in (1, 2, 3, 4):
+        cert = obstruct.certify(x, bound=bound)
+        c = obstruct.largest_liftable_class(fam, bound)
+        assert (cert.verdict, cert.theorem_used) == (
+            (obstruct.INCONCLUSIVE, "none") if bound < 3
+            else (obstruct.NONSMOOTHABLE, "ThmA")), bound
+        assert cert.c1_square == c.square
+        assert obstruct.lift_valid(fam, c)
+        assert not lifts_with_global_sign(fam, c), bound
 
 
 # --- theorem A ---
@@ -184,7 +219,7 @@ def test_theorem_a_inconclusive_when_top_class_vanishes():
     x = nonspin_expr(m=0, n=2)
     ls = cover.build_standard_cover(x)
     slots = manifold.reflection_slots(x)
-    fam = obstruct.build_family(x, ls, slots[:ls.b_plus_ell - 1])
+    fam = obstruct.build_family(ls, slots[:ls.b_plus_ell - 1])
     c = ls.char_class((0,) * 8 + (0, 0, 0, 0) + (1,))
     cert = obstruct.check_theorem_A(fam, c)
     assert cert.verdict == obstruct.INCONCLUSIVE
@@ -248,7 +283,7 @@ def test_largest_liftable_class_matches_oracle(text, bound, step):
     x = cli.parse(text)
     ls = cover.build_standard_cover(x)
     slots = manifold.reflection_slots(x)[:ls.b_plus_ell][::step]
-    fam = obstruct.build_family(x, ls, slots)
+    fam = obstruct.build_family(ls, slots)
     want = first_liftable(fam, bound)
     assert want is not None
     assert obstruct.largest_liftable_class(fam, bound) == want
@@ -268,7 +303,7 @@ def test_largest_liftable_class_matches_oracle_random(counts, n_block, bound,
     ls = cover.build_standard_cover(x)
     slots = [s for s, keep in zip(manifold.reflection_slots(x), mask)
              if keep][:ls.b_plus_ell]
-    fam = obstruct.build_family(x, ls, slots)
+    fam = obstruct.build_family(ls, slots)
     assert obstruct.largest_liftable_class(fam, bound) == \
         first_liftable(fam, bound)
 
@@ -460,6 +495,31 @@ def test_certify_inconclusive_verdict():
     assert cert.theorem_used == "none"
 
 
+@pytest.mark.parametrize("text, theorem", [
+    ("2*-E8 # 3*S2xS2 # S1xY(b1=1)", "ThmB"),
+    ("CP2 # S1xY(b1=1)", None),
+])
+def test_certify_prepares_each_input_once(monkeypatch, text, theorem):
+    # auto reaches the normal form in nonspin and again in spin
+    calls = []
+    normalize = manifold.normalize_homeo_type
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return normalize(*args, **kwargs)
+
+    monkeypatch.setattr(manifold, "normalize_homeo_type", counting)
+    try:
+        assert obstruct.certify(cli.parse(text)).theorem_used == theorem
+    except HypothesesNotMet as e:
+        assert theorem is None
+        assert e.args[0] == (
+            "enriques: at least one Enriques block required; "
+            "nonspin: indefinite simply-connected part required; "
+            "spin: indefinite simply-connected part required")
+    assert len(calls) == 1
+
+
 def test_certify_unknown_scenario():
     with pytest.raises(ValueError):
         obstruct.certify(spin_expr(), scenario="bogus")
@@ -528,3 +588,82 @@ def test_certify_properties_random(counts, n_block, bound, data):
                                bound) == got
     if isinstance(got, obstruct.Certificate):
         assert cli.replay(got)
+
+
+# --- the verdict in closed form ---
+
+# every block name, composites and parametrized blocks included
+ALL_BLOCKS = ("CP2", "-CP2", "-CP2fake", "S2xS2", "K3", "-K3", "E8", "-E8",
+              "W", "Enriques", "S4", "S1xY(b1=0)", "S1xY(b1=1)",
+              "S1xY(b1=2)", "S2xSigma(g=1)", "S2xSigma(g=2)")
+
+
+def closed_form_path(x, bound):
+    """Certify x and check the certificate against the closed form.
+
+    Reads only the certificate's fields and counts the atoms of its
+    normalized input.  With o and e the largest odd and even numbers up
+    to the bound, a Theorem A-path class exceeds sigma by o^2 - 1 per CP2,
+    8 per -E8 and 2 e^2 per S2xS2, and the top class of the k generators
+    is t1*...*tk; Theorem B's witness is t1*...*t(b-1) and its index
+    -sigma/8.  Returns the certificate's scenario, or None without one.
+    """
+    try:
+        cert = obstruct.certify(x, bound=bound)
+    except FourfoldError:
+        return None
+    o, e = bound - 1 + bound % 2, bound - bound % 2
+    atoms = cert.input("normalized").split(" # ")
+    scenario = cert.input("scenario")
+    if scenario == "spin":
+        b = cert.b_plus_ell
+        assert cert.theorem_used == "ThmB"
+        assert cert.witness_monomial == (
+            "*".join(f"t{i}" for i in range(1, b)) or "1")
+        assert cert.sigma % 8 == 0
+        assert cert.index_value == -cert.sigma // 8
+        return scenario
+    gap = ((o * o - 1) * atoms.count("CP2") + 8 * atoms.count("-E8")
+           + 2 * e * e * atoms.count("S2xS2"))
+    assert cert.c1_square - cert.sigma == gap
+    if gap > 0:
+        assert cert.theorem_used == "ThmA"
+        assert cert.witness_monomial == (
+            "*".join(f"t{i}" for i in range(1, cert.base_dim + 1)) or "1")
+        assert cert.index_value == gap // 4
+    else:
+        assert (cert.verdict, cert.witness_monomial) == (
+            obstruct.INCONCLUSIVE, "")
+    return scenario
+
+
+@pytest.mark.parametrize("text, bound, scenario", [
+    ("Enriques # -CP2 # S2xSigma(g=1)", 1, "enriques"),
+    ("2*W # CP2 # -CP2 # S1xY(b1=1)", 2, "enriques"),
+    ("2*W # CP2 # -CP2 # S1xY(b1=1)", 10**9, "enriques"),
+    ("-E8 # -CP2fake # 2*S2xS2 # 3*-CP2 # S1xY(b1=1)", 4, "nonspin"),
+    ("2*CP2 # 12*-CP2 # S1xY(b1=1)", 5, "nonspin"),
+    ("2*-E8 # 3*S2xS2 # S1xY(b1=1)", 1, "spin"),
+    ("K3 # S2xSigma(g=2)", 6, "spin"),
+    ("-E8 # -E8 # S2xS2 # S1xY(b1=0)", 3, "spin"),
+])
+def test_closed_form_rows(text, bound, scenario):
+    assert closed_form_path(cli.parse(text), bound) == scenario
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms=st.lists(st.tuples(st.integers(1, 3),
+                                st.sampled_from(ALL_BLOCKS)), max_size=8),
+       n_block=st.sampled_from(ALL_BLOCKS[-5:]),
+       reverse=st.booleans(),
+       bound=st.sampled_from((1, 2, 3, 4, 5, 6, 10**9)))
+def test_verdict_matches_closed_form(terms, n_block, reverse, bound):
+    # one N block at least: without one no scenario has a cover
+    x = cli.parse(" # ".join([f"{n}*{name}" for n, name in terms]
+                             + [n_block]))
+    if reverse:
+        try:
+            x = manifold.mirror(x)
+        except OrientationReversalUnavailable:
+            return
+    closed_form_path(x, bound)
