@@ -48,9 +48,6 @@ class ExtPoly:
 
     # predicates and views
 
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -121,7 +118,7 @@ def invert_unit(p):
     power = one
     for _ in range(p.k):
         power = power * nil
-        if power.is_zero():
+        if not power:
             break
         out = out + power
     return out
@@ -210,7 +207,7 @@ def laurent_divide(num, den):
     """
     if num.k != den.k:
         raise ModeMismatch("operands live in different rings")
-    if den.is_zero():
+    if not den:
         raise NonMonicDenominator("zero denominator")
     m = den.max_u()
     lead = den.u_coefficient(m)

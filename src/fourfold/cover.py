@@ -16,6 +16,7 @@ from .errors import (
     DimensionMismatch,
     InvalidSetting,
     NoNontrivialCoverAvailable,
+    PreconditionViolated,
 )
 
 # the most classes one listing may hold: at least the 531,441 of
@@ -28,10 +29,24 @@ MAX_SUMMANDS = 100_000
 
 @frozen
 class LocalSystem:
-    base: object                 # ManifoldExpr, twisted on its "N" part
-    form: object                 # free part of H^2 with twisted coefficients
-    b_plus_ell: int
-    torsion_bits: int            # one per W block
+    """The standard cover of `base`, twisted on every summand of its "N" part.
+
+    Not fields, as they follow from the sum: `form`, the free part of H^2
+    with twisted coefficients, which the twisted summands leave out;
+    `b_plus_ell`, b_plus with twisted coefficients, which is b_plus of the
+    simply-connected part, as a W block has no free cohomology; and
+    `torsion_bits`, one per W block.
+    """
+
+    base: object                 # ManifoldExpr
+
+    def __post_init__(self):
+        base = self.base
+        object.__setattr__(self, "form", lattice.IntersectionForm(
+            a for b in base.summands if b.spec.part != "N"
+            for a in b.form_atoms))
+        object.__setattr__(self, "b_plus_ell", base.sc.b_plus)
+        object.__setattr__(self, "torsion_bits", base.inv.torsion)
 
     def free_block_offsets(self):
         """Map block index -> (offset, span) into the free twisted lattice."""
@@ -40,66 +55,50 @@ class LocalSystem:
         for i, block in enumerate(self.base.summands):
             if block.spec.part == "N":
                 continue
-            span = block.b2
+            span = block.inv.b2
             offsets[i] = (off, span)
             off += span
         return offsets
 
-    def char_class(self, free_part, torsion_part=None):
+    def char_class(self, free_part):
+        """The twisted Euler class with this free part.
+
+        Raises PreconditionViolated unless free_part reduces to
+        w2_plus_w1sq mod 2, the rule parity_box lists by.
+        """
         free_part = tuple(free_part)
-        if torsion_part is None:
-            torsion_part = (1,) * self.torsion_bits
-        torsion_part = tuple(torsion_part)
         if len(free_part) != self.form.rank:
             raise DimensionMismatch(
                 f"free part has length {len(free_part)}, "
                 f"expected {self.form.rank}")
-        if len(torsion_part) != self.torsion_bits:
-            raise DimensionMismatch(
-                f"torsion part has length {len(torsion_part)}, "
-                f"expected {self.torsion_bits}")
-        mod2_ok = (lattice.is_characteristic(self.form, free_part)
-                   and torsion_part == (1,) * self.torsion_bits)
-        return CharClass(
-            free_part=free_part,
-            torsion_part=torsion_part,
-            square=lattice.square(self.form, free_part),
-            mod2_ok=mod2_ok,
-        )
+        if any((v - bit) % 2 for v, bit in zip(free_part, w2_plus_w1sq(self))):
+            raise PreconditionViolated(
+                "candidate class does not reduce to w2 + w1^2")
+        return CharClass(free_part, lattice.square(self.form, free_part))
 
 
 @frozen
 class CharClass:
-    """Candidate twisted Euler class: free lattice vector plus torsion bits."""
+    """A twisted Euler class: its free lattice vector and that vector's square.
+
+    Characteristic by construction; its bit on every W block is 1.
+    """
 
     free_part: tuple
-    torsion_part: tuple
     square: int
-    mod2_ok: bool
 
 
 def build_standard_cover(x):
-    """The standard cover: nontrivial on every S1xY / S2xSigma summand.
-
-    The twisted coefficients kill the free second cohomology of those
-    summands and contribute no w1-square, so b_+ with twisted coefficients
-    equals b_+ of the remaining part: of the simply-connected part, as a
-    W block has no free cohomology.
-    """
-    kept = [b for b in x.summands if b.spec.part != "N"]
-    if len(kept) == len(x.summands):
+    """The standard cover: nontrivial on every S1xY / S2xSigma summand."""
+    # the twisted kinds come last in the canonical order
+    if not x.summands or x.summands[-1].spec.part != "N":
         if x.h1z2_rank == 0:
             raise NoNontrivialCoverAvailable(
                 "H^1(X; Z2) = 0: no nontrivial double cover exists")
         raise NoNontrivialCoverAvailable(
             "no S1xY or S2xSigma summand: the standard cover recipe "
             "does not apply")
-    return LocalSystem(
-        base=x,
-        form=lattice.IntersectionForm(a for b in kept for a in b.form_atoms),
-        b_plus_ell=x.sc.b_plus,
-        torsion_bits=x.torsion_slots,
-    )
+    return LocalSystem(x)
 
 
 def w2_plus_w1sq(ls):
@@ -133,8 +132,7 @@ def parity_box(ls, bound):
 
 def enumerate_characteristics(ls, bound=1):
     """All valid classes with entries in [-bound, bound], in `_listing` order."""
-    torsion = (1,) * ls.torsion_bits
-    return [CharClass(free, torsion, square, True)
+    return [CharClass(free, square)
             for square, frees in _listing(ls, bound, ()) for free in frees]
 
 

@@ -73,10 +73,6 @@ class SlotUnavailable(FourfoldError):
     code = "SlotUnavailable"
 
 
-class TooManyGenerators(FourfoldError):
-    code = "TooManyGenerators"
-
-
 class PreconditionViolated(FourfoldError):
     code = "PreconditionViolated"
 

@@ -152,22 +152,6 @@ class Block:
         return self.spec.b1(self.param)
 
     @property
-    def b2(self):
-        return self.inv.b2
-
-    @property
-    def sigma(self):
-        return self.inv.sigma
-
-    @property
-    def spin(self):
-        return self.spec.spin
-
-    @property
-    def ks(self):
-        return self.spec.ks
-
-    @property
     def h1z2_rank(self):
         return self.b1 + self.spec.h1_torsion
 
@@ -261,42 +245,12 @@ class ManifoldExpr:
             a for b in self.summands for a in b.form_atoms)
 
     @property
-    def sigma(self):
-        return self.inv.sigma
-
-    @property
     def b1(self):
         return sum(b.b1 for b in self.summands)
 
     @property
-    def b2(self):
-        return self.inv.b2
-
-    @property
-    def b_plus(self):
-        return self.inv.b_plus
-
-    @property
-    def spin(self):
-        return self.inv.spin
-
-    @property
-    def ks(self):
-        return self.inv.ks
-
-    @property
-    def torsion_slots(self):
-        return self.inv.torsion
-
-    @property
     def h1z2_rank(self):
         return sum(b.h1z2_rank for b in self.summands)
-
-    def sc_part(self):
-        return tuple(b for b in self.summands if b.spec.part == "sc")
-
-    def non_sc_part(self):
-        return tuple(b for b in self.summands if b.spec.part != "sc")
 
     def render(self):
         if not self.summands:
@@ -372,8 +326,8 @@ def normalize_homeo_type(x, reverse=False):
     """
     if reverse:
         x = mirror(x)
-    return ManifoldExpr(_normalize_sc(x.sc, x.torsion_slots)
-                        + x.non_sc_part())
+    return ManifoldExpr(_normalize_sc(x.sc, x.inv.torsion) + tuple(
+        b for b in x.summands if b.spec.part != "sc"))
 
 
 def reflection_slots(x):
@@ -391,6 +345,7 @@ def block_table():
     rows = [(b.render(), b) for b in samples]
     # Enriques is a composite: report the invariants of its expansion
     rows.append(("Enriques", ManifoldExpr((Block("Enriques"),))))
-    return {name: {"b1": b.b1, "b2": b.b2, "sigma": b.sigma, "spin": b.spin,
-                   "ks": b.ks, "h1z2_rank": b.h1z2_rank}
+    return {name: {"b1": b.b1, "b2": b.inv.b2, "sigma": b.inv.sigma,
+                   "spin": b.inv.spin, "ks": b.inv.ks,
+                   "h1z2_rank": b.h1z2_rank}
             for name, b in rows}

@@ -24,7 +24,6 @@ from .errors import (
     PreconditionViolated,
     RankMismatch,
     SlotUnavailable,
-    TooManyGenerators,
     ZeroClassUnavailable,
 )
 
@@ -62,7 +61,8 @@ def build_family(ls, slots):
     """Multiple mapping torus over T^k from k distinct reflection slots.
 
     A slot is an index into ls.base.summands whose block has a reflection,
-    as manifold.reflection_slots lists them.
+    as manifold.reflection_slots lists them.  Each is a distinct S2xS2 or
+    CP2 summand, which adds 1 to ls.b_plus_ell, so k <= ls.b_plus_ell.
     """
     slots = tuple(slots)
     summands = ls.base.summands
@@ -74,9 +74,6 @@ def build_family(ls, slots):
     if len(set(slots)) != len(slots):
         raise SlotUnavailable("reflection slots must be pairwise distinct")
     k = len(slots)
-    if k > ls.b_plus_ell:
-        raise TooManyGenerators(
-            f"{k} generators exceed b_plus_ell = {ls.b_plus_ell}")
     return FamilyDescriptor(
         cover=ls, generators=slots, k=k,
         h_plus_bundle=charpoly.LineSumBundle(k, ls.b_plus_ell))
@@ -137,15 +134,12 @@ def _certificate(f, c1_square, sigma, transcript, scenario, bound,
 
 def check_theorem_A(f, c, scenario="manual", bound=1):
     """Top-class obstruction: fires when w_top(H+) != 0 and c1^2 > sigma."""
-    if not c.mod2_ok:
-        raise PreconditionViolated(
-            "candidate class does not reduce to w2 + w1^2")
     if not lift_valid(f, c):
         raise PreconditionViolated(
             "generators do not lift: class not carried to plus/minus itself")
     b = f.cover.b_plus_ell
     w_top = f.h_plus_bundle.w(b)
-    sigma = f.cover.base.sigma
+    sigma = f.cover.base.inv.sigma
     transcript = [
         f"b_plus_ell = {b}",
         f"base_dim = {f.k}",
@@ -179,7 +173,7 @@ def check_theorem_B(f, scenario="manual", bound=1):
     w_b = f.h_plus_bundle.w(b)
     w_b1 = f.h_plus_bundle.w(b - 1)
     euler = w_b + w_b1 * charpoly.ExtPoly.u(f.k)
-    sigma = f.cover.base.sigma
+    sigma = f.cover.base.inv.sigma
     witness = w_b if w_b else w_b1
     transcript = [
         f"b_plus_ell = {b}",
@@ -242,7 +236,7 @@ def corollary_constraints(f, v1, w1):
             degree=i,
             virtual_class=virt[i].render(),
             product=product.render(),
-            satisfied=product.is_zero(),
+            satisfied=not product,
         ))
     return ConstraintReport(
         n_minus_m=n_minus_m,
@@ -282,11 +276,11 @@ def _certify_scenario(x, scenario, bound, prepared):
     """
     w_blocks, ks_zero, spin, theorem = _SCENARIOS[scenario]
     label = "spin" if spin else "non-spin"
-    if w_blocks and x.torsion_slots < 1:
+    if w_blocks and x.inv.torsion < 1:
         raise HypothesesNotMet("at least one Enriques block required")
-    if not w_blocks and x.torsion_slots:
+    if not w_blocks and x.inv.torsion:
         raise HypothesesNotMet(f"{label} scenario does not apply to W blocks")
-    if ks_zero and x.ks != 0:
+    if ks_zero and x.inv.ks != 0:
         raise HypothesesNotMet(
             "Kirby-Siebenmann class must vanish for a smooth manifold")
     normalized = prepared()
@@ -312,8 +306,9 @@ def _certify_scenario(x, scenario, bound, prepared):
         c = largest_liftable_class(fam, bound)
         cert = check_theorem_A(fam, c, scenario=scenario, bound=bound)
     else:
-        s2 = [i for i in slots if normalized.summands[i].kind == "S2xS2"]
-        fam = build_family(ls, s2[:n - 1])
+        # a spin part normalizes to E8 and S2xS2 summands: every slot is
+        # an S2xS2
+        fam = build_family(ls, slots[:n - 1])
         cert = check_theorem_B(fam, scenario=scenario, bound=bound)
     # echo the expression as given, ahead of the normalized one
     return cert.replace(

@@ -117,10 +117,10 @@ def test_criterion_5_negative_controls(capsys):
     x = cli.parse(boundary)
     normal = manifold.normalize_homeo_type(x)
     ls = cover.build_standard_cover(normal)
-    assert (x.sigma, x.ks, x.spin) == (-8, 0, False)
+    assert (x.inv.sigma, x.inv.ks, x.inv.spin) == (-8, 0, False)
     assert normal == cli.parse("CP2 # 9*-CP2 # S1xY(b1=1)")
     assert ls.b_plus_ell == 1
-    assert all(c.square <= x.sigma
+    assert all(c.square <= x.inv.sigma
                for c in cover.enumerate_characteristics(ls, 1))
     expect_hypotheses_not_met(boundary)
     try:
@@ -137,8 +137,8 @@ def test_criterion_5_negative_controls(capsys):
                  "2*W # CP2 # -CP2 # S1xY(b1=1)"):
         x = cli.parse(text)
         ls = cover.build_standard_cover(manifold.normalize_homeo_type(x))
-        assert x.sigma >= 0
-        assert all(c.square <= x.sigma
+        assert x.inv.sigma >= 0
+        assert all(c.square <= x.inv.sigma
                    for c in cover.enumerate_characteristics(ls, 1))
         try:
             cert = obstruct.certify(x)
@@ -209,8 +209,8 @@ def test_criterion_7_property_suites(capsys):
     for _ in range(500):
         blocks = [rng.choice(pool) for _ in range(rng.randint(0, 6))]
         x = manifold.expr(*blocks)
-        if x.sigma != sum(b.sigma for b in blocks) or \
-                x.ks != sum(b.ks for b in blocks) % 2:
+        if x.inv.sigma != sum(b.inv.sigma for b in blocks) or \
+                x.inv.ks != sum(b.inv.ks for b in blocks) % 2:
             failures.append(("additivity", blocks))
             continue
         try:
@@ -219,8 +219,9 @@ def test_criterion_7_property_suites(capsys):
             continue
         if manifold.normalize_homeo_type(normal) != normal:
             failures.append(("idempotence", blocks))
-        if (normal.sigma, normal.b2, normal.ks, normal.spin) != \
-                (x.sigma, x.b2, x.ks, x.spin):
+        got, want = normal.inv, x.inv
+        if (got.sigma, got.b2, got.ks, got.spin) != \
+                (want.sigma, want.b2, want.ks, want.spin):
             failures.append(("preservation", blocks))
 
     # van der Blij: square(c) = sigma mod 8 on odd unimodular forms

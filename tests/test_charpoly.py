@@ -20,7 +20,7 @@ def test_exterior_expansion():
 
 def test_generator_squares_to_zero():
     t1 = ExtPoly.t(3, 1)
-    assert (t1 * t1).is_zero()
+    assert not t1 * t1
 
 
 def test_u_powers_add():
@@ -30,7 +30,7 @@ def test_u_powers_add():
 
 def test_addition_is_xor():
     t1 = ExtPoly.t(2, 1)
-    assert (t1 + t1).is_zero()
+    assert not t1 + t1
 
 
 def test_mode_mismatch():
@@ -96,7 +96,7 @@ def test_hplus_euler_c4_form():
     k = 2
     b = total_sw_line_sum(k, [(1,), (2,)], 1)  # rank 3, b = 3
     w3, w2 = b.w(3), b.w(2)
-    assert w3.is_zero() and w2 == ExtPoly.t(k, 1) * ExtPoly.t(k, 2)
+    assert not w3 and w2 == ExtPoly.t(k, 1) * ExtPoly.t(k, 2)
     euler = w3 + w2 * ExtPoly.u(k)
     assert euler.render() == "t1*t2*u" and euler.max_u() == 1
 
@@ -126,7 +126,7 @@ def test_line_sum_with_trivial_rank():
     b = total_sw_line_sum(1, [(1,)], 1)
     assert b.rank == 2
     assert b.w(1) == ExtPoly.t(1, 1)
-    assert b.w(2).is_zero()
+    assert not b.w(2)
 
 
 def test_top_class_nonzero_up_to_16():
@@ -136,7 +136,7 @@ def test_top_class_nonzero_up_to_16():
         expected = ExtPoly.one(k)
         for i in range(1, k + 1):
             expected = expected * ExtPoly.t(k, i)
-        assert top == expected and not top.is_zero()
+        assert top == expected and top
 
 
 @pytest.mark.parametrize("k", range(13))
@@ -174,7 +174,7 @@ def test_virtual_cancellation():
     den = total_sw_line_sum(2, [(1,)], 0)
     virt = charpoly.virtual_sw(num, den)
     assert virt[1] == ExtPoly.t(2, 2)
-    assert virt[2].is_zero()
+    assert not virt[2]
 
 
 @settings(max_examples=40)
@@ -257,8 +257,8 @@ def test_laurent_roundtrip(seed):
     q = random_poly(k, rng)
     d = monic_poly(k, rng)
     quotient, neg = charpoly.laurent_divide(q * d, d)
-    if q.is_zero():
-        assert quotient.is_zero()
+    if not q:
+        assert not quotient
     else:
         assert quotient == q
         assert neg == (q.min_u() < 0)

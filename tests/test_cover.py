@@ -9,7 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fourfold import cli, cover, lattice, manifold
-from fourfold.errors import DimensionMismatch, NoNontrivialCoverAvailable
+from fourfold.errors import (DimensionMismatch, NoNontrivialCoverAvailable,
+                             PreconditionViolated)
 
 
 def standard_cover(*blocks):
@@ -24,8 +25,8 @@ def test_b_plus_ell_equals_simply_connected_b_plus():
                       manifold.S1xY(1))
     ls = cover.build_standard_cover(x)
     assert ls.b_plus_ell == 3
-    sc = manifold.ManifoldExpr(x.sc_part())
-    assert ls.b_plus_ell == sc.b_plus
+    sc = manifold.expr(*(b for b in x.summands if b.spec.part == "sc"))
+    assert ls.b_plus_ell == sc.inv.b_plus
 
 
 def test_n_part_contributes_nothing_free():
@@ -91,14 +92,30 @@ def test_target_class_nonspin_diag_bits():
 
 def test_zero_class_exists_for_spin():
     ls = standard_cover(manifold.S2xS2(), manifold.S1xY(1))
-    c = ls.char_class((0, 0))
-    assert c.mod2_ok
+    assert ls.char_class((0, 0)).square == 0
 
 
 def test_odd_entry_on_hyperbolic_rejected():
     ls = standard_cover(manifold.S2xS2(), manifold.S1xY(1))
-    c = ls.char_class((1, 0))
-    assert not c.mod2_ok
+    with pytest.raises(PreconditionViolated,
+                       match="does not reduce to w2 \\+ w1\\^2"):
+        ls.char_class((1, 0))
+
+
+@pytest.mark.parametrize("text, bound", [
+    ("CP2 # -CP2 # S2xS2 # S1xY(b1=1)", 2),
+    ("-CP2fake # S2xS2 # W # S2xSigma(g=1)", 2),
+    ("-E8 # S1xY(b1=1)", 1)])
+def test_char_class_accepts_exactly_the_characteristic_vectors(text, bound):
+    """char_class's mod-2 rule against the lattice's Wu criterion."""
+    ls = cover.build_standard_cover(cli.parse(text))
+    box = range(-bound, bound + 1)
+    for v in itertools.product(box, repeat=ls.form.rank):
+        if lattice.is_characteristic(ls.form, v):
+            assert ls.char_class(v).square == lattice.square(ls.form, v)
+        else:
+            with pytest.raises(PreconditionViolated):
+                ls.char_class(v)
 
 
 def test_nonspin_witness_class():
@@ -110,7 +127,6 @@ def test_nonspin_witness_class():
     # block order: -E8 (8 coords), n hyperbolics, m copies of -CP2, fake -CP2
     free = (0,) * 8 + (0, 0) * n + (1,) * m + (1,)
     c = ls.char_class(free)
-    assert c.mod2_ok
     assert c.square == -m - 1
 
 
@@ -127,7 +143,8 @@ def test_enumeration_contains_zero_for_spin():
                      manifold.S2xS2(), manifold.S1xY(1))
     classes = cover.enumerate_characteristics(ls, 1)
     assert any(not any(c.free_part) for c in classes)
-    assert all(c.mod2_ok for c in classes)
+    assert all(lattice.is_characteristic(ls.form, c.free_part)
+               for c in classes)
 
 
 def test_enumeration_max_square_nonspin():
@@ -146,8 +163,7 @@ def test_enumeration_sorted_square_descending():
     classes = cover.enumerate_characteristics(cover.build_standard_cover(x), 2)
     squares = [c.square for c in classes]
     assert squares == sorted(squares, reverse=True)
-    assert len(set((c.free_part, c.torsion_part) for c in classes)) \
-        == len(classes)
+    assert len(set(c.free_part for c in classes)) == len(classes)
 
 
 def test_enumeration_stable_under_block_permutation():
@@ -207,24 +223,24 @@ def test_enumeration_matches_checked_path_random(counts, definite, n_block,
     assume(math.prod(len(coords) for coords in box) <= 4096)
     want = sorted((ls.char_class(v) for v in itertools.product(*box)),
                   key=lambda c: (-c.square, c.free_part))
-    got = cover.enumerate_characteristics(ls, bound)
-    assert all(c.mod2_ok for c in got)
-    assert got == want
+    assert cover.enumerate_characteristics(ls, bound) == want
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(["spinc", text, "--bound", str(bound)]) == 0
+    torsion = [1] * ls.torsion_bits
     assert out.getvalue() == "".join(
         f"square = {c.square}: free = {list(c.free_part)}, "
-        f"torsion = {list(c.torsion_part)}\n" for c in want)
+        f"torsion = {torsion}\n" for c in want)
 
 
 @pytest.mark.parametrize("text, bound", BRUTE_FORCE_ROWS)
 def test_spinc_renders_enumeration(text, bound, capsys):
     """spinc prints exactly the enumerated classes, in their order."""
     ls = cover.build_standard_cover(cli.parse(text))
+    torsion = [1] * ls.torsion_bits
     want = "".join(
         f"square = {c.square}: free = {list(c.free_part)}, "
-        f"torsion = {list(c.torsion_part)}\n"
+        f"torsion = {torsion}\n"
         for c in cover.enumerate_characteristics(ls, bound))
     assert cli.main(["spinc", text, "--bound", str(bound)]) == 0
     assert capsys.readouterr().out == want
@@ -252,13 +268,6 @@ def test_spinc_does_not_recheck_classes(monkeypatch, capsys):
                      "--bound", "3"])
     assert code == 0
     assert capsys.readouterr().out.startswith("square = ")
-
-
-def test_square_independent_of_torsion_bits():
-    ls = standard_cover(manifold.E8Block(-1), manifold.S2xS2(), manifold.W(),
-                     manifold.S1xY(1))
-    zero = (0,) * ls.form.rank
-    assert ls.char_class(zero, (1,)).square == ls.char_class(zero, (0,)).square
 
 
 def test_van_der_blij_spin_squares():

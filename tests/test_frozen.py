@@ -15,6 +15,8 @@ def samples():
     ls = cover.build_standard_cover(x)
     slots = manifold.reflection_slots(x)
     fam = obstruct.build_family(ls, slots[:2])
+    # the zero vector is not characteristic on this odd form
+    c = obstruct.largest_liftable_class(fam, 1)
     v1 = charpoly.BundleClassData(2, 1, (charpoly.ExtPoly.t(2, 1),))
     report = obstruct.corollary_constraints(fam, v1, v1)
     raw = lattice.RawMatrix(((0, 1), (1, 0)))
@@ -35,9 +37,8 @@ def samples():
         (charpoly.ExtPoly.u(2) + charpoly.ExtPoly.t(2, 1), ["k", "terms"]),
         (v1, ["k", "rank", "sw"]),
         (fam.h_plus_bundle, ["k", "rank"]),
-        (ls, ["base", "form", "b_plus_ell", "torsion_bits"]),
-        (ls.char_class((0,) * ls.form.rank), [
-            "free_part", "torsion_part", "square", "mod2_ok"]),
+        (ls, ["base"]),
+        (c, ["free_part", "square"]),
         (fam, ["cover", "generators", "k", "h_plus_bundle"]),
         (obstruct.certify(x), [
             "verdict", "theorem_used", "base_dim", "b_plus_ell",
@@ -81,9 +82,9 @@ def test_equality_needs_the_same_class():
 
 def test_replace_rebuilds_through_post_init():
     ls = cover.build_standard_cover(cli.parse(SPIN))
-    squeezed = ls.replace(b_plus_ell=1)
-    assert (squeezed.b_plus_ell, ls.b_plus_ell) == (1, 3)
-    assert squeezed.form is ls.form
+    other = ls.replace(base=cli.parse("CP2 # -CP2 # W # S1xY(b1=1)"))
+    assert (other.b_plus_ell, other.torsion_bits, other.form.rank) == (1, 1, 2)
+    assert (ls.b_plus_ell, ls.torsion_bits, ls.form.rank) == (3, 0, 15)
     block = manifold.Block("CP2").replace(kind="S2xS2")
     assert block.spec is manifold.BLOCKS["S2xS2"]
     assert repr(block) == "Block(kind='S2xS2', sign=0, param=0)"

@@ -44,8 +44,8 @@ def test_block_table_values():
 def test_block_form_consistent_with_lattice():
     for b in BLOCK_SAMPLES:
         inv = lattice.invariants(b.form)
-        assert inv.rank == b.b2
-        assert inv.signature == b.sigma
+        assert inv.rank == b.inv.b2
+        assert inv.signature == b.inv.sigma
 
 
 def test_genus_zero_rejected():
@@ -70,13 +70,15 @@ def test_enriques_expansion():
     e = manifold.expr(manifold.Block("Enriques"))
     kinds = sorted(b.kind for b in e.summands)
     assert kinds == ["E8", "S2xS2", "W"]
-    assert (e.sigma, e.ks, e.b2, e.spin) == (-8, 0, 10, False)
+    inv = e.inv
+    assert (inv.sigma, inv.ks, inv.b2, inv.spin) == (-8, 0, 10, False)
 
 
 def test_spin_sum_invariants():
     x = manifold.expr(manifold.E8Block(-1), manifold.E8Block(-1),
                       manifold.S2xS2(), manifold.S2xS2(), manifold.S2xS2())
-    assert (x.sigma, x.b_plus, x.spin, x.ks) == (-16, 3, True, 0)
+    inv = x.inv
+    assert (inv.sigma, inv.b_plus, inv.spin, inv.ks) == (-16, 3, True, 0)
     assert lattice.invariants(x.form).parity == "even"
 
 
@@ -85,11 +87,11 @@ def test_spin_sum_invariants():
 def test_connected_sum_additivity(a, b):
     xa, xb = manifold.expr(*a), manifold.expr(*b)
     x = manifold.expr(*a, *b)
-    assert x.sigma == xa.sigma + xb.sigma
+    assert x.inv.sigma == xa.inv.sigma + xb.inv.sigma
     assert x.b1 == xa.b1 + xb.b1
-    assert x.b2 == xa.b2 + xb.b2
-    assert x.ks == (xa.ks + xb.ks) % 2
-    assert x.spin == (xa.spin and xb.spin)
+    assert x.inv.b2 == xa.inv.b2 + xb.inv.b2
+    assert x.inv.ks == (xa.inv.ks + xb.inv.ks) % 2
+    assert x.inv.spin == (xa.inv.spin and xb.inv.spin)
 
 
 # every kind, both E8 signs and the composites, parameters 0-5
@@ -107,18 +109,16 @@ def test_sum_invariants_match_the_atom_walk(blocks, reverse):
         inv = lattice.invariants(b.form)
         assert (b.inv.b_plus, b.inv.b_minus, b.inv.even) == \
             (inv.b_plus, inv.b_minus, inv.parity == "even")
-        assert (b.b2, b.sigma) == (inv.rank, inv.signature)
-    for part, summands in ((x.inv, x.summands), (x.sc, x.sc_part())):
+        assert (b.inv.b2, b.inv.sigma) == (inv.rank, inv.signature)
+    sc = tuple(b for b in x.summands if b.spec.part == "sc")
+    for part, summands in ((x.inv, x.summands), (x.sc, sc)):
         inv = lattice.invariants(manifold.ManifoldExpr(summands).form)
         assert (part.b_plus, part.b_minus, part.b2, part.sigma, part.even) \
             == (inv.b_plus, inv.b_minus, inv.rank, inv.signature,
                 inv.parity == "even")
-        assert part.ks == sum(b.ks for b in summands) % 2
-        assert part.spin == all(b.spin for b in summands)
+        assert part.ks == sum(b.spec.ks for b in summands) % 2
+        assert part.spin == all(b.spec.spin for b in summands)
         assert part.torsion == sum(b.spec.h1_torsion for b in summands)
-    assert (x.sigma, x.b_plus, x.b2, x.ks, x.spin, x.torsion_slots) == \
-        (x.inv.sigma, x.inv.b_plus, x.inv.b2, x.inv.ks, x.inv.spin,
-         x.inv.torsion)
 
 
 # --- mirror ---
@@ -127,7 +127,7 @@ def test_mirror_blocks():
     x = manifold.expr(manifold.CP2(), manifold.K3(), manifold.E8Block(-1),
                       manifold.S2xS2(), manifold.S1xY(1))
     m = manifold.mirror(x)
-    assert m.sigma == -x.sigma
+    assert m.inv.sigma == -x.inv.sigma
     kinds = sorted(b.kind for b in m.summands)
     assert kinds == ["E8", "NegCP2", "NegK3", "S1xY", "S2xS2"]
     assert next(b for b in m.summands if b.kind == "E8").sign == 1
@@ -144,7 +144,7 @@ def test_normalize_k3():
     out = manifold.normalize_homeo_type(manifold.expr(manifold.K3()))
     kinds = [b.render() for b in out.summands]
     assert kinds == ["-E8", "-E8", "S2xS2", "S2xS2", "S2xS2"]
-    assert (out.sigma, out.b2) == (-16, 22)
+    assert (out.inv.sigma, out.inv.b2) == (-16, 22)
 
 
 def test_normalize_odd_negative_signature():
@@ -153,7 +153,7 @@ def test_normalize_odd_negative_signature():
     out = manifold.normalize_homeo_type(x)
     names = [b.render() for b in out.summands]
     assert names == ["-E8", "S2xS2", "-CP2", "-CP2fake"]
-    assert (out.sigma, out.b2, out.ks) == (-10, 12, 0)
+    assert (out.inv.sigma, out.inv.b2, out.inv.ks) == (-10, 12, 0)
 
 
 def test_normalize_nonspin_normal_shape_is_fixed():
@@ -192,7 +192,7 @@ def test_normalize_ks_one_odd():
 def test_normalize_reverse_flag():
     x = manifold.expr(manifold.K3())
     out = manifold.normalize_homeo_type(x, reverse=True)
-    assert out.sigma == 16
+    assert out.inv.sigma == 16
     assert all(b.render() in ("E8", "S2xS2") for b in out.summands)
 
 
@@ -209,11 +209,12 @@ def test_normalize_idempotent_and_invariant_preserving(blocks):
     except DefinitePartUnsupported:
         return
     assert manifold.normalize_homeo_type(out) == out
-    assert (out.sigma, out.b1, out.b2, out.spin, out.ks) == \
-        (x.sigma, x.b1, x.b2, x.spin, x.ks)
+    assert (out.inv.sigma, out.b1, out.inv.b2, out.inv.spin, out.inv.ks) == \
+        (x.inv.sigma, x.b1, x.inv.b2, x.inv.spin, x.inv.ks)
     assert lattice.invariants(out.form).parity == \
         lattice.invariants(x.form).parity
-    assert out.non_sc_part() == x.non_sc_part()
+    assert [b for b in out.summands if b.spec.part != "sc"] == \
+        [b for b in x.summands if b.spec.part != "sc"]
 
 
 def test_smooth_blocks_have_zero_ks():
@@ -221,7 +222,7 @@ def test_smooth_blocks_have_zero_ks():
               manifold.K3(), manifold.NegK3(), manifold.S1xY(1),
               manifold.S2xSigma(1), manifold.Block("Enriques"),
               manifold.Block("S4")]
-    assert manifold.expr(*smooth).ks == 0
+    assert manifold.expr(*smooth).inv.ks == 0
 
 
 # --- reflection slots ---
@@ -248,7 +249,7 @@ def test_reflection_column():
             return sum(ui * mij * vj
                        for ui, row in zip(u, m) for mij, vj in zip(row, v))
 
-        box = list(itertools.product((-1, 0, 1), repeat=b.b2))
+        box = list(itertools.product((-1, 0, 1), repeat=b.inv.b2))
         for u in box:
             assert reflect(reflect(u)) == u
             for v in box:

@@ -13,7 +13,6 @@ from fourfold.errors import (
     PreconditionViolated,
     RankMismatch,
     SlotUnavailable,
-    TooManyGenerators,
     ZeroClassUnavailable,
 )
 
@@ -60,7 +59,7 @@ def test_family_line_bundle_decomposition():
     assert fam.h_plus_bundle.rank == ls.b_plus_ell == 3
     assert fam.h_plus_bundle.w(1) == ExtPoly.t(2, 1) + ExtPoly.t(2, 2)
     assert fam.h_plus_bundle.w(2) == ExtPoly.t(2, 1) * ExtPoly.t(2, 2)
-    assert fam.h_plus_bundle.w(3).is_zero()
+    assert not fam.h_plus_bundle.w(3)
 
 
 def test_family_top_class_full_rank():
@@ -79,7 +78,7 @@ def test_family_zero_generators():
     fam, _ = family_for(spin_expr(), k=0)
     assert fam.k == 0
     assert fam.h_plus_bundle.w(0) == ExtPoly.one(0)
-    assert fam.h_plus_bundle.w(1).is_zero()
+    assert not fam.h_plus_bundle.w(1)
 
 
 def test_family_rejects_bad_slots():
@@ -95,9 +94,17 @@ def test_family_rejects_bad_slots():
         with pytest.raises(SlotUnavailable):
             obstruct.build_family(ls, generators)
     assert obstruct.build_family(ls, (2, 1)).generators == (2, 1)
-    squeezed = ls.replace(b_plus_ell=1)
-    with pytest.raises(TooManyGenerators):
-        obstruct.build_family(squeezed, slots)
+
+
+@given(counts=random_blocks, n_block=n_blocks)
+def test_slots_never_outnumber_b_plus_ell(counts, n_block):
+    """Each slot is its own S2xS2 or CP2 summand, adding 1 to b_plus_ell,
+    so a family may take every slot as a generator."""
+    x = cli.parse(" # ".join(terms_of(counts, n_block)))
+    ls = cover.build_standard_cover(x)
+    slots = manifold.reflection_slots(x)
+    assert len(slots) <= ls.b_plus_ell
+    assert obstruct.build_family(ls, slots).k == len(slots)
 
 
 # --- lift_valid ---
@@ -113,7 +120,6 @@ def test_lift_class_off_reflected_summands():
     fam, ls = family_for(x)
     free = (0,) * 8 + (0, 0) + (1,) + (1,)
     c = ls.char_class(free)
-    assert c.mod2_ok
     assert obstruct.lift_valid(fam, c)
 
 
@@ -130,7 +136,7 @@ def test_lift_cp2_component_flipped_to_minus_itself():
 def test_lift_rejects_moved_component():
     x = manifold.expr(manifold.S2xS2(), manifold.S1xY(1))
     fam, ls = family_for(x)
-    moved = ls.char_class((1, 0))  # reflection sends (1,0) to (0,-1)
+    moved = ls.char_class((2, 0))  # reflection sends (2,0) to (0,-2)
     assert not obstruct.lift_valid(fam, moved)
 
 
@@ -234,7 +240,7 @@ def test_theorem_a_never_fires_when_inequality_holds():
     for c in cover.enumerate_characteristics(ls, 2):
         if not obstruct.lift_valid(fam, c):
             continue
-        assert c.square <= x.sigma
+        assert c.square <= x.inv.sigma
         cert = obstruct.check_theorem_A(fam, c)
         assert cert.verdict == obstruct.INCONCLUSIVE
         fired += 1
@@ -244,8 +250,9 @@ def test_theorem_a_never_fires_when_inequality_holds():
 def test_theorem_a_precondition_checks():
     x = manifold.expr(manifold.S2xS2(), manifold.S1xY(1))
     fam, ls = family_for(x)
-    with pytest.raises(PreconditionViolated):
-        obstruct.check_theorem_A(fam, ls.char_class((1, 0)))
+    with pytest.raises(PreconditionViolated, match="do not lift"):
+        # characteristic, but the reflection sends (2, 0) to (0, -2)
+        obstruct.check_theorem_A(fam, ls.char_class((2, 0)))
 
 
 # --- largest liftable class ---
@@ -337,9 +344,9 @@ def test_largest_liftable_class_at_huge_bound():
     c = obstruct.largest_liftable_class(fam, 10**9)
     assert c.free_part == (0, 0, 0, 0, 0, 0, 0, 0,
                            -1_000_000_000, -1_000_000_000, -999_999_999)
-    assert c.torsion_part == (1,)
     assert c.square == 2_999_999_998_000_000_001
-    assert c.mod2_ok and obstruct.lift_valid(fam, c)
+    assert lattice.is_characteristic(fam.cover.form, c.free_part)
+    assert obstruct.lift_valid(fam, c)
 
 
 def test_certify_does_not_enumerate(monkeypatch):
