@@ -108,20 +108,16 @@ class ExtPoly:
 
 
 def invert_unit(p):
-    """Inverse of 1 + nilpotent in the exterior algebra (Neumann series)."""
-    one = ExtPoly.one(p.k)
-    nil = p + one
+    """Inverse of 1 + nilpotent in the exterior algebra: p itself.
+
+    Every term of nil = p + 1 holds a generator, so nil^2 = 0 mod 2 and
+    (1 + nil)^2 = 1.
+    """
+    nil = p + ExtPoly.one(p.k)
     if (0, 0) not in p.terms or any(m == 0 for m, _ in nil.terms):
         raise NonMonicDenominator(
             "leading coefficient is not 1 + nilpotent")
-    out = one
-    power = one
-    for _ in range(p.k):
-        power = power * nil
-        if not power:
-            break
-        out = out + power
-    return out
+    return p
 
 
 def require_pure(i, w):
@@ -210,8 +206,8 @@ def laurent_divide(num, den):
     if not den:
         raise NonMonicDenominator("zero denominator")
     m = den.max_u()
-    lead = den.u_coefficient(m)
-    lead_inv = invert_unit(lead)  # NonMonicDenominator when not a unit
+    # its own inverse; NonMonicDenominator when not a unit
+    lead = invert_unit(den.u_coefficient(m))
     floor = num.min_u() - m - num.k - 8
     quotient = ExtPoly.zero(num.k)
     rem = num
@@ -220,7 +216,7 @@ def laurent_divide(num, den):
         if d - m < floor:
             raise NonExactDivision(
                 "denominator does not divide numerator exactly")
-        q_term = (rem.u_coefficient(d) * lead_inv).shift_u(d - m)
+        q_term = (rem.u_coefficient(d) * lead).shift_u(d - m)
         quotient = quotient + q_term
         rem = rem + q_term * den
     return quotient, quotient.min_u() < 0

@@ -190,9 +190,12 @@ def _cmd_cover(x, args):
 def _cmd_spinc(x, args):
     ls = cover.build_standard_cover(x)
     tail = f"], torsion = {[1] * ls.torsion_bits}\n"   # the target's bits
-    for square, lines in cover._listing(ls, args.bound, tail):
+    write = sys.stdout.write
+    for square, groups in cover._listing(ls, args.bound, tail):
         head = f"square = {square}: free = ["
-        sys.stdout.write(head + head.join(lines))   # each line ends in "\n"
+        for first, suffixes in groups:   # each suffix ends in "\n"
+            line = head + first
+            write(line + line.join(suffixes))
     return 0
 
 
@@ -292,9 +295,8 @@ def parse_poly(text, k):
     text = text.strip()
     if text == "0":
         return charpoly.ExtPoly.zero(k)
-    poly = charpoly.ExtPoly.zero(k)
+    terms = set()
     for term in text.split("+"):
-        term = term.strip()
         out = charpoly.ExtPoly.one(k)
         for factor in term.split("*"):
             factor = factor.strip()
@@ -308,8 +310,8 @@ def parse_poly(text, k):
                              else charpoly.ExtPoly.u(k, int(m[2] or 1)))
             except ValueError as e:
                 raise ParseError(str(e)) from None
-        poly = poly + out
-    return poly
+        terms ^= out.terms
+    return charpoly.ExtPoly(k, terms)
 
 
 def _cmd_constraints(x, args):

@@ -132,31 +132,41 @@ def parity_box(ls, bound):
 
 def enumerate_characteristics(ls, bound=1):
     """All valid classes with entries in [-bound, bound], in `_listing` order."""
-    return [CharClass(free, square)
-            for square, frees in _listing(ls, bound, ()) for free in frees]
+    return [CharClass(first + suffix, square)
+            for square, groups in _listing(ls, bound, ())
+            for first, suffixes in groups for suffix in suffixes]
 
 
 def _listing(ls, bound, tail):
-    """(square, suffixes) per square, descending; each suffix list lexicographic.
+    """(square, groups) per square, descending; each group (first, suffixes).
 
-    A suffix is a class's free part followed by `tail`: a tuple if `tail`
-    is one, else text, its entries joined by ", ".  Atoms fold from the
-    last to the first into buckets by square.  Prepending an atom's pieces,
-    in `itertools.product`'s lexicographic order, to each bucket keeps the
-    buckets lexicographic, so only the distinct squares are sorted.
+    A class is `first`, its first atom's piece, followed by one of its
+    group's suffixes: the rest of its free part, then `tail`.  Pieces and
+    suffixes are tuples if `tail` is one, else text, entries joined by
+    ", ".  Atoms fold from the last to the second into buckets by square,
+    and the first atom's pieces pair with those buckets without joining
+    each class, which the caller does.  Taking an atom's pieces in
+    `itertools.product`'s lexicographic order keeps the groups, and each
+    bucket, lexicographic, so only the distinct squares are sorted.
     """
-    columns = parity_box(ls, bound)
+    atoms, columns = ls.form.atoms, parity_box(ls, bound)
+    if not atoms:
+        return [(0, [(tail[:0], [tail])])]
     buckets = {0: [tail]}
     sep = ""    # a text piece ends in ", " unless the tail follows it
-    for atom in reversed(ls.form.atoms):
-        matrix, folded = atom.matrix(), {}
-        for v in itertools.product(*columns[len(columns) - atom.rank:]):
+    for i in range(len(atoms) - 1, -1, -1):
+        atom, folded = atoms[i], {}
+        matrix, start = atom.matrix(), len(columns) - atom.rank
+        for v in itertools.product(*columns[start:]):
             part = sum(vi * mij * vj for row, vi in zip(matrix, v)
                        for mij, vj in zip(row, v))
             piece = v if type(tail) is tuple else ", ".join(map(str, v)) + sep
             for s, suffixes in buckets.items():
-                bucket = folded.setdefault(s + part, [])
-                bucket.extend(map(piece.__add__, suffixes))
-        del columns[len(columns) - atom.rank:]
+                if i:
+                    folded.setdefault(s + part, []).extend(
+                        map(piece.__add__, suffixes))
+                else:
+                    folded.setdefault(s + part, []).append((piece, suffixes))
+        del columns[start:]
         buckets, sep = folded, ", "
     return [(s, buckets[s]) for s in sorted(buckets, reverse=True)]

@@ -264,11 +264,15 @@ def test_laurent_roundtrip(seed):
         assert neg == (q.min_u() < 0)
 
 
-def test_invert_unit():
-    k = 2
-    p = ExtPoly.one(k) + ExtPoly.t(k, 1)
-    inv = charpoly.invert_unit(p)
-    assert p * inv == ExtPoly.one(k)
+@settings(max_examples=200)
+@given(st.integers(1, 8), st.integers(0, 10_000))
+def test_invert_unit(k, seed):
+    """A unit 1 + nil is its own inverse, as nil^2 = 0 mod 2."""
+    rng = random.Random(seed)
+    p = ExtPoly(k, {(0, 0)} | {(rng.randrange(1, 1 << k), rng.randint(0, 3))
+                               for _ in range(rng.randint(0, 6))})
+    assert charpoly.invert_unit(p) == p
+    assert p * p == ExtPoly.one(k)
     with pytest.raises(NonMonicDenominator):
         charpoly.invert_unit(ExtPoly.t(k, 1))
     with pytest.raises(NonMonicDenominator):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fourfold import cli, cover, manifold, obstruct
+from fourfold import charpoly, cli, cover, manifold, obstruct
 from fourfold.errors import (GenusZero, InvalidSetting, NegativeMultiplicity,
                              ParseError)
 
@@ -239,9 +239,10 @@ def test_certify_mirror_failure_is_hypotheses_not_met(capsys):
 
 @pytest.mark.parametrize("command, text", [
     ("spinc", "-E8 # -CP2fake # S2xS2 # S1xY(b1=1)"),
+    ("spinc", "W # S1xY(b1=1)"),   # a rank-0 form, no atom to fold
     ("certify", "-E8 # -CP2fake # S2xS2 # S1xY(b1=1)"),
     ("certify", "2*-E8 # 3*S2xS2 # S1xY(b1=1)"),   # the theorem B path
-], ids=["spinc", "certify", "certify-spin"])
+], ids=["spinc", "spinc-rank-0", "certify", "certify-spin"])
 def test_bound_below_one_is_input_error(command, text, capsys):
     json_flag = ["--json"] if command == "certify" else []
     for tail in (["--bound", "0"], ["--bound", "-5", *json_flag]):
@@ -709,3 +710,12 @@ def test_parse_poly_syntax():
     assert cli.parse_poly("1", 2).render() == "1"
     with pytest.raises(ParseError):
         cli.parse_poly("t1 + x7", 2)
+
+
+@settings(max_examples=200)
+@given(k=st.integers(0, 6), terms=st.lists(
+    st.tuples(st.integers(0, 63), st.integers(0, 3)), max_size=8))
+def test_parse_poly_round_trip(k, terms):
+    """parse_poly reads back what render writes, pure or u-bearing."""
+    p = charpoly.ExtPoly(k, {(mask & ((1 << k) - 1), up) for mask, up in terms})
+    assert cli.parse_poly(p.render(), k) == p

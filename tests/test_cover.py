@@ -200,48 +200,68 @@ def test_enumeration_matches_brute_force(text, bound):
     assert cover.enumerate_characteristics(ls, bound) == want
 
 
+@st.composite
+def random_sums(draw):
+    """(text, bound): up to two of each kind, a definite first atom at
+    bound 1, W torsion tails, and rank-0 forms when only W is left."""
+    counts = draw(st.lists(st.integers(0, 2), min_size=5, max_size=5))
+    definite = draw(st.sampled_from(["", "-E8", "K3", "-K3"]))
+    n_block = draw(st.sampled_from(["S1xY(b1=1)", "S2xSigma(g=1)"]))
+    bound = 1 if definite else draw(st.integers(1, 3))
+    names = ("CP2", "-CP2", "-CP2fake", "S2xS2", "W")
+    terms = [f"{n}*{name}" for n, name in zip(counts, names)]
+    return " # ".join(terms + [definite] * bool(definite) + [n_block]), bound
+
+
+def render(ls, classes):
+    """spinc's text for these classes."""
+    torsion = [1] * ls.torsion_bits
+    return "".join(f"square = {c.square}: free = {list(c.free_part)}, "
+                   f"torsion = {torsion}\n" for c in classes)
+
+
+def spinc_text(text, bound):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["spinc", text, "--bound", str(bound)]) == 0
+    return out.getvalue()
+
+
 @settings(deadline=None)   # boxes of up to 4,096 classes, each checked
-@given(counts=st.lists(st.integers(0, 2), min_size=5, max_size=5),
-       definite=st.sampled_from(["", "-E8", "K3", "-K3"]),
-       n_block=st.sampled_from(["S1xY(b1=1)", "S2xSigma(g=1)"]),
-       bound=st.integers(1, 3))
-def test_enumeration_matches_checked_path_random(counts, definite, n_block,
-                                                 bound):
+@given(random_sums())
+def test_enumeration_matches_checked_path_random(case):
     """The fold against char_class, which checks and squares every class.
 
     Both the classes and spinc's text are checked, each against the sorted
     oracle.
     """
-    names = ("CP2", "-CP2", "-CP2fake", "S2xS2", "W")
-    terms = [f"{n}*{name}" for n, name in zip(counts, names)]
-    if definite:
-        terms.append(definite)
-        bound = 1
-    text = " # ".join(terms + [n_block])
+    text, bound = case
     ls = cover.build_standard_cover(cli.parse(text))
     box = cover.parity_box(ls, bound)
     assume(math.prod(len(coords) for coords in box) <= 4096)
     want = sorted((ls.char_class(v) for v in itertools.product(*box)),
                   key=lambda c: (-c.square, c.free_part))
     assert cover.enumerate_characteristics(ls, bound) == want
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert cli.main(["spinc", text, "--bound", str(bound)]) == 0
-    torsion = [1] * ls.torsion_bits
-    assert out.getvalue() == "".join(
-        f"square = {c.square}: free = {list(c.free_part)}, "
-        f"torsion = {torsion}\n" for c in want)
+    assert spinc_text(text, bound) == render(ls, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_sums())
+def test_spinc_prints_enumeration_random(case):
+    """spinc's text groups, joined by the caller, against the classes
+    enumerate_characteristics builds from the same groups."""
+    text, bound = case
+    ls = cover.build_standard_cover(cli.parse(text))
+    assume(math.prod(map(len, cover.parity_box(ls, bound))) <= 20_000)
+    assert spinc_text(text, bound) == render(
+        ls, cover.enumerate_characteristics(ls, bound))
 
 
 @pytest.mark.parametrize("text, bound", BRUTE_FORCE_ROWS)
 def test_spinc_renders_enumeration(text, bound, capsys):
     """spinc prints exactly the enumerated classes, in their order."""
     ls = cover.build_standard_cover(cli.parse(text))
-    torsion = [1] * ls.torsion_bits
-    want = "".join(
-        f"square = {c.square}: free = {list(c.free_part)}, "
-        f"torsion = {torsion}\n"
-        for c in cover.enumerate_characteristics(ls, bound))
+    want = render(ls, cover.enumerate_characteristics(ls, bound))
     assert cli.main(["spinc", text, "--bound", str(bound)]) == 0
     assert capsys.readouterr().out == want
 
@@ -271,12 +291,14 @@ def test_spinc_does_not_recheck_classes(monkeypatch, capsys):
 
 
 def test_van_der_blij_spin_squares():
-    # every class of the 3^12 box, bucketed by square as spinc lists them
+    # every class of the 3^12 box, grouped by square and first-atom piece
+    # as spinc lists them
     ls = standard_cover(manifold.E8Block(-1), manifold.S2xS2(), manifold.S2xS2(),
                      manifold.S1xY(1))
-    buckets = cover._listing(ls, 2, ())
-    assert sum(len(frees) for _, frees in buckets) == 3 ** 12
-    assert all(square % 8 == 0 for square, _ in buckets)
+    listing = cover._listing(ls, 2, ())
+    assert sum(len(suffixes) for _, groups in listing
+               for _, suffixes in groups) == 3 ** 12
+    assert all(square % 8 == 0 for square, _ in listing)
 
 
 def test_bound_must_be_positive():
