@@ -120,18 +120,13 @@ def invert_unit(p):
     return p
 
 
-def require_pure(i, w):
-    """Refuse a class w_i that holds a u: class data lives on T^k alone."""
-    if any(up for _, up in w.terms):
-        raise ValueError(f"w{i} must be a pure base class")
-
-
 @frozen
 class BundleClassData:
     """Rank plus total characteristic class data of a (virtual) bundle.
 
-    sw[i] is the degree-(i+1) class; classes are pure base classes over
-    T^k (no u).
+    sw[i] is the degree-(i+1) class: a sum of products of i + 1 t's, with
+    no u, as class data lives on T^k alone.  Not a field: `classes`, degree
+    -> class for w_0 = 1 and each nonzero class.
     """
 
     k: int
@@ -143,55 +138,45 @@ class BundleClassData:
         for i, w in enumerate(self.sw, 1):
             if w.k != self.k:
                 raise ModeMismatch("class data over the wrong torus")
-            require_pure(i, w)
+            if any(up or mask.bit_count() != i for mask, up in w.terms):
+                raise ValueError(
+                    f"w{i} must be a pure base class of degree {i}")
+        object.__setattr__(self, "classes", {0: ExtPoly.one(self.k), **{
+            i: w for i, w in enumerate(self.sw, 1) if w}})
 
     def w(self, i):
-        """Degree-i class, with w0 = 1 and wi = 0 above the stored range."""
-        if i == 0:
-            return ExtPoly.one(self.k)
-        if i < 0 or i > len(self.sw):
-            return ExtPoly.zero(self.k)
-        return self.sw[i - 1]
+        """Degree-i class, with w0 = 1 and wi = 0 where none is stored."""
+        return self.classes.get(i, ExtPoly.zero(self.k))
 
     def total(self):
         return sum(self.sw, ExtPoly.one(self.k))
 
 
-@frozen
-class LineSumBundle:
-    """k real lines, line i with w1 = ti, plus a trivial bundle; rank is the sum.
+def line_sum_w(k, i):
+    """w_i of k real lines, line j with w1 = tj, plus any trivial bundle.
 
-    The total class is the product of (1 + ti), so wi is the elementary
-    symmetric polynomial e_i(t1..tk), built on demand with C(k, i) terms
-    without expanding all 2^k monomials.
+    The total class is the product of (1 + tj), so w_i is the elementary
+    symmetric polynomial e_i(t1..tk): 1 at i = 0, 0 unless 0 <= i <= k,
+    and otherwise C(k, i) terms, built without expanding all 2^k monomials.
     """
-
-    k: int
-    rank: int
-
-    def w(self, i):
-        """Degree-i class, with w0 = 1 and wi = 0 above min(k, rank)."""
-        if i == 0:
-            return ExtPoly.one(self.k)
-        if i < 0 or i > min(self.k, self.rank):
-            return ExtPoly.zero(self.k)
-        return ExtPoly(self.k, {
-            (sum(1 << j for j in subset), 0)
-            for subset in itertools.combinations(range(self.k), i)})
+    if i < 0:
+        return ExtPoly.zero(k)
+    return ExtPoly(k, {(sum(1 << j for j in subset), 0)
+                       for subset in itertools.combinations(range(k), i)})
 
 
-def virtual_sw(numerator, denominator):
-    """Graded classes of the virtual difference [numerator] - [denominator].
+def virtual_sw(numerator, denominator, i):
+    """Degree-i class of the virtual difference [numerator] - [denominator].
 
-    Computed as w(numerator) * w(denominator)^{-1}; the inverse terminates
-    because positive-degree exterior classes are nilpotent.  Returns the
-    list of classes indexed by degree 0..k.
+    w(denominator) = 1 + nil is its own inverse, as nil^2 = 0 mod 2, and
+    each w_a is homogeneous, so this sums w_a(num) * w_{i-a}(den) over the
+    nonzero classes.
     """
     if numerator.k != denominator.k:
         raise ModeMismatch("bundles over different tori")
-    k = numerator.k
-    total = numerator.total() * invert_unit(denominator.total())
-    return [total.t_degree_part(i) for i in range(k + 1)]
+    return sum((w * denominator.classes[i - a]
+                for a, w in numerator.classes.items()
+                if i - a in denominator.classes), ExtPoly.zero(numerator.k))
 
 
 def laurent_divide(num, den):

@@ -223,10 +223,9 @@ def _cmd_certify(x, args):
 def _parse_constraint_file(path, k):
     """Read V1/W1 class data: sections with `rank N` then `w_i = <poly>`.
 
-    Every term of a `w_i` line must have degree i: a t and each power of
-    u count one.  Only w_1..w_k are kept, as a pure base class over T^k
-    has degree at most k: a line above k is dropped when 0, and any
-    other holds a u, which class data may not.
+    Class data are pure base classes over T^k, so every term of a `w_i`
+    line must be a product of i of the t's, with no u.  Only w_1..w_k are
+    kept: a line above k can only read 0, and is dropped.
     """
     from . import charpoly
     sections = {}
@@ -267,25 +266,19 @@ def _parse_constraint_file(path, k):
             poly = parse_poly(m.group(2), k)
         except ParseError as e:   # name the line
             raise ParseError(f"{e.args[0]}: {line!r}") from None
-        if any(mask.bit_count() + up != degree for mask, up in poly.terms):
+        if any(up or mask.bit_count() != degree for mask, up in poly.terms):
             raise ParseError(
-                f"every term of w_{degree} must have degree {degree}: "
-                f"{line!r}")
+                f"every term of w_{degree} must be a product of {degree} "
+                f"t's, with no u: {line!r}")
         sections[current]["sw"][degree] = poly
     out = {}
     for name in ("V1", "W1"):
         if name not in sections or sections[name]["rank"] is None:
             raise ParseError(f"missing section or rank for {name}")
-        rank = sections[name]["rank"]
         given = sections[name]["sw"]
         sw = tuple(given.get(i, charpoly.ExtPoly.zero(k))
                    for i in range(1, k + 1))
-        try:
-            out[name] = charpoly.BundleClassData(k=k, rank=rank, sw=sw)
-            for i in sorted(i for i in given if i > k):
-                charpoly.require_pure(i, given[i])
-        except ValueError as e:
-            raise ParseError(f"{name}: {e}") from None
+        out[name] = charpoly.BundleClassData(k, sections[name]["rank"], sw)
     return out["V1"], out["W1"]
 
 

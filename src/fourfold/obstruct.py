@@ -3,8 +3,8 @@
 A family is a multiple mapping torus of commuting reflections, one per
 torus generator, each supported on a single S2xS2 or CP2 summand.  The
 positive-cohomology bundle of such a family splits as one line bundle per
-generator plus a trivial complement; its Stiefel-Whitney classes feed the
-two obstruction checks:
+generator plus a trivial complement, so its Stiefel-Whitney classes are
+charpoly.line_sum_w(k, i); they feed the two obstruction checks:
 
   theorem A: top class nonzero and c1^2 > sigma  -> no smooth structure;
   theorem B (c1 = 0): top or next-to-top class nonzero and sigma < 0
@@ -35,8 +35,9 @@ INCONCLUSIVE = "Inconclusive"
 class FamilyDescriptor:
     cover: object               # LocalSystem over the normalized sum
     generators: tuple           # one slot, a summand index, per generator
-    k: int                      # base torus dimension
-    h_plus_bundle: object       # LineSumBundle over T^k
+
+    def __post_init__(self):    # not a field: k, the base torus dimension
+        object.__setattr__(self, "k", len(self.generators))
 
 
 @frozen
@@ -73,10 +74,7 @@ def build_family(ls, slots):
                 f"no reflection slot {i!r} on {ls.base.render()}")
     if len(set(slots)) != len(slots):
         raise SlotUnavailable("reflection slots must be pairwise distinct")
-    k = len(slots)
-    return FamilyDescriptor(
-        cover=ls, generators=slots, k=k,
-        h_plus_bundle=charpoly.LineSumBundle(k, ls.b_plus_ell))
+    return FamilyDescriptor(cover=ls, generators=slots)
 
 
 def lift_valid(f, c):
@@ -138,7 +136,7 @@ def check_theorem_A(f, c, scenario="manual", bound=1):
         raise PreconditionViolated(
             "generators do not lift: class not carried to plus/minus itself")
     b = f.cover.b_plus_ell
-    w_top = f.h_plus_bundle.w(b)
+    w_top = charpoly.line_sum_w(f.k, b)
     sigma = f.cover.base.inv.sigma
     transcript = [
         f"b_plus_ell = {b}",
@@ -170,8 +168,8 @@ def check_theorem_B(f, scenario="manual", bound=1):
         raise ZeroClassUnavailable(
             "w2 + w1^2 != 0: no candidate class with c1 = 0 exists")
     b = f.cover.b_plus_ell
-    w_b = f.h_plus_bundle.w(b)
-    w_b1 = f.h_plus_bundle.w(b - 1)
+    w_b = charpoly.line_sum_w(f.k, b)
+    w_b1 = charpoly.line_sum_w(f.k, b - 1)
     euler = w_b + w_b1 * charpoly.ExtPoly.u(f.k)
     sigma = f.cover.base.inv.sigma
     witness = w_b if w_b else w_b1
@@ -221,20 +219,28 @@ def corollary_constraints(f, v1, w1):
 
     For every degree above the virtual index rank, the virtual class of
     [W1] - [V1] times the Euler class of H+ must vanish on a smooth family;
-    a nonzero product marks the supplied data incompatible.
+    a nonzero product marks the supplied data incompatible: iff k =
+    b_plus_ell and rank W1 < rank V1, as e(H+) is t1*...*tk or 0.  Raises
+    InvalidSetting over cover.MAX_CLASSES term products, before any.
     """
     if v1.k != f.k or w1.k != f.k:
         raise RankMismatch(
             f"class data must live over T^{f.k}")
-    virt = charpoly.virtual_sw(w1, v1)
-    euler = f.h_plus_bundle.w(f.cover.b_plus_ell)
     n_minus_m = w1.rank - v1.rank
+    degrees = range(max(0, n_minus_m + 1), f.k + 1)
+    work = sum(len(w.terms) * len(v.terms) for a, w in w1.classes.items()
+               for b, v in v1.classes.items() if a + b in degrees)
+    if work > cover.MAX_CLASSES:
+        raise InvalidSetting(
+            f"class data needs {work} > {cover.MAX_CLASSES} term products")
+    euler = charpoly.line_sum_w(f.k, f.cover.b_plus_ell)
     entries = []
-    for i in range(max(0, n_minus_m + 1), f.k + 1):
-        product = virt[i] * euler
+    for i in degrees:
+        virt = charpoly.virtual_sw(w1, v1, i)
+        product = virt * euler
         entries.append(ConstraintEntry(
             degree=i,
-            virtual_class=virt[i].render(),
+            virtual_class=virt.render(),
             product=product.render(),
             satisfied=not product,
         ))

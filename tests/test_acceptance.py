@@ -340,7 +340,7 @@ def test_criterion_8_corollary_reporter(capsys):
         report_ = obstruct.corollary_constraints(
             fam, BundleClassData(k=k, rank=m, sw=()),
             BundleClassData(k=k, rank=n, sw=()))
-        euler_nonzero = bool(fam.h_plus_bundle.w(fam.h_plus_bundle.rank))
+        euler_nonzero = bool(charpoly.line_sum_w(fam.k, ls.b_plus_ell))
         degree_zero = next((e for e in report_.entries if e.degree == 0),
                            None)
         violated = degree_zero is not None and not degree_zero.satisfied

@@ -55,7 +55,7 @@ def test_render_canonical():
 def total_sw_line_sum(k, lines, trivial_rank=0):
     """Class data of a sum of line bundles with w1 supported on torus generators.
 
-    The expanded reference for LineSumBundle: each entry of `lines` is an
+    The expanded reference for line_sum_w: each entry of `lines` is an
     iterable of generator indices in 1..k, and the line contributes a
     factor 1 + sum of those generators to the total class.
     """
@@ -145,10 +145,8 @@ def test_line_sum_bundle_matches_expansion(k):
     for trivial in range(3):
         oracle = total_sw_line_sum(
             k, [(i,) for i in range(1, k + 1)], trivial)
-        bundle = charpoly.LineSumBundle(k, k + trivial)
-        assert bundle.rank == oracle.rank
-        for i in range(-1, bundle.rank + 2):
-            assert bundle.w(i) == oracle.w(i), (trivial, i)
+        for i in range(-1, oracle.rank + 2):
+            assert charpoly.line_sum_w(k, i) == oracle.w(i), (trivial, i)
 
 
 # --- virtual classes ---
@@ -156,25 +154,23 @@ def test_line_sum_bundle_matches_expansion(k):
 def test_virtual_unit_denominator():
     w1 = total_sw_line_sum(2, [(1,), (2,)], 0)
     v1 = BundleClassData(k=2, rank=3, sw=())
-    virt = charpoly.virtual_sw(w1, v1)
-    assert virt[0] == ExtPoly.one(2)
-    assert virt[1] == w1.w(1)
-    assert virt[2] == w1.w(2)
+    assert charpoly.virtual_sw(w1, v1, 0) == ExtPoly.one(2)
+    assert charpoly.virtual_sw(w1, v1, 1) == w1.w(1)
+    assert charpoly.virtual_sw(w1, v1, 2) == w1.w(2)
 
 
 def test_virtual_inverse_of_line():
     num = BundleClassData(k=1, rank=1, sw=())
     den = BundleClassData(k=1, rank=1, sw=(ExtPoly.t(1, 1),))
-    virt = charpoly.virtual_sw(num, den)
-    assert virt[1] == ExtPoly.t(1, 1)  # (1+t1)^{-1} = 1+t1
+    # (1+t1)^{-1} = 1+t1
+    assert charpoly.virtual_sw(num, den, 1) == ExtPoly.t(1, 1)
 
 
 def test_virtual_cancellation():
     num = total_sw_line_sum(2, [(1,), (2,)], 0)
     den = total_sw_line_sum(2, [(1,)], 0)
-    virt = charpoly.virtual_sw(num, den)
-    assert virt[1] == ExtPoly.t(2, 2)
-    assert not virt[2]
+    assert charpoly.virtual_sw(num, den, 1) == ExtPoly.t(2, 2)
+    assert not charpoly.virtual_sw(num, den, 2)
 
 
 @settings(max_examples=40)
@@ -190,9 +186,24 @@ def test_virtual_times_denominator_roundtrip(seed):
                      for i in range(1, rank + 1)))
     a, b = bundle(), bundle()
     total = ExtPoly.zero(k)
-    for part in charpoly.virtual_sw(a, b):
-        total = total + part
+    for i in range(k + 1):
+        total = total + charpoly.virtual_sw(a, b, i)
     assert total * b.total() == a.total()
+
+
+def test_virtual_mode_mismatch():
+    with pytest.raises(ModeMismatch):
+        charpoly.virtual_sw(BundleClassData(k=1, rank=1),
+                            BundleClassData(k=2, rank=1), 1)
+
+
+@pytest.mark.parametrize("sw", [
+    (ExtPoly.u(2),), (ExtPoly.one(2),), (ExtPoly.t(2, 1) * ExtPoly.t(2, 2),),
+    (ExtPoly.zero(2), ExtPoly.t(2, 1) + ExtPoly.t(2, 1) * ExtPoly.t(2, 2))])
+def test_class_data_is_pure_and_homogeneous(sw):
+    """w_i holds only products of i t's: the virtual classes rely on it."""
+    with pytest.raises(ValueError, match="pure base class of degree"):
+        BundleClassData(k=2, rank=2, sw=sw)
 
 
 # --- Laurent division ---

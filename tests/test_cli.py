@@ -1,5 +1,7 @@
 import contextlib
+import hashlib
 import io
+import itertools
 import json
 import os
 import resource
@@ -660,6 +662,7 @@ def test_constraints_file_errors(tmp_path):
     None, "V1\nrank\n", "V1\nrank x\n", "V1\nrank -3\nW1\nrank 1\n",
     "V1\nrank 1\nw_1 = t9\nW1\nrank 1\n", "V1\nrank 1\nw_1 = u\nW1\nrank 1\n",
     "V1\nrank 1\nW1\nrank 1\nw_1 = t1*t2\n", "V1\nrank 1\nw_1 = 1\nW1\nrank 1\n",
+    "V1\nrank 1\nW1\nrank 1\nw_1 = t1*u\n",
     pytest.param(f"V1\nrank 1\nw_{'9' * 5000} = 1\nW1\nrank 1\n",
                  id="degree-past-int-digit-limit"),
     pytest.param(f"V1\nrank 1\nW1\nrank 1\nw_1 = u^{'9' * 5000}\n",
@@ -691,6 +694,34 @@ def test_constraints_huge_rank_or_degree(content, same_as, tmp_path, capsys):
     assert cli.main(["constraints", "2*S2xS2 # S1xY(b1=1)", str(data)]) == 0
     assert run.stdout == capsys.readouterr().out
 
+
+
+def pair_class_data(k):
+    """w_2 = every t_i*t_j in both sections, V1 at rank 2 and W1 at rank 1:
+    the listed degrees 0..k take 1 + 2C + C^2 term products, C = C(k, 2)."""
+    pairs = " + ".join(f"t{i + 1}*t{j + 1}"
+                       for i, j in itertools.combinations(range(k), 2))
+    return f"V1\nrank 2\nw_2 = {pairs}\nW1\nrank 1\nw_2 = {pairs}\n"
+
+
+@pytest.mark.parametrize("k, code, out", [
+    (45, 0, "f6d057b27ab09d9df8a7d3ec497ee7b9db8555dda39c49859a0c072cbc83b821"),
+    (46, 1, hashlib.sha256(b"").hexdigest())], ids=["answers", "refused"])
+def test_constraints_class_data_work_cap(k, code, out, tmp_path):
+    # at k = 45 the classes take 991^2 = 982,081 term products and print
+    # the bytes they printed before the cap; at k = 46 they take 1036^2 =
+    # 1,073,296, over cover.MAX_CLASSES, and are refused before any
+    data = tmp_path / "classes.txt"
+    data.write_text(pair_class_data(k))
+    run, seconds = capped_child(
+        ["constraints", f"{k}*S2xS2 # S1xY(b1=1)", str(data)])
+    assert run.returncode == code
+    assert hashlib.sha256(run.stdout.encode()).hexdigest() == out
+    if code:
+        assert run.stderr == (
+            "InvalidSetting: class data needs 1073296 > 1000000 term "
+            "products\n")
+        assert seconds < 10
 
 @pytest.mark.parametrize("generators", ["-1", "9"])
 def test_constraints_generators_out_of_range(generators, tmp_path, capsys):

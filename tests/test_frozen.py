@@ -36,10 +36,9 @@ def samples():
         (x, ["summands"]),
         (charpoly.ExtPoly.u(2) + charpoly.ExtPoly.t(2, 1), ["k", "terms"]),
         (v1, ["k", "rank", "sw"]),
-        (fam.h_plus_bundle, ["k", "rank"]),
         (ls, ["base"]),
         (c, ["free_part", "square"]),
-        (fam, ["cover", "generators", "k", "h_plus_bundle"]),
+        (fam, ["cover", "generators"]),
         (obstruct.certify(x), [
             "verdict", "theorem_used", "base_dim", "b_plus_ell",
             "witness_monomial", "c1_square", "sigma", "index_kind",

@@ -56,10 +56,10 @@ def test_family_line_bundle_decomposition():
     x = spin_expr()
     fam, ls = family_for(x, k=2)
     assert fam.k == 2
-    assert fam.h_plus_bundle.rank == ls.b_plus_ell == 3
-    assert fam.h_plus_bundle.w(1) == ExtPoly.t(2, 1) + ExtPoly.t(2, 2)
-    assert fam.h_plus_bundle.w(2) == ExtPoly.t(2, 1) * ExtPoly.t(2, 2)
-    assert not fam.h_plus_bundle.w(3)
+    assert ls.b_plus_ell == 3
+    assert charpoly.line_sum_w(fam.k, 1) == ExtPoly.t(2, 1) + ExtPoly.t(2, 2)
+    assert charpoly.line_sum_w(fam.k, 2) == ExtPoly.t(2, 1) * ExtPoly.t(2, 2)
+    assert not charpoly.line_sum_w(fam.k, 3)
 
 
 def test_family_top_class_full_rank():
@@ -67,7 +67,7 @@ def test_family_top_class_full_rank():
     fam, ls = family_for(x)
     n = ls.b_plus_ell
     fam, _ = family_for(x, k=n)
-    top = fam.h_plus_bundle.w(n)
+    top = charpoly.line_sum_w(fam.k, n)
     expected = ExtPoly.one(n)
     for i in range(1, n + 1):
         expected = expected * ExtPoly.t(n, i)
@@ -77,8 +77,8 @@ def test_family_top_class_full_rank():
 def test_family_zero_generators():
     fam, _ = family_for(spin_expr(), k=0)
     assert fam.k == 0
-    assert fam.h_plus_bundle.w(0) == ExtPoly.one(0)
-    assert not fam.h_plus_bundle.w(1)
+    assert charpoly.line_sum_w(fam.k, 0) == ExtPoly.one(0)
+    assert not charpoly.line_sum_w(fam.k, 1)
 
 
 def test_family_rejects_bad_slots():
@@ -105,6 +105,17 @@ def test_slots_never_outnumber_b_plus_ell(counts, n_block):
     slots = manifold.reflection_slots(x)
     assert len(slots) <= ls.b_plus_ell
     assert obstruct.build_family(ls, slots).k == len(slots)
+
+
+def test_family_dimension_follows_generators():
+    """k is len(generators), so replace() cannot leave it stale."""
+    x = cli.parse("-E8 # 3*S2xS2 # S1xY(b1=1)")
+    fam, _ = family_for(x, k=2)
+    assert obstruct.check_theorem_B(fam).base_dim == 2
+    one = fam.replace(generators=fam.generators[:1])
+    assert one.k == 1
+    cert = obstruct.check_theorem_B(one)
+    assert (cert.base_dim, cert.verdict) == (1, obstruct.INCONCLUSIVE)
 
 
 # --- lift_valid ---
@@ -362,8 +373,6 @@ def test_certify_does_not_enumerate(monkeypatch):
 
 def test_build_family_does_not_expand_line_sum():
     x = cli.parse("2*-E8 # 40*S2xS2 # S2xSigma(g=1)")
-    fam, _ = family_for(x, k=39)
-    assert type(fam.h_plus_bundle) is charpoly.LineSumBundle
     cert = obstruct.certify(x)
     assert (cert.verdict, cert.theorem_used, cert.base_dim) == \
         (obstruct.NONSMOOTHABLE, "ThmB", 39)
@@ -458,6 +467,39 @@ def test_constraints_rank_mismatch():
         obstruct.corollary_constraints(
             fam, BundleClassData(k=1, rank=1, sw=()),
             BundleClassData(k=2, rank=1, sw=()))
+
+
+def random_class_data(k, rank, data):
+    """Class data over T^k: w_i a random sum of products of i t's."""
+    sw = []
+    for i in range(1, k + 1):
+        masks = data.draw(st.sets(st.sampled_from(
+            [sum(1 << j for j in c)
+             for c in itertools.combinations(range(k), i)]), max_size=4))
+        sw.append(ExtPoly(k, {(m, 0) for m in masks}))
+    return BundleClassData(k=k, rank=rank, sw=sw)
+
+
+@settings(max_examples=150, deadline=None)
+@given(b=st.integers(0, 5), data=st.data())
+def test_constraints_closed_form(b, data):
+    """Incompatible iff k = b_plus_ell and rank W1 < rank V1; no product
+    above degree 0 is nonzero; each virtual class is the degree part of
+    w(W1) * w(V1)^{-1}."""
+    x = manifold.expr(*([manifold.S2xS2()] * b), manifold.S1xY(1))
+    k = data.draw(st.integers(0, b))
+    fam, ls = family_for(x, k=k)
+    assert ls.b_plus_ell == b
+    v1 = random_class_data(k, data.draw(st.integers(0, 6)), data)
+    w1 = random_class_data(k, data.draw(st.integers(0, 6)), data)
+    report = obstruct.corollary_constraints(fam, v1, w1)
+    assert report.incompatible == (k == b and w1.rank < v1.rank)
+    assert all(e.product == "0" for e in report.entries if e.degree > 0)
+    total = w1.total() * charpoly.invert_unit(v1.total())
+    assert [e.degree for e in report.entries] == list(
+        range(max(0, w1.rank - v1.rank + 1), k + 1))
+    for e in report.entries:
+        assert e.virtual_class == total.t_degree_part(e.degree).render()
 
 
 # --- certify ---
