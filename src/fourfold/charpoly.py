@@ -4,13 +4,12 @@ H*(T^k; Z2) is the exterior algebra on degree-1 generators t1..tk, encoded
 by bitmask subsets so that ti^2 = 0 holds structurally.  Coefficients are
 extended by one Borel generator u of degree 1, so the equivariant Euler
 class w_b + w_{b-1} u that theorem B reads lives in the same ring.
-Negative powers of u appear only inside Laurent division.
 """
 
 import itertools
 
 from ._frozen import frozen
-from .errors import ModeMismatch, NonExactDivision, NonMonicDenominator
+from .errors import ModeMismatch
 
 
 @frozen
@@ -51,26 +50,6 @@ class ExtPoly:
     def __bool__(self):
         return bool(self.terms)
 
-    def min_u(self):
-        return min((up for _, up in self.terms), default=0)
-
-    def max_u(self):
-        return max((up for _, up in self.terms), default=0)
-
-    def t_degree_part(self, degree):
-        """Terms of pure base degree `degree` (no u)."""
-        keep = {t for t in self.terms
-                if t[1] == 0 and t[0].bit_count() == degree}
-        return ExtPoly(self.k, keep)
-
-    def u_coefficient(self, power):
-        """Coefficient of u^power, an ExtPoly with no u."""
-        keep = {(mask, 0) for mask, up in self.terms if up == power}
-        return ExtPoly(self.k, keep)
-
-    def shift_u(self, delta):
-        return ExtPoly(self.k, {(m, up + delta) for m, up in self.terms})
-
     # arithmetic
 
     def _check(self, other):
@@ -99,25 +78,14 @@ class ExtPoly:
             return "0"
         def term_str(term):
             mask, up = term
-            factors = [f"t{i + 1}" for i in range(self.k) if mask >> i & 1]
+            # the set bits, lowest first: linear in k
+            factors = [f"t{i}" for i, bit in enumerate(bin(mask)[:1:-1], 1)
+                       if bit == "1"]
             if up:
                 factors.append("u" if up == 1 else f"u^{up}")
             return "*".join(factors) if factors else "1"
         ordered = sorted(self.terms, key=lambda t: (t[1], t[0]))
         return " + ".join(term_str(t) for t in ordered)
-
-
-def invert_unit(p):
-    """Inverse of 1 + nilpotent in the exterior algebra: p itself.
-
-    Every term of nil = p + 1 holds a generator, so nil^2 = 0 mod 2 and
-    (1 + nil)^2 = 1.
-    """
-    nil = p + ExtPoly.one(p.k)
-    if (0, 0) not in p.terms or any(m == 0 for m, _ in nil.terms):
-        raise NonMonicDenominator(
-            "leading coefficient is not 1 + nilpotent")
-    return p
 
 
 @frozen
@@ -157,8 +125,11 @@ def line_sum_w(k, i):
 
     The total class is the product of (1 + tj), so w_i is the elementary
     symmetric polynomial e_i(t1..tk): 1 at i = 0, 0 unless 0 <= i <= k,
-    and otherwise C(k, i) terms, built without expanding all 2^k monomials.
+    and otherwise C(k, i) terms, built without expanding all 2^k monomials;
+    w_k is the one mask of all k bits.
     """
+    if i == k:
+        return ExtPoly(k, {((1 << k) - 1, 0)})
     if i < 0:
         return ExtPoly.zero(k)
     return ExtPoly(k, {(sum(1 << j for j in subset), 0)
@@ -177,31 +148,3 @@ def virtual_sw(numerator, denominator, i):
     return sum((w * denominator.classes[i - a]
                 for a, w in numerator.classes.items()
                 if i - a in denominator.classes), ExtPoly.zero(numerator.k))
-
-
-def laurent_divide(num, den):
-    """Exact division in the Laurent extension by u.
-
-    The denominator must be monic in u: its top u-coefficient must be
-    1 + nilpotent.  Returns (quotient, has_negative_u).  Raises
-    NonExactDivision when the denominator does not divide the numerator.
-    """
-    if num.k != den.k:
-        raise ModeMismatch("operands live in different rings")
-    if not den:
-        raise NonMonicDenominator("zero denominator")
-    m = den.max_u()
-    # its own inverse; NonMonicDenominator when not a unit
-    lead = invert_unit(den.u_coefficient(m))
-    floor = num.min_u() - m - num.k - 8
-    quotient = ExtPoly.zero(num.k)
-    rem = num
-    while rem:
-        d = rem.max_u()
-        if d - m < floor:
-            raise NonExactDivision(
-                "denominator does not divide numerator exactly")
-        q_term = (rem.u_coefficient(d) * lead).shift_u(d - m)
-        quotient = quotient + q_term
-        rem = rem + q_term * den
-    return quotient, quotient.min_u() < 0

@@ -57,16 +57,15 @@ def _parse_block(m, offset):
 
 
 def parse(text):
-    """Parse a connected-sum expression into a ManifoldExpr.
+    """Parse a connected-sum expression into a ManifoldExpr, one pair per term.
 
-    Raises InvalidSetting, before the list of blocks grows, when the sum
-    has more than cover.MAX_SUMMANDS summands; a composite counts the
-    summands it expands to, so a term of S4 adds nothing at any
-    multiplicity.
+    Raises InvalidSetting, at the term that passes it, when the sum has
+    more than cover.MAX_SUMMANDS summands; a composite counts the summands
+    it expands to, so a term of S4 adds nothing at any multiplicity.
     """
     if not text or not text.strip():
         raise ParseError("empty expression", 0)
-    blocks = []
+    terms = []
     count = 0
     pos = 0
     parts = text.split("#")
@@ -92,10 +91,9 @@ def parse(text):
         if count > cover.MAX_SUMMANDS:
             raise InvalidSetting(
                 f"more than {cover.MAX_SUMMANDS} summands")
-        if size:
-            blocks += [block] * mult
+        terms.append((block, mult))
         pos += len(part) + 1
-    return manifold.ManifoldExpr(tuple(blocks))
+    return manifold.ManifoldExpr(tuple(terms))
 
 
 def replay(cert):
@@ -179,7 +177,7 @@ def _cmd_classify(x, args):
 def _cmd_cover(x, args):
     ls = cover.build_standard_cover(x)
     print(f"b_plus_ell = {ls.b_plus_ell}")
-    print(f"free_rank_ell = {ls.form.rank}")
+    print(f"free_rank_ell = {ls.rank}")
     print(f"torsion_bits = {ls.torsion_bits}")
     print("b1_ell = 0 (reported, not computed)")
     print(f"w2_plus_w1sq free bits = {list(cover.w2_plus_w1sq(ls))}")
@@ -240,6 +238,8 @@ def _parse_constraint_file(path, k):
         if not line:
             continue
         if line in ("V1", "W1"):
+            if line in sections:
+                raise ParseError(f"repeated section header: {line!r}")
             current = line
             sections[current] = {"rank": None, "sw": {}}
             continue
@@ -253,6 +253,8 @@ def _parse_constraint_file(path, k):
                     f"cannot parse class data line {line!r}") from None
             if rank < 0:
                 raise ParseError(f"rank must be >= 0: {line!r}")
+            if sections[current]["rank"] is not None:
+                raise ParseError(f"repeated rank line: {line!r}")
             sections[current]["rank"] = rank
             continue
         m = re.fullmatch(r"w_(\d+)\s*=\s*(.*)", line)
@@ -262,6 +264,8 @@ def _parse_constraint_file(path, k):
             degree = int(m.group(1))
         except ValueError as e:
             raise ParseError(f"{e}: {line!r}") from None
+        if degree in sections[current]["sw"]:
+            raise ParseError(f"repeated w_{degree} line: {line!r}")
         try:
             poly = parse_poly(m.group(2), k)
         except ParseError as e:   # name the line
@@ -311,12 +315,12 @@ def _cmd_constraints(x, args):
     from . import obstruct
     normalized = manifold.normalize_homeo_type(x)
     ls = cover.build_standard_cover(normalized)
-    slots = manifold.reflection_slots(normalized)
-    top = min(ls.b_plus_ell, len(slots))
+    slots = manifold.reflection_slots(normalized, ls.b_plus_ell)
+    top = sum(n for _, n in slots)
     k = top if args.generators is None else args.generators
     if not 0 <= k <= top:
         raise InvalidSetting(f"generators must be in 0..{top}, got {k}")
-    fam = obstruct.build_family(ls, slots[:k])
+    fam = obstruct.build_family(ls, manifold.reflection_slots(normalized, k))
     v1, w1 = _parse_constraint_file(args.data, fam.k)
     report = obstruct.corollary_constraints(fam, v1, w1)
     print(f"n_minus_m = {report.n_minus_m}")

@@ -31,33 +31,44 @@ MAX_SUMMANDS = 100_000
 class LocalSystem:
     """The standard cover of `base`, twisted on every summand of its "N" part.
 
-    Not fields, as they follow from the sum: `form`, the free part of H^2
-    with twisted coefficients, which the twisted summands leave out;
-    `b_plus_ell`, b_plus with twisted coefficients, which is b_plus of the
-    simply-connected part, as a W block has no free cohomology; and
-    `torsion_bits`, one per W block.
+    Not fields, as they follow from the sum: `free`, the free part of H^2
+    with twisted coefficients, which the twisted summands leave out, as
+    (atom, count) pairs, and its `rank`; `b_plus_ell`, b_plus with twisted
+    coefficients, which is b_plus of the simply-connected part, as a W
+    block has no free cohomology; and `torsion_bits`, one per W block.
     """
 
     base: object                 # ManifoldExpr
 
     def __post_init__(self):
-        base = self.base
-        object.__setattr__(self, "form", lattice.IntersectionForm(
-            a for b in base.summands if b.spec.part != "N"
-            for a in b.form_atoms))
-        object.__setattr__(self, "b_plus_ell", base.sc.b_plus)
-        object.__setattr__(self, "torsion_bits", base.inv.torsion)
+        free = []
+        for b, n in self.base.terms:
+            if b.spec.part != "N":
+                # n copies of one atom are one pair; K3's two atoms alternate
+                free += b.atoms * n if len(b.atoms) > 1 else [
+                    (a, m * n) for a, m in b.atoms]
+        object.__setattr__(self, "free", tuple(free))
+        # a W block has no free cohomology, so this is the sc part's b2
+        object.__setattr__(self, "rank", self.base.sc.b2)
+        object.__setattr__(self, "b_plus_ell", self.base.sc.b_plus)
+        object.__setattr__(self, "torsion_bits", self.base.inv.torsion)
+
+    @property
+    def form(self):
+        """The free part as a form of one atom per copy."""
+        return lattice.IntersectionForm(
+            a for a, n in self.free for _ in range(n))
 
     def free_block_offsets(self):
-        """Map block index -> (offset, span) into the free twisted lattice."""
-        offsets = {}
-        off = 0
-        for i, block in enumerate(self.base.summands):
-            if block.spec.part == "N":
-                continue
-            span = block.inv.b2
-            offsets[i] = (off, span)
-            off += span
+        """Map pair index -> (offset, span) into the free twisted lattice.
+
+        The pair's copies start at offset, one after another, span apart.
+        """
+        offsets, off = {}, 0
+        for j, (block, n) in enumerate(self.base.terms):
+            if block.spec.part != "N":
+                offsets[j] = (off, block.inv.b2)
+                off += n * block.inv.b2
         return offsets
 
     def char_class(self, free_part):
@@ -67,10 +78,10 @@ class LocalSystem:
         w2_plus_w1sq mod 2, the rule parity_box lists by.
         """
         free_part = tuple(free_part)
-        if len(free_part) != self.form.rank:
+        if len(free_part) != self.rank:
             raise DimensionMismatch(
                 f"free part has length {len(free_part)}, "
-                f"expected {self.form.rank}")
+                f"expected {self.rank}")
         if any((v - bit) % 2 for v, bit in zip(free_part, w2_plus_w1sq(self))):
             raise PreconditionViolated(
                 "candidate class does not reduce to w2 + w1^2")
@@ -91,7 +102,7 @@ class CharClass:
 def build_standard_cover(x):
     """The standard cover: nontrivial on every S1xY / S2xSigma summand."""
     # the twisted kinds come last in the canonical order
-    if not x.summands or x.summands[-1].spec.part != "N":
+    if not x.terms or x.terms[-1][0].spec.part != "N":
         if x.h1z2_rank == 0:
             raise NoNontrivialCoverAvailable(
                 "H^1(X; Z2) = 0: no nontrivial double cover exists")
@@ -108,7 +119,8 @@ def w2_plus_w1sq(ls):
     even atoms.  The class vanishes on twisted summands, and its bit on
     each of the ls.torsion_bits W blocks is 1.
     """
-    return tuple(bit for atom in ls.form.atoms for bit in atom.wu)
+    return tuple(itertools.chain.from_iterable(
+        atom.wu * n for atom, n in ls.free))
 
 
 def parity_box(ls, bound):
@@ -122,12 +134,20 @@ def parity_box(ls, bound):
     """
     if bound < 1:
         raise InvalidSetting("bound must be >= 1")
-    bits = w2_plus_w1sq(ls)
-    # of the 2 bound + 1 entries, bound + 1 share bound's parity
-    if math.prod(bound + (bound % 2 == bit) for bit in bits) > MAX_CLASSES:
-        raise InvalidSetting(
-            f"bound {bound} gives more than {MAX_CLASSES} classes")
-    return [range(-bound + (bound % 2 != bit), bound + 1, 2) for bit in bits]
+    columns, size = [], 1
+    for atom, n in ls.free:
+        # of the 2 bound + 1 entries, bound + 1 share bound's parity.  A
+        # copy holds 1 class or at least 2, and 2 ** MAX_CLASSES.bit_length()
+        # > MAX_CLASSES, so capping the count in the power leaves the test
+        # below as it would be
+        per_copy = math.prod(bound + (bound % 2 == bit) for bit in atom.wu)
+        size *= per_copy ** min(n, MAX_CLASSES.bit_length())
+        if size > MAX_CLASSES:
+            raise InvalidSetting(
+                f"bound {bound} gives more than {MAX_CLASSES} classes")
+        columns += [range(-bound + (bound % 2 != bit), bound + 1, 2)
+                    for bit in atom.wu] * n
+    return columns
 
 
 def enumerate_characteristics(ls, bound=1):

@@ -59,14 +59,6 @@ class ModeMismatch(FourfoldError):
     code = "ModeMismatch"
 
 
-class NonMonicDenominator(FourfoldError):
-    code = "NonMonicDenominator"
-
-
-class NonExactDivision(FourfoldError):
-    code = "NonExactDivision"
-
-
 # obstruct
 
 class SlotUnavailable(FourfoldError):

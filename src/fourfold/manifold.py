@@ -1,6 +1,7 @@
 """Formal connected sums of oriented closed 4-manifold blocks.
 
-A ManifoldExpr is a multiset of standard blocks with additive invariants
+A ManifoldExpr is a multiset of standard blocks, held as one (block, count)
+pair per distinct block, with additive invariants
 (signature, Betti numbers, Kirby-Siebenmann bit) and a normalizer that
 rewrites the simply-connected part into its homeomorphism normal form.
 """
@@ -62,7 +63,6 @@ BLOCKS = {
                           lambda p: 2 * p, True, 0, 0, "S2xSigma", "N"),
 }
 _ORDER = {kind: i for i, kind in enumerate(BLOCKS)}
-_key = operator.attrgetter("key")
 
 
 class Invariants(tuple):
@@ -121,16 +121,20 @@ class Block:
         if self.kind == "E8" and self.sign not in (1, -1):
             raise ValueError("E8 block needs sign +1 or -1")
         # not fields: the BLOCKS row of the kind (None for the COMPOSITES),
-        # the sort key, and the invariants, read off the row's (atom,
-        # count) pairs at a cost that does not grow with the parameter
+        # the sort key, the rendered name, the row's (atom, count) pairs,
+        # and the invariants, read off those at a cost that does not grow
+        # with the parameter
         object.__setattr__(self, "spec", spec)
         if spec is None:
             return
         object.__setattr__(self, "key", (_ORDER[self.kind], -self.sign,
                                          self.param))
+        object.__setattr__(self, "name", spec.name.format(
+            s="-" if self.sign < 0 else "", p=self.param))
+        object.__setattr__(self, "atoms", spec.atoms(self))
         b_plus = b_minus = 0
         odd = False
-        for atom, n in spec.atoms(self):
+        for atom, n in self.atoms:
             p, m, _ = atom.inertia
             b_plus += n * p
             b_minus += n * m
@@ -141,7 +145,7 @@ class Block:
 
     @property
     def form_atoms(self):
-        return tuple(a for a, n in self.spec.atoms(self) for _ in range(n))
+        return tuple(a for a, n in self.atoms for _ in range(n))
 
     @property
     def form(self):
@@ -156,8 +160,7 @@ class Block:
         return self.b1 + self.spec.h1_torsion
 
     def render(self):
-        return self.spec.name.format(s="-" if self.sign < 0 else "",
-                                     p=self.param)
+        return self.name
 
 
 # one shared Block per name without a parameter: values are immutable, so
@@ -219,67 +222,71 @@ NAMED.update((kind, Block(kind)) for kind in COMPOSITES)
 
 @frozen
 class ManifoldExpr:
-    summands: tuple = ()
+    terms: tuple = ()   # (Block, count) pairs, one per distinct block
 
     def __post_init__(self):
-        blocks = []
-        for b in self.summands:
-            if b.spec is None:
-                blocks.extend(COMPOSITES[b.kind])
-            else:
-                blocks.append(b)
-        blocks.sort(key=_key)
-        # the one walk: each block's Invariants to its part; the fields are
-        # then added in C.  A zero row makes an empty part sum to zeros
-        sc, rest = [(0,) * 6], []
-        for b in blocks:
-            (sc if b.spec.part == "sc" else rest).append(b.inv)
-        object.__setattr__(self, "summands", tuple(blocks))
+        # merge the pairs, composites expanded, into one per distinct block,
+        # by its sort key
+        merged = {}
+        for b, n in self.terms:
+            if n < 0:
+                raise ValueError(f"count {n} must be >= 0")
+            for part in COMPOSITES[b.kind] if b.spec is None else (b,):
+                key = part.key
+                merged[key] = part, n + (merged[key][1] if key in merged else 0)
+        terms = [merged[key] for key in sorted(merged) if merged[key][1]]
+        # the one walk: each pair's Invariants, times its count, to its part
+        sc, rest = [0] * 6, [0] * 6
+        for b, n in terms:
+            part = sc if b.spec.part == "sc" else rest
+            for i, v in enumerate(b.inv):
+                part[i] += n * v
+        object.__setattr__(self, "terms", tuple(terms))
         # not fields: the sum's Invariants, and its simply-connected part's
-        object.__setattr__(self, "sc", Invariants(map(sum, zip(*sc))))
-        object.__setattr__(self, "inv", Invariants(map(sum, zip(*sc, *rest))))
+        object.__setattr__(self, "sc", Invariants(sc))
+        object.__setattr__(self, "inv", Invariants(map(sum, zip(sc, rest))))
 
     @property
     def form(self):
         return lattice.IntersectionForm(
-            a for b in self.summands for a in b.form_atoms)
+            a for b, n in self.terms for a in b.form_atoms * n)
 
     @property
     def b1(self):
-        return sum(b.b1 for b in self.summands)
+        return sum(n * b.b1 for b, n in self.terms)
 
     @property
     def h1z2_rank(self):
-        return sum(b.h1z2_rank for b in self.summands)
+        return sum(n * b.h1z2_rank for b, n in self.terms)
 
     def render(self):
-        if not self.summands:
+        if not self.terms:
             return "S4"
-        return " # ".join(b.render() for b in self.summands)
+        return " # ".join([" # ".join([b.name] * n) for b, n in self.terms])
 
 
 def expr(*blocks):
-    return ManifoldExpr(tuple(blocks))
+    return ManifoldExpr(tuple((b, 1) for b in blocks))
 
 
 def mirror(x):
     """Orientation reversal: swap each block for its mirror."""
     out = []
-    for b in x.summands:
+    for b, n in x.terms:
         if not b.spec.mirror:
             raise OrientationReversalUnavailable(
                 "the positively-oriented fake CP2 block is not modeled")
-        out.append(Block(b.spec.mirror, -b.sign, b.param))
+        out.append((Block(b.spec.mirror, -b.sign, b.param), n))
     return ManifoldExpr(tuple(out))
 
 
 def _normalize_sc(sc, w_count):
-    """Normal form of the simply-connected part, as a tuple of blocks.
+    """Normal form of the simply-connected part, as (block, count) pairs.
 
     sc holds the part's Invariants.  w_count is the number of W summands
     in the ambient expression; a rational homology sphere with torsion w2
     pairs with E8 summands in the normal form used for the Enriques-type
-    decompositions.
+    decompositions.  A count may be 0: ManifoldExpr drops its pair.
     """
     if sc.b2 == 0:
         return ()
@@ -294,7 +301,7 @@ def _normalize_sc(sc, w_count):
             raise SpinKSInconsistent(
                 "spin part violates KS = sigma/8 mod 2")
         sign = 1 if sigma > 0 else -1
-        return (E8Block(sign),) * p + (S2xS2(),) * min(bp, bm)
+        return (E8Block(sign), p), (S2xS2(), min(bp, bm))
 
     # odd case
     if w_count >= 1:
@@ -304,18 +311,18 @@ def _normalize_sc(sc, w_count):
                 n_plus = bp if sign < 0 else bp - 8 * w_count
                 n_minus = bm - 8 * w_count if sign < 0 else bm
                 if n_plus + n_minus >= 1:
-                    return ((E8Block(sign),) * w_count
-                            + (CP2(),) * n_plus + (NegCP2(),) * n_minus)
+                    return ((E8Block(sign), w_count), (CP2(), n_plus),
+                            (NegCP2(), n_minus))
     if ks == 0:
         if sigma <= -9:
-            return ((NegCP2(),) * (-sigma - 9) + (E8Block(-1),)
-                    + (NegCP2Fake(),) + (S2xS2(),) * bp)
+            return ((NegCP2(), -sigma - 9), (E8Block(-1), 1),
+                    (NegCP2Fake(), 1), (S2xS2(), bp))
         if sigma >= 9:
-            return ((CP2(),) * (sigma - 7) + (E8Block(1),)
-                    + (NegCP2Fake(),) + (S2xS2(),) * (bm - 1))
-        return (CP2(),) * bp + (NegCP2(),) * bm
+            return ((CP2(), sigma - 7), (E8Block(1), 1), (NegCP2Fake(), 1),
+                    (S2xS2(), bm - 1))
+        return (CP2(), bp), (NegCP2(), bm)
     # ks == 1: one fake summand fixes the Kirby-Siebenmann bit
-    return (CP2(),) * bp + (NegCP2(),) * (bm - 1) + (NegCP2Fake(),)
+    return (CP2(), bp), (NegCP2(), bm - 1), (NegCP2Fake(), 1)
 
 
 def normalize_homeo_type(x, reverse=False):
@@ -327,12 +334,22 @@ def normalize_homeo_type(x, reverse=False):
     if reverse:
         x = mirror(x)
     return ManifoldExpr(_normalize_sc(x.sc, x.inv.torsion) + tuple(
-        b for b in x.summands if b.spec.part != "sc"))
+        t for t in x.terms if t[0].spec.part != "sc"))
 
 
-def reflection_slots(x):
-    """Indices of the summands whose BLOCKS row has a reflection, ascending."""
-    return tuple(i for i, b in enumerate(x.summands) if b.spec.reflect)
+def reflection_slots(x, k):
+    """Slots for the first k copies of the blocks that have a reflection.
+
+    One (pair index, copies) per pair of x.terms, ascending; a pair's
+    copies run out before the next pair's start.  Fewer than k copies if
+    x holds fewer.
+    """
+    slots = []
+    for j, (b, n) in enumerate(x.terms):
+        if b.spec.reflect and k > 0:
+            slots.append((j, min(n, k)))
+            k -= n
+    return tuple(slots)
 
 
 def block_table():
@@ -344,7 +361,7 @@ def block_table():
     ]
     rows = [(b.render(), b) for b in samples]
     # Enriques is a composite: report the invariants of its expansion
-    rows.append(("Enriques", ManifoldExpr((Block("Enriques"),))))
+    rows.append(("Enriques", expr(Block("Enriques"))))
     return {name: {"b1": b.b1, "b2": b.inv.b2, "sigma": b.inv.sigma,
                    "spin": b.inv.spin, "ks": b.inv.ks,
                    "h1z2_rank": b.h1z2_rank}

@@ -11,8 +11,6 @@ charpoly.line_sum_w(k, i); they feed the two obstruction checks:
              -> no smooth structure.
 """
 
-import functools
-
 from . import charpoly, cover, manifold
 from ._frozen import frozen
 from .errors import (
@@ -34,10 +32,10 @@ INCONCLUSIVE = "Inconclusive"
 @frozen
 class FamilyDescriptor:
     cover: object               # LocalSystem over the normalized sum
-    generators: tuple           # one slot, a summand index, per generator
+    generators: tuple           # slots: (pair index, copies), one per pair
 
     def __post_init__(self):    # not a field: k, the base torus dimension
-        object.__setattr__(self, "k", len(self.generators))
+        object.__setattr__(self, "k", sum(n for _, n in self.generators))
 
 
 @frozen
@@ -59,39 +57,48 @@ class Certificate:
 
 
 def build_family(ls, slots):
-    """Multiple mapping torus over T^k from k distinct reflection slots.
+    """Multiple mapping torus over T^k from reflection slots.
 
-    A slot is an index into ls.base.summands whose block has a reflection,
-    as manifold.reflection_slots lists them.  Each is a distinct S2xS2 or
-    CP2 summand, which adds 1 to ls.b_plus_ell, so k <= ls.b_plus_ell.
+    A slot (j, n) is one generator on each of the first n copies of the
+    pair ls.base.terms[j], whose block has a reflection, as
+    manifold.reflection_slots lists them; 1 <= n <= the pair's count, and
+    no pair has two slots.  Each copy is a distinct S2xS2 or CP2 summand,
+    which adds 1 to ls.b_plus_ell, so k, the sum of the n, is at most
+    ls.b_plus_ell.
     """
     slots = tuple(slots)
-    summands = ls.base.summands
-    for i in slots:
-        if not (type(i) is int and 0 <= i < len(summands)
-                and summands[i].spec.reflect):
+    terms = ls.base.terms
+    for slot in slots:
+        j, n = slot if type(slot) is tuple and len(slot) == 2 else (-1, 0)
+        if not (type(j) is int and 0 <= j < len(terms) and type(n) is int
+                and 1 <= n <= terms[j][1] and terms[j][0].spec.reflect):
             raise SlotUnavailable(
-                f"no reflection slot {i!r} on {ls.base.render()}")
-    if len(set(slots)) != len(slots):
-        raise SlotUnavailable("reflection slots must be pairwise distinct")
+                f"no reflection slot {slot!r} on {ls.base.render()}")
+    if len({j for j, _ in slots}) != len(slots):
+        raise SlotUnavailable("reflection slots must be on distinct pairs")
     return FamilyDescriptor(cover=ls, generators=slots)
 
 
 def lift_valid(f, c):
-    """True iff each generator maps its block's part of c to plus/minus itself.
+    """True iff each generator maps its copy's part of c to plus/minus itself.
 
-    Models the per-block lift sign; whether the theorem needs one global
-    sign instead (g.c = +/-c on the whole free part, as the deck involution
-    negates every twisted coefficient at once) is an open question.
+    A slot checks each distinct copy of its part once.  Models the
+    per-block lift sign; whether the theorem needs one global sign instead
+    (g.c = +/-c on the whole free part, as the deck involution negates
+    every twisted coefficient at once) is an open question.
     """
     offsets = f.cover.free_block_offsets()
-    summands = f.cover.base.summands
-    for i in f.generators:
-        off, span = offsets[i]
-        comp = tuple(c.free_part[off:off + span])
-        image = summands[i].spec.reflect(comp)
-        if image not in (comp, tuple(-x for x in comp)):
-            return False
+    for j, n in f.generators:
+        off, span = offsets[j]
+        reflect = f.cover.base.terms[j][0].spec.reflect
+        part = tuple(c.free_part[off:off + n * span])
+        # a part that repeats one copy, as a closed-form class does, is
+        # checked once
+        step = len(part) if part == part[:span] * n else span
+        for at in range(0, len(part), step):
+            comp = part[at:at + span]
+            if reflect(comp) not in (comp, tuple(-x for x in comp)):
+                return False
     return True
 
 
@@ -100,15 +107,25 @@ def largest_liftable_class(f, bound):
 
     Found in closed form, without a search: the square is a sum over the
     form's atoms, so the first class in (-square, lexicographic) order
-    joins each atom's maximizer.  That class already lifts: a CP2 slot
-    negates its entry, and an S2xS2 slot carries (-e, -e) to (e, e).
-    A positive E8 atom, which a prepared cover never holds, raises
-    PreconditionViolated.
+    joins each atom's maximizer, and its square is the sum over the free
+    part's (atom, count) pairs of count times the maximizer's square.
+    That class already lifts: a CP2 slot negates its entry, and an S2xS2
+    slot carries (-e, -e) to (e, e).  A positive E8 atom, which a prepared
+    cover never holds, raises PreconditionViolated.
     """
     if bound < 1:
         raise InvalidSetting("bound must be >= 1")
-    return f.cover.char_class(
-        v for atom in f.cover.form.atoms for v in atom.maximizer(bound))
+    free, square = [], 0
+    for atom, n in f.cover.free:
+        v = atom.maximizer(bound)
+        # char_class's rule, checked once per pair
+        if tuple(map((2).__rmod__, v)) != atom.wu:
+            raise PreconditionViolated(
+                "candidate class does not reduce to w2 + w1^2")
+        free += v * n
+        square += n * sum(vi * mij * vj for row, vi in zip(atom.matrix(), v)
+                          if vi for mij, vj in zip(row, v))
+    return cover.CharClass(tuple(free), square)
 
 
 def _certificate(f, c1_square, sigma, transcript, scenario, bound,
@@ -137,11 +154,12 @@ def check_theorem_A(f, c, scenario="manual", bound=1):
             "generators do not lift: class not carried to plus/minus itself")
     b = f.cover.b_plus_ell
     w_top = charpoly.line_sum_w(f.k, b)
+    top = w_top.render()
     sigma = f.cover.base.inv.sigma
     transcript = [
         f"b_plus_ell = {b}",
         f"base_dim = {f.k}",
-        f"w_{b}(H+(E,l)) = {w_top.render()}",
+        f"w_{b}(H+(E,l)) = {top}",
         f"c1_square = {c.square}",
         f"sigma = {sigma}",
     ]
@@ -152,8 +170,7 @@ def check_theorem_A(f, c, scenario="manual", bound=1):
             f"real index m_minus_n = (c1_square - sigma)/4 = {m_minus_n} > 0",
         ]
         return _certificate(f, c.square, sigma, transcript, scenario, bound,
-                            "ThmA", w_top.render(), "real_m_minus_n",
-                            m_minus_n)
+                            "ThmA", top, "real_m_minus_n", m_minus_n)
     if not w_top:
         transcript.append(f"hypothesis failed: w_{b}(H+(E,l)) = 0")
     else:
@@ -172,12 +189,12 @@ def check_theorem_B(f, scenario="manual", bound=1):
     w_b1 = charpoly.line_sum_w(f.k, b - 1)
     euler = w_b + w_b1 * charpoly.ExtPoly.u(f.k)
     sigma = f.cover.base.inv.sigma
-    witness = w_b if w_b else w_b1
+    top, below = w_b.render(), w_b1.render()
     transcript = [
         f"b_plus_ell = {b}",
         f"base_dim = {f.k}",
-        f"w_{b}(H+(E,l)) = {w_b.render()}",
-        f"w_{b - 1}(H+(E,l)) = {w_b1.render()}",
+        f"w_{b}(H+(E,l)) = {top}",
+        f"w_{b - 1}(H+(E,l)) = {below}",
         f"e_C4(H+(E,l)) = {euler.render()}",
         "c1_square = 0",
         f"sigma = {sigma}",
@@ -189,7 +206,8 @@ def check_theorem_B(f, scenario="manual", bound=1):
             f"complex index r_minus_s = -sigma/8 = {r_minus_s} > 0",
         ]
         return _certificate(f, 0, sigma, transcript, scenario, bound, "ThmB",
-                            witness.render(), "complex_r_minus_s", r_minus_s)
+                            top if w_b else below, "complex_r_minus_s",
+                            r_minus_s)
     if not euler:
         transcript.append(
             f"hypothesis failed: w_{b} and w_{b - 1} of H+(E,l) both vanish")
@@ -278,7 +296,8 @@ _SCENARIOS = {
 def _certify_scenario(x, scenario, bound, prepared):
     """Check one scenario's hypotheses in order, then run its theorem.
 
-    prepared() returns _prepare(x), or the HypothesesNotMet it raised.
+    prepared holds _prepare(x), or the HypothesesNotMet it raised, once
+    a scenario has called it.
     """
     w_blocks, ks_zero, spin, theorem = _SCENARIOS[scenario]
     label = "spin" if spin else "non-spin"
@@ -289,7 +308,12 @@ def _certify_scenario(x, scenario, bound, prepared):
     if ks_zero and x.inv.ks != 0:
         raise HypothesesNotMet(
             "Kirby-Siebenmann class must vanish for a smooth manifold")
-    normalized = prepared()
+    if not prepared:
+        try:
+            prepared.append(_prepare(x))
+        except HypothesesNotMet as e:
+            prepared.append(e)
+    normalized = prepared[0]
     if isinstance(normalized, HypothesesNotMet):
         raise normalized
     if spin is not None:
@@ -303,18 +327,18 @@ def _certify_scenario(x, scenario, bound, prepared):
     except NoNontrivialCoverAvailable as e:
         raise HypothesesNotMet(str(e)) from None
     n = ls.b_plus_ell
-    slots = manifold.reflection_slots(normalized)
     if theorem == "ThmA":
-        # after _prepare there is one slot per positive direction.  w_top
-        # does not depend on the class, so the largest liftable class alone
-        # decides the verdict: when it is Inconclusive no smaller one fires.
-        fam = build_family(ls, slots[:n])
+        # after _prepare there is one slot copy per positive direction.
+        # w_top does not depend on the class, so the largest liftable class
+        # alone decides the verdict: when it is Inconclusive no smaller one
+        # fires.
+        fam = build_family(ls, manifold.reflection_slots(normalized, n))
         c = largest_liftable_class(fam, bound)
         cert = check_theorem_A(fam, c, scenario=scenario, bound=bound)
     else:
         # a spin part normalizes to E8 and S2xS2 summands: every slot is
         # an S2xS2
-        fam = build_family(ls, slots[:n - 1])
+        fam = build_family(ls, manifold.reflection_slots(normalized, n - 1))
         cert = check_theorem_B(fam, scenario=scenario, bound=bound)
     # echo the expression as given, ahead of the normalized one
     return cert.replace(
@@ -333,14 +357,7 @@ def certify(x, scenario="auto", bound=1):
     """
     if bound < 1:
         raise InvalidSetting("bound must be >= 1")
-
-    @functools.cache   # each scenario that gets as far prepares x once
-    def prepared():
-        try:
-            return _prepare(x)
-        except HypothesesNotMet as e:
-            return e
-
+    prepared = []   # each scenario that gets as far prepares x once
     if scenario in _SCENARIOS:
         return _certify_scenario(x, scenario, bound, prepared)
     if scenario != "auto":

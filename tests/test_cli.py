@@ -392,6 +392,49 @@ def test_random_spinc_gets_documented_exit(text, bound):
         assert documented_exit(["spinc", text, "--bound", str(bound)])
 
 
+def outputs(argv):
+    """(exit code, stdout, stderr) of cli.main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# the blocks a multiset below is made of; Enriques is -E8 # S2xS2 # W
+_KINDS = ("CP2", "-CP2", "-CP2fake", "S2xS2", "-E8", "E8", "W",
+          "S1xY(b1=1)", "S2xSigma(g=1)")
+
+
+@settings(max_examples=100, deadline=None)
+@given(counts=st.lists(st.integers(0, 3), min_size=len(_KINDS),
+                       max_size=len(_KINDS)), data=st.data())
+def test_every_writing_of_a_multiset_is_one_sum(counts, data):
+    """Term order, split multiplicities, Enriques for its three summands,
+    and 0*X and S4 terms change neither the sum nor any output byte."""
+    plain = " # ".join(f"{n}*{name}" for n, name in zip(counts, _KINDS)
+                       if n) or "S4"
+    left = dict(zip(_KINDS, counts))
+    enriques = data.draw(st.integers(
+        0, min(left["-E8"], left["S2xS2"], left["W"])))
+    terms = [f"{enriques}*Enriques"] if enriques else []
+    for name in ("-E8", "S2xS2", "W"):
+        left[name] -= enriques
+    for name, n in left.items():
+        while n:
+            take = data.draw(st.integers(1, n))
+            terms.append(f"{take}*{name}" if take > 1 or data.draw(
+                st.booleans()) else name)
+            n -= take
+    terms += data.draw(st.lists(st.sampled_from(
+        ["S4", "3*S4", "0*K3", "0*CP2", "0*Enriques"]), max_size=3))
+    written = " # ".join(data.draw(st.permutations(terms))) or "S4"
+    x, y = cli.parse(plain), cli.parse(written)
+    assert x == y
+    assert x.render() == y.render()
+    for command in (["certify", "--json"], ["spinc"]):
+        assert outputs([*command, plain]) == outputs([*command, written])
+
+
 def _poly(factor):
     return st.lists(st.lists(factor, min_size=1, max_size=3).map("*".join),
                     min_size=1, max_size=3).map(" + ".join)
@@ -668,7 +711,12 @@ def test_constraints_file_errors(tmp_path):
     pytest.param(f"V1\nrank 1\nW1\nrank 1\nw_1 = u^{'9' * 5000}\n",
                  id="power-past-int-digit-limit"),
     pytest.param("V1\nrank 1\nW1\nrank 1\nw_70 = u^70\n",
-                 id="u-above-torus")])
+                 id="u-above-torus"),
+    pytest.param("V1\nrank 1\nW1\nrank 1\nV1\nrank 2\n",
+                 id="repeated-header"),
+    pytest.param("V1\nrank 1\nW1\nrank 3\nrank 1\n", id="repeated-rank"),
+    pytest.param("V1\nrank 1\nw_1 = t1\nw_1 = t2\nW1\nrank 1\n",
+                 id="repeated-w")])
 def test_constraints_file_read_errors(content, tmp_path, capsys):
     data = tmp_path / "classes.txt"
     if content is not None:
@@ -676,6 +724,24 @@ def test_constraints_file_read_errors(content, tmp_path, capsys):
     code = cli.main(["constraints", "2*S2xS2 # S1xY(b1=1)", str(data)])
     assert code == 1
     assert capsys.readouterr().err.startswith("ParseError: ")
+
+
+def test_constraints_file_names_the_repeated_line(tmp_path, capsys):
+    # a repeated line used to overwrite the first, and a repeated header
+    # to drop its section: V1 / rank 1 / w_1 = t1 / w_1 = t2 / W1 / rank 3
+    # / rank 1 read as w_1 = t2 and rank W1 = 1, and printed Compatible
+    data = tmp_path / "classes.txt"
+    for content, message in (
+            ("V1\nrank 1\nw_1 = t1\nw_01 = t2\nW1\nrank 3\n",
+             "repeated w_1 line: 'w_01 = t2'"),
+            ("V1\nrank 1\nW1\nrank 3\nrank 1\n",
+             "repeated rank line: 'rank 1'"),
+            ("V1\nrank 1\nW1\nrank 3\nV1\nrank 2\n",
+             "repeated section header: 'V1'")):
+        data.write_text(content)
+        assert cli.main(["constraints", "2*S2xS2 # S1xY(b1=1)",
+                         str(data)]) == 1
+        assert capsys.readouterr() == ("", f"ParseError: {message}\n")
 
 
 @pytest.mark.parametrize("content, same_as", [

@@ -25,7 +25,8 @@ def test_b_plus_ell_equals_simply_connected_b_plus():
                       manifold.S1xY(1))
     ls = cover.build_standard_cover(x)
     assert ls.b_plus_ell == 3
-    sc = manifold.expr(*(b for b in x.summands if b.spec.part == "sc"))
+    sc = manifold.ManifoldExpr(
+        tuple(t for t in x.terms if t[0].spec.part == "sc"))
     assert ls.b_plus_ell == sc.inv.b_plus
 
 
@@ -38,8 +39,8 @@ def test_free_offsets_skip_exactly_the_n_blocks():
     x = manifold.expr(manifold.K3(), manifold.S1xY(2), manifold.S2xSigma(1))
     ls = cover.build_standard_cover(x)
     offsets = ls.free_block_offsets()
-    for i, block in enumerate(x.summands):
-        assert (i not in offsets) == (block.kind in ("S1xY", "S2xSigma"))
+    for j, (block, _) in enumerate(x.terms):
+        assert (j not in offsets) == (block.kind in ("S1xY", "S2xSigma"))
 
 
 def test_no_cover_when_h1_trivial():

@@ -13,8 +13,7 @@ def samples():
     """One value of each value class, with its fields in order."""
     x = manifold.normalize_homeo_type(cli.parse(SPIN))
     ls = cover.build_standard_cover(x)
-    slots = manifold.reflection_slots(x)
-    fam = obstruct.build_family(ls, slots[:2])
+    fam = obstruct.build_family(ls, manifold.reflection_slots(x, 2))
     # the zero vector is not characteristic on this odd form
     c = obstruct.largest_liftable_class(fam, 1)
     v1 = charpoly.BundleClassData(2, 1, (charpoly.ExtPoly.t(2, 1),))
@@ -33,7 +32,7 @@ def samples():
             "parity", "e8_count", "e8_sign", "hyperbolic_count",
             "diag_plus", "diag_minus"]),
         (manifold.Block("S1xY", param=1), ["kind", "sign", "param"]),
-        (x, ["summands"]),
+        (x, ["terms"]),
         (charpoly.ExtPoly.u(2) + charpoly.ExtPoly.t(2, 1), ["k", "terms"]),
         (v1, ["k", "rank", "sw"]),
         (ls, ["base"]),

@@ -62,14 +62,14 @@ def test_unknown_kind_rejected():
 
 def test_s4_is_identity():
     x = manifold.expr(manifold.K3(), manifold.S2xS2())
-    y = manifold.expr(*x.summands, manifold.Block("S4"))
+    y = manifold.ManifoldExpr(x.terms + ((manifold.Block("S4"), 5),))
     assert x == y
 
 
 def test_enriques_expansion():
     e = manifold.expr(manifold.Block("Enriques"))
-    kinds = sorted(b.kind for b in e.summands)
-    assert kinds == ["E8", "S2xS2", "W"]
+    assert [(b.kind, n) for b, n in e.terms] == [
+        ("E8", 1), ("S2xS2", 1), ("W", 1)]
     inv = e.inv
     assert (inv.sigma, inv.ks, inv.b2, inv.spin) == (-8, 0, 10, False)
 
@@ -103,16 +103,17 @@ ANY_BLOCK = st.one_of(st.sampled_from(list(manifold.NAMED.values())),
 @given(st.lists(ANY_BLOCK, max_size=8), st.booleans())
 def test_sum_invariants_match_the_atom_walk(blocks, reverse):
     x = manifold.expr(*blocks)
-    if reverse and all(b.spec.mirror for b in x.summands):
+    if reverse and all(b.spec.mirror for b, _ in x.terms):
         x = manifold.mirror(x)
-    for b in x.summands:
+    for b, _ in x.terms:
         inv = lattice.invariants(b.form)
         assert (b.inv.b_plus, b.inv.b_minus, b.inv.even) == \
             (inv.b_plus, inv.b_minus, inv.parity == "even")
         assert (b.inv.b2, b.inv.sigma) == (inv.rank, inv.signature)
-    sc = tuple(b for b in x.summands if b.spec.part == "sc")
-    for part, summands in ((x.inv, x.summands), (x.sc, sc)):
-        inv = lattice.invariants(manifold.ManifoldExpr(summands).form)
+    everything = [b for b, n in x.terms for _ in range(n)]
+    sc = [b for b in everything if b.spec.part == "sc"]
+    for part, summands in ((x.inv, everything), (x.sc, sc)):
+        inv = lattice.invariants(manifold.expr(*summands).form)
         assert (part.b_plus, part.b_minus, part.b2, part.sigma, part.even) \
             == (inv.b_plus, inv.b_minus, inv.rank, inv.signature,
                 inv.parity == "even")
@@ -128,9 +129,9 @@ def test_mirror_blocks():
                       manifold.S2xS2(), manifold.S1xY(1))
     m = manifold.mirror(x)
     assert m.inv.sigma == -x.inv.sigma
-    kinds = sorted(b.kind for b in m.summands)
+    kinds = sorted(b.kind for b, _ in m.terms)
     assert kinds == ["E8", "NegCP2", "NegK3", "S1xY", "S2xS2"]
-    assert next(b for b in m.summands if b.kind == "E8").sign == 1
+    assert next(b for b, _ in m.terms if b.kind == "E8").sign == 1
 
 
 def test_mirror_fake_cp2_unavailable():
@@ -142,8 +143,8 @@ def test_mirror_fake_cp2_unavailable():
 
 def test_normalize_k3():
     out = manifold.normalize_homeo_type(manifold.expr(manifold.K3()))
-    kinds = [b.render() for b in out.summands]
-    assert kinds == ["-E8", "-E8", "S2xS2", "S2xS2", "S2xS2"]
+    assert [(b.render(), n) for b, n in out.terms] == [
+        ("-E8", 2), ("S2xS2", 3)]
     assert (out.inv.sigma, out.inv.b2) == (-16, 22)
 
 
@@ -151,8 +152,8 @@ def test_normalize_odd_negative_signature():
     # 10 copies of -CP2 plus S2xS2: sigma=-10, ks=0, odd indefinite
     x = manifold.expr(*([manifold.NegCP2()] * 10), manifold.S2xS2())
     out = manifold.normalize_homeo_type(x)
-    names = [b.render() for b in out.summands]
-    assert names == ["-E8", "S2xS2", "-CP2", "-CP2fake"]
+    assert [(b.render(), n) for b, n in out.terms] == [
+        ("-E8", 1), ("S2xS2", 1), ("-CP2", 1), ("-CP2fake", 1)]
     assert (out.inv.sigma, out.inv.b2, out.inv.ks) == (-10, 12, 0)
 
 
@@ -170,30 +171,30 @@ def test_normalize_enriques_type():
                           *([manifold.S2xS2()] * a),
                           *([manifold.E8Block(-1)] * (2 * b)))
         out = manifold.normalize_homeo_type(x)
-        counts = {}
-        for blk in out.summands:
-            counts[blk.render()] = counts.get(blk.render(), 0) + 1
+        counts = {blk.render(): n for blk, n in out.terms}
         assert counts == {"-E8": m + 2 * b, "S2xS2": m + a, "W": m}
 
 
 def test_normalize_small_odd_balanced():
     x = manifold.expr(manifold.CP2(), manifold.NegCP2(), manifold.NegCP2())
     out = manifold.normalize_homeo_type(x)
-    assert [b.render() for b in out.summands] == ["CP2", "-CP2", "-CP2"]
+    assert [(b.render(), n) for b, n in out.terms] == [("CP2", 1),
+                                                       ("-CP2", 2)]
 
 
 def test_normalize_ks_one_odd():
     x = manifold.expr(manifold.CP2(), manifold.NegCP2(),
                       manifold.NegCP2Fake())
     out = manifold.normalize_homeo_type(x)
-    assert [b.render() for b in out.summands] == ["CP2", "-CP2", "-CP2fake"]
+    assert [(b.render(), n) for b, n in out.terms] == [
+        ("CP2", 1), ("-CP2", 1), ("-CP2fake", 1)]
 
 
 def test_normalize_reverse_flag():
     x = manifold.expr(manifold.K3())
     out = manifold.normalize_homeo_type(x, reverse=True)
     assert out.inv.sigma == 16
-    assert all(b.render() in ("E8", "S2xS2") for b in out.summands)
+    assert all(b.render() in ("E8", "S2xS2") for b, _ in out.terms)
 
 
 def test_normalize_rejects_definite():
@@ -213,8 +214,8 @@ def test_normalize_idempotent_and_invariant_preserving(blocks):
         (x.inv.sigma, x.b1, x.inv.b2, x.inv.spin, x.inv.ks)
     assert lattice.invariants(out.form).parity == \
         lattice.invariants(x.form).parity
-    assert [b for b in out.summands if b.spec.part != "sc"] == \
-        [b for b in x.summands if b.spec.part != "sc"]
+    assert [t for t in out.terms if t[0].spec.part != "sc"] == \
+        [t for t in x.terms if t[0].spec.part != "sc"]
 
 
 def test_smooth_blocks_have_zero_ks():
@@ -229,11 +230,18 @@ def test_smooth_blocks_have_zero_ks():
 
 def test_slots_per_summand():
     x = manifold.expr(*([manifold.S2xS2()] * 3))
-    assert manifold.reflection_slots(x) == (0, 1, 2)
-    y = manifold.expr(*([manifold.CP2()] * 2), manifold.NegCP2())
-    assert [y.summands[i].kind for i in manifold.reflection_slots(y)] == [
-        "CP2", "CP2"]
-    assert manifold.reflection_slots(manifold.expr()) == ()
+    assert manifold.reflection_slots(x, 3) == ((0, 3),)
+    assert manifold.reflection_slots(x, 9) == ((0, 3),)
+    assert manifold.reflection_slots(x, 2) == ((0, 2),)
+    assert manifold.reflection_slots(x, 0) == ()
+    # sorted: S2xS2 # 2*CP2 # -CP2; the first k copies, pair by pair
+    y = manifold.expr(*([manifold.CP2()] * 2), manifold.NegCP2(),
+                      manifold.S2xS2())
+    assert manifold.reflection_slots(y, 2) == ((0, 1), (1, 1))
+    assert manifold.reflection_slots(y, 5) == ((0, 1), (1, 2))
+    assert [y.terms[j][0].kind for j, _ in manifold.reflection_slots(y, 5)] \
+        == ["S2xS2", "CP2"]
+    assert manifold.reflection_slots(manifold.expr(), 1) == ()
 
 
 def test_reflection_column():

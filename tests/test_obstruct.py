@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from fourfold import charpoly, cli, cover, lattice, manifold, obstruct
 from fourfold.charpoly import BundleClassData, ExtPoly
 from fourfold.errors import (
@@ -17,13 +18,11 @@ from fourfold.errors import (
 )
 
 
-def family_for(x, k=None, kind=None):
+def family_for(x, k=None):
+    """The family on the first k reflection copies of x, all if k is None."""
     ls = cover.build_standard_cover(x)
-    slots = [i for i in manifold.reflection_slots(x)
-             if kind is None or x.summands[i].kind == kind]
-    if k is None:
-        k = len(slots)
-    return obstruct.build_family(ls, slots[:k]), ls
+    slots = manifold.reflection_slots(x, x.inv.b2 if k is None else k)
+    return obstruct.build_family(ls, slots), ls
 
 
 def spin_expr(e8=2, s2=3):
@@ -82,18 +81,26 @@ def test_family_zero_generators():
 
 
 def test_family_rejects_bad_slots():
-    # sorted: -E8 # S2xS2 # S2xS2 # -CP2 # W # S1xY(b1=1); slots 1 and 2
+    # sorted: -E8 # 2*S2xS2 # -CP2 # W # S1xY(b1=1); pair 1 reflects
     x = cli.parse("S2xS2 # -CP2 # W # -E8 # S2xS2 # S1xY(b1=1)")
     ls = cover.build_standard_cover(x)
-    slots = manifold.reflection_slots(x)
-    assert slots == (1, 2)
-    # negative indices must not wrap round to the last summands
-    bad = [(-1,), (-5,), (-6,), (6,), (99,), (0,), (3,), (4,), (5,),
-           (1, 1), (2, 1, 2), (True,), ("1",), (1.0,)]
-    for generators in bad:
+    assert manifold.reflection_slots(x, 9) == ((1, 2),)
+    bad = [
+        # a pair with no reflection, or none at all: negative indices
+        # must not wrap round to the last pairs
+        (0, 1), (2, 1), (3, 1), (4, 1), (5, 1), (99, 1), (-1, 1), (-4, 1),
+        (1, 0), (1, 3), (1, -1),          # zero or too many copies
+        (True, 1), (1, True), ("1", 1), (1.0, 1), (1, 1.0),
+        1, (1,), (1, 1, 1), [1, 1],       # not a (pair, copies) tuple
+    ]
+    for slot in bad:
         with pytest.raises(SlotUnavailable):
-            obstruct.build_family(ls, generators)
-    assert obstruct.build_family(ls, (2, 1)).generators == (2, 1)
+            obstruct.build_family(ls, (slot,))
+    for repeated in [((1, 1), (1, 1)), ((1, 1), (1, 2))]:
+        with pytest.raises(SlotUnavailable, match="distinct pairs"):
+            obstruct.build_family(ls, repeated)
+    assert obstruct.build_family(ls, [(1, 2)]).generators == ((1, 2),)
+    assert obstruct.build_family(ls, [(1, 1)]).k == 1
 
 
 @given(counts=random_blocks, n_block=n_blocks)
@@ -102,17 +109,18 @@ def test_slots_never_outnumber_b_plus_ell(counts, n_block):
     so a family may take every slot as a generator."""
     x = cli.parse(" # ".join(terms_of(counts, n_block)))
     ls = cover.build_standard_cover(x)
-    slots = manifold.reflection_slots(x)
-    assert len(slots) <= ls.b_plus_ell
-    assert obstruct.build_family(ls, slots).k == len(slots)
+    slots = manifold.reflection_slots(x, x.inv.b2)
+    copies = sum(n for _, n in slots)
+    assert copies <= ls.b_plus_ell
+    assert obstruct.build_family(ls, slots).k == copies
 
 
 def test_family_dimension_follows_generators():
-    """k is len(generators), so replace() cannot leave it stale."""
+    """k is the sum of the copies, so replace() cannot leave it stale."""
     x = cli.parse("-E8 # 3*S2xS2 # S1xY(b1=1)")
     fam, _ = family_for(x, k=2)
     assert obstruct.check_theorem_B(fam).base_dim == 2
-    one = fam.replace(generators=fam.generators[:1])
+    one = fam.replace(generators=((fam.generators[0][0], 1),))
     assert one.k == 1
     cert = obstruct.check_theorem_B(one)
     assert (cert.base_dim, cert.verdict) == (1, obstruct.INCONCLUSIVE)
@@ -138,7 +146,7 @@ def test_lift_cp2_component_flipped_to_minus_itself():
     # reflections on CP2 summands send e to -e; the plus/minus rule accepts it
     x = manifold.expr(manifold.CP2(), manifold.NegCP2(), manifold.NegCP2(),
                       manifold.S1xY(1))
-    fam, ls = family_for(x, kind="CP2")
+    fam, ls = family_for(x)
     assert fam.k == 1
     c = ls.char_class((1, 1, 1))
     assert obstruct.lift_valid(fam, c)
@@ -149,19 +157,28 @@ def test_lift_rejects_moved_component():
     fam, ls = family_for(x)
     moved = ls.char_class((2, 0))  # reflection sends (2,0) to (0,-2)
     assert not obstruct.lift_valid(fam, moved)
+    # a slot of two copies checks each, whether the part repeats one or not
+    x = manifold.expr(manifold.S2xS2(), manifold.S2xS2(), manifold.S1xY(1))
+    fam, ls = family_for(x)
+    assert fam.generators == ((0, 2),)
+    for free, lifts in (((2, 0, 2, 0), False), ((2, 2, 2, 0), False),
+                        ((2, 0, 2, 2), False), ((2, 2, -2, -2), True),
+                        ((2, 2, 2, 2), True)):
+        assert obstruct.lift_valid(fam, ls.char_class(free)) == lifts
 
 
 def lifts_with_global_sign(f, c):
     """True iff each generator carries c to +/-c on the whole free part."""
     offsets = f.cover.free_block_offsets()
     free = tuple(c.free_part)
-    for i in f.generators:
-        off, span = offsets[i]
-        image = list(free)
-        image[off:off + span] = f.cover.base.summands[i].spec.reflect(
-            free[off:off + span])
-        if tuple(image) not in (free, tuple(-v for v in free)):
-            return False
+    for j, n in f.generators:
+        off, span = offsets[j]
+        reflect = f.cover.base.terms[j][0].spec.reflect
+        for at in range(off, off + n * span, span):   # one copy per generator
+            image = list(free)
+            image[at:at + span] = reflect(free[at:at + span])
+            if tuple(image) not in (free, tuple(-v for v in free)):
+                return False
     return True
 
 
@@ -170,7 +187,7 @@ def certify_family(x):
     prepared = obstruct._prepare(x)
     ls = cover.build_standard_cover(prepared)
     return obstruct.build_family(
-        ls, manifold.reflection_slots(prepared)[:ls.b_plus_ell])
+        ls, manifold.reflection_slots(prepared, ls.b_plus_ell))
 
 
 @pytest.mark.parametrize("k", range(5))
@@ -235,8 +252,8 @@ def test_theorem_a_fires_on_nonspin_series():
 def test_theorem_a_inconclusive_when_top_class_vanishes():
     x = nonspin_expr(m=0, n=2)
     ls = cover.build_standard_cover(x)
-    slots = manifold.reflection_slots(x)
-    fam = obstruct.build_family(ls, slots[:ls.b_plus_ell - 1])
+    fam = obstruct.build_family(
+        ls, manifold.reflection_slots(x, ls.b_plus_ell - 1))
     c = ls.char_class((0,) * 8 + (0, 0, 0, 0) + (1,))
     cert = obstruct.check_theorem_A(fam, c)
     assert cert.verdict == obstruct.INCONCLUSIVE
@@ -246,7 +263,7 @@ def test_theorem_a_inconclusive_when_top_class_vanishes():
 def test_theorem_a_never_fires_when_inequality_holds():
     # sigma = 0 and every enumerated class has square <= 0 = sigma
     x = manifold.expr(manifold.CP2(), manifold.NegCP2(), manifold.S1xY(1))
-    fam, ls = family_for(x, kind="CP2")
+    fam, ls = family_for(x)
     fired = 0
     for c in cover.enumerate_characteristics(ls, 2):
         if not obstruct.lift_valid(fam, c):
@@ -296,11 +313,12 @@ def first_liftable(fam, bound):
                          ("CP2 # -CP2fake # 2*S2xS2 # S2xSigma(g=1)", (4,)))
     for bound in bounds for step in (1, 2)])
 def test_largest_liftable_class_matches_oracle(text, bound, step):
-    # step 2 leaves every other slot without a generator, so equal blocks
-    # with and without one occur in the same family
+    # step 2 keeps every other slot, and half its copies rounded up, so
+    # equal blocks with and without a generator occur in the same family
     x = cli.parse(text)
     ls = cover.build_standard_cover(x)
-    slots = manifold.reflection_slots(x)[:ls.b_plus_ell][::step]
+    slots = [(j, -(-n // step)) for j, n in
+             manifold.reflection_slots(x, ls.b_plus_ell)[::step]]
     fam = obstruct.build_family(ls, slots)
     want = first_liftable(fam, bound)
     assert want is not None
@@ -311,16 +329,17 @@ def test_largest_liftable_class_matches_oracle(text, bound, step):
 @given(counts=st.lists(st.integers(0, 2), min_size=5, max_size=5),
        n_block=st.sampled_from(["S1xY(b1=1)", "S2xSigma(g=1)"]),
        bound=st.integers(1, 2),
-       mask=st.lists(st.booleans(), min_size=6, max_size=6))
+       copies=st.lists(st.integers(0, 2), min_size=2, max_size=2))
 def test_largest_liftable_class_matches_oracle_random(counts, n_block, bound,
-                                                      mask):
+                                                      copies):
     names = ("CP2", "-CP2", "-CP2fake", "S2xS2", "W")
     text = " # ".join([f"{n}*{name}" for n, name in zip(counts, names)]
                       + [n_block])
     x = cli.parse(text)
     ls = cover.build_standard_cover(x)
-    slots = [s for s, keep in zip(manifold.reflection_slots(x), mask)
-             if keep][:ls.b_plus_ell]
+    # up to `copies` copies of each reflecting pair; 0 leaves it out
+    slots = [(j, min(n, want)) for (j, n), want in
+             zip(manifold.reflection_slots(x, ls.b_plus_ell), copies) if want]
     fam = obstruct.build_family(ls, slots)
     assert obstruct.largest_liftable_class(fam, bound) == \
         first_liftable(fam, bound)
@@ -339,7 +358,8 @@ def test_prepared_cover_has_closed_form_atoms(counts, n_block):
         assert isinstance(atom, (lattice.Diag, lattice.Hyperbolic)) \
             or atom == lattice.E8(-1)
     # Theorem A takes one generator per positive direction of the free form
-    assert ls.b_plus_ell == len(manifold.reflection_slots(prepared))
+    assert ls.b_plus_ell == sum(
+        n for _, n in manifold.reflection_slots(prepared, prepared.inv.b2))
 
 
 def test_largest_liftable_class_refuses_positive_e8():
@@ -379,6 +399,22 @@ def test_build_family_does_not_expand_line_sum():
     assert cert.witness_monomial == "*".join(f"t{i}" for i in range(1, 40))
 
 
+def test_scale_row_is_three_pairs():
+    """98,021 summands are 3 pairs, and the family one slot of 49,000."""
+    x = cli.parse("49000*CP2 # 49020*-CP2 # S1xY(b1=1)")
+    assert [(b.render(), n) for b, n in x.terms] == [
+        ("CP2", 49_000), ("-CP2", 49_020), ("S1xY(b1=1)", 1)]
+    # sigma = -20 normalizes to -E8 # 49000*S2xS2 # 11*-CP2 # -CP2fake
+    fam = certify_family(x)
+    assert [(b.render(), n) for b, n in fam.cover.base.terms] == [
+        ("-E8", 1), ("S2xS2", 49_000), ("-CP2", 11), ("-CP2fake", 1),
+        ("S1xY(b1=1)", 1)]
+    assert (fam.k, fam.generators) == (49_000, ((1, 49_000),))
+    cert = obstruct.certify(x)
+    assert (cert.verdict, cert.theorem_used, cert.base_dim) == \
+        (obstruct.NONSMOOTHABLE, "ThmA", 49_000)
+
+
 def test_certify_family_over_t23():
     # expanding the product of (1 + ti) here takes 2^23 monomials
     x = cli.parse("Enriques # -K3 # S1xY(b1=1) # -E8 # K3 # -E8")
@@ -409,7 +445,7 @@ def test_theorem_b_inconclusive_at_zero_signature():
 
 def test_theorem_b_requires_zero_class():
     x = manifold.expr(manifold.CP2(), manifold.NegCP2(), manifold.S1xY(1))
-    fam, _ = family_for(x, kind="CP2")
+    fam, _ = family_for(x)
     with pytest.raises(ZeroClassUnavailable):
         obstruct.check_theorem_B(fam)
 
@@ -495,11 +531,12 @@ def test_constraints_closed_form(b, data):
     report = obstruct.corollary_constraints(fam, v1, w1)
     assert report.incompatible == (k == b and w1.rank < v1.rank)
     assert all(e.product == "0" for e in report.entries if e.degree > 0)
-    total = w1.total() * charpoly.invert_unit(v1.total())
+    total = w1.total() * oracles.invert_unit(v1.total())
     assert [e.degree for e in report.entries] == list(
         range(max(0, w1.rank - v1.rank + 1), k + 1))
     for e in report.entries:
-        assert e.virtual_class == total.t_degree_part(e.degree).render()
+        assert e.virtual_class == \
+            oracles.t_degree_part(total, e.degree).render()
 
 
 # --- certify ---
