@@ -19,16 +19,8 @@ class InvalidSetting(FourfoldError, ValueError):
 
 # lattice
 
-class DegenerateForm(FourfoldError):
-    code = "DegenerateForm"
-
-
 class DimensionMismatch(FourfoldError):
     code = "DimensionMismatch"
-
-
-class DefiniteFormUnsupported(FourfoldError):
-    code = "DefiniteFormUnsupported"
 
 
 # manifold

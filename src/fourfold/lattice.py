@@ -1,20 +1,16 @@
-"""Exact arithmetic for integer symmetric bilinear forms.
+"""Exact arithmetic for the unimodular integer forms of the standard blocks.
 
 Forms are direct sums of atoms: rank-1 diagonal summands, hyperbolic
-planes, the rank-8 even unimodular definite lattice (either sign), and
-arbitrary square integer symmetric matrices.  Signatures are computed by
-rational congruence diagonalization, never floating point.
+planes, and the rank-8 even unimodular definite lattice (either sign).
 
-Every atom carries its `rank`, its `inertia` (b_plus, b_minus, b_zero) and
-whether it is `even`; RawMatrix computes them from its matrix.  The
-unimodular atoms (Diag, Hyperbolic, E8) also carry their Wu class `wu` and
-`maximizer(bound)`: the lexicographically smallest characteristic vector of
-largest square with entries in [-bound, bound].
+Every atom carries its `rank`, its `inertia` (b_plus, b_minus, b_zero),
+whether it is `even`, its Gram `matrix()`, its Wu class `wu` and
+`maximizer(bound)`: the lexicographically smallest characteristic vector
+of largest square with entries in [-bound, bound].
 """
 
 from ._frozen import frozen
-from .errors import (DegenerateForm, DefiniteFormUnsupported,
-                     DimensionMismatch, PreconditionViolated)
+from .errors import DimensionMismatch, PreconditionViolated
 
 # Gram matrix of the even unimodular positive-definite rank-8 lattice
 # (Cartan matrix of the corresponding root system).
@@ -100,39 +96,6 @@ class E8:
 
 
 @frozen
-class RawMatrix:
-    entries: tuple
-
-    def __post_init__(self):
-        n = len(self.entries)
-        for row in self.entries:
-            if len(row) != n:
-                raise ValueError("RawMatrix must be square")
-        for i in range(n):
-            for j in range(n):
-                a = self.entries[i][j]
-                if not isinstance(a, int):
-                    raise ValueError("RawMatrix entries must be integers")
-                if a != self.entries[j][i]:
-                    raise ValueError("RawMatrix must be symmetric")
-
-    @property
-    def rank(self):
-        return len(self.entries)
-
-    @property
-    def inertia(self):
-        return _raw_inertia(self.entries)
-
-    @property
-    def even(self):
-        return all(row[i] % 2 == 0 for i, row in enumerate(self.entries))
-
-    def matrix(self):
-        return self.entries
-
-
-@frozen
 class IntersectionForm:
     atoms: tuple = ()
 
@@ -142,128 +105,6 @@ class IntersectionForm:
     @property
     def rank(self):
         return sum(a.rank for a in self.atoms)
-
-    def matrix(self):
-        """Full Gram matrix as a tuple of int tuples (block diagonal)."""
-        n = self.rank
-        rows = [[0] * n for _ in range(n)]
-        off = 0
-        for atom in self.atoms:
-            m = atom.matrix()
-            r = atom.rank
-            for i in range(r):
-                for j in range(r):
-                    rows[off + i][off + j] = m[i][j]
-            off += r
-        return tuple(tuple(row) for row in rows)
-
-
-@frozen
-class FormInvariants:
-    rank: int
-    signature: int
-    b_plus: int
-    b_minus: int
-    parity: str        # "even" or "odd"
-    definite: str      # "positive", "negative", "indefinite", "zero"
-    b_zero: int = 0    # null directions; 0 for nondegenerate forms
-
-
-@frozen
-class NormalForm:
-    """Descriptor of the indefinite (or zero) normal form of a form."""
-
-    parity: str
-    e8_count: int = 0
-    e8_sign: int = -1
-    hyperbolic_count: int = 0
-    diag_plus: int = 0
-    diag_minus: int = 0
-
-    def as_form(self):
-        atoms = []
-        atoms.extend(E8(self.e8_sign) for _ in range(self.e8_count))
-        atoms.extend(Hyperbolic() for _ in range(self.hyperbolic_count))
-        atoms.extend(Diag(1) for _ in range(self.diag_plus))
-        atoms.extend(Diag(-1) for _ in range(self.diag_minus))
-        return IntersectionForm(tuple(atoms))
-
-
-def _raw_inertia(matrix):
-    """Inertia (b_plus, b_minus, b_zero) by rational congruence diagonalization."""
-    from fractions import Fraction  # only a RawMatrix atom comes here
-
-    n = len(matrix)
-    a = [[Fraction(matrix[i][j]) for j in range(n)] for i in range(n)]
-    plus = minus = zero = 0
-    for p in range(n):
-        if a[p][p] == 0:
-            # bring a nonzero entry to the pivot
-            swap = next((r for r in range(p + 1, n) if a[r][r] != 0), None)
-            if swap is not None:
-                a[p], a[swap] = a[swap], a[p]
-                for row in a:
-                    row[p], row[swap] = row[swap], row[p]
-            else:
-                other = next((c for c in range(p + 1, n) if a[p][c] != 0), None)
-                if other is None:
-                    zero += 1
-                    continue
-                # add row/column `other` to p; pivot becomes 2*a[p][other]
-                for c in range(n):
-                    a[p][c] += a[other][c]
-                for r in range(n):
-                    a[r][p] += a[r][other]
-        pivot = a[p][p]
-        if pivot > 0:
-            plus += 1
-        else:
-            minus += 1
-        for r in range(p + 1, n):
-            if a[r][p] == 0:
-                continue
-            factor = a[r][p] / pivot
-            for c in range(n):
-                a[r][c] -= factor * a[p][c]
-            for r2 in range(n):
-                a[r2][r] -= factor * a[r2][p]
-    return plus, minus, zero
-
-
-def invariants(form, unimodular_only=False):
-    """Rank, signature, b_plus/b_minus, parity, and definiteness of a form.
-
-    With unimodular_only=True a singular RawMatrix atom raises
-    DegenerateForm instead of reporting null directions.
-    """
-    plus = minus = zero = 0
-    even = True
-    for atom in form.atoms:
-        p, m, z = atom.inertia
-        plus += p
-        minus += m
-        zero += z
-        even = even and atom.even
-    if zero and unimodular_only:
-        raise DegenerateForm(f"form has {zero} null direction(s)")
-    rank = form.rank
-    if rank == 0:
-        definite = "zero"
-    elif minus + zero == 0:
-        definite = "positive"
-    elif plus + zero == 0:
-        definite = "negative"
-    else:
-        definite = "indefinite"
-    return FormInvariants(
-        rank=rank,
-        signature=plus - minus,
-        b_plus=plus,
-        b_minus=minus,
-        parity="even" if even else "odd",
-        definite=definite,
-        b_zero=zero,
-    )
 
 
 def square(form, v):
@@ -284,49 +125,3 @@ def square(form, v):
                     total += vi * m[i][j] * v[off + j]
         off += r
     return total
-
-
-def is_characteristic(form, v):
-    """True iff Q(v, x) = Q(x, x) mod 2 for all integer x (Wu criterion)."""
-    v = tuple(v)
-    if len(v) != form.rank:
-        raise DimensionMismatch(
-            f"vector length {len(v)} != form rank {form.rank}")
-    off = 0
-    for atom in form.atoms:
-        m = atom.matrix()
-        r = atom.rank
-        for i in range(r):
-            pairing = sum(m[i][j] * v[off + j] for j in range(r))
-            if (pairing - m[i][i]) % 2 != 0:
-                return False
-        off += r
-    return True
-
-
-def classify_indefinite(form):
-    """Normal form of an indefinite (or zero-rank) unimodular form.
-
-    Even forms become E8 copies plus hyperbolic planes; odd forms become
-    diagonal.  Definite forms of positive rank are rejected.
-    """
-    inv = invariants(form, unimodular_only=True)
-    if inv.definite in ("positive", "negative"):
-        raise DefiniteFormUnsupported(
-            "definite forms have no indefinite normal form")
-    if inv.parity == "even":
-        if inv.signature % 8 != 0:
-            raise DegenerateForm(
-                "even form with signature not divisible by 8 is not unimodular")
-        p = abs(inv.signature) // 8
-        return NormalForm(
-            parity="even",
-            e8_count=p,
-            e8_sign=1 if inv.signature > 0 else -1,
-            hyperbolic_count=min(inv.b_plus, inv.b_minus),
-        )
-    return NormalForm(
-        parity="odd",
-        diag_plus=inv.b_plus,
-        diag_minus=inv.b_minus,
-    )

@@ -144,14 +144,6 @@ class Block:
             spec.h1_torsion)))
 
     @property
-    def form_atoms(self):
-        return tuple(a for a, n in self.atoms for _ in range(n))
-
-    @property
-    def form(self):
-        return lattice.IntersectionForm(self.form_atoms)
-
-    @property
     def b1(self):
         return self.spec.b1(self.param)
 
@@ -159,13 +151,10 @@ class Block:
     def h1z2_rank(self):
         return self.b1 + self.spec.h1_torsion
 
-    def render(self):
-        return self.name
-
 
 # one shared Block per name without a parameter: values are immutable, so
 # one object serves every sum that holds it
-NAMED = {b.render(): b for b in (
+NAMED = {b.name: b for b in (
     Block(kind, sign) for kind, spec in BLOCKS.items() if "{p}" not in spec.name
     for sign in ((1, -1) if "{s}" in spec.name else (0,)))}
 
@@ -229,8 +218,8 @@ class ManifoldExpr:
         # by its sort key
         merged = {}
         for b, n in self.terms:
-            if n < 0:
-                raise ValueError(f"count {n} must be >= 0")
+            if not isinstance(n, int) or n < 0:
+                raise ValueError(f"count {n!r} must be an int >= 0")
             for part in COMPOSITES[b.kind] if b.spec is None else (b,):
                 key = part.key
                 merged[key] = part, n + (merged[key][1] if key in merged else 0)
@@ -245,11 +234,6 @@ class ManifoldExpr:
         # not fields: the sum's Invariants, and its simply-connected part's
         object.__setattr__(self, "sc", Invariants(sc))
         object.__setattr__(self, "inv", Invariants(map(sum, zip(sc, rest))))
-
-    @property
-    def form(self):
-        return lattice.IntersectionForm(
-            a for b, n in self.terms for a in b.form_atoms * n)
 
     @property
     def b1(self):
@@ -351,18 +335,3 @@ def reflection_slots(x, k):
             k -= n
     return tuple(slots)
 
-
-def block_table():
-    """Machine-readable table of block invariants (parametric blocks sampled)."""
-    samples = [
-        CP2(), NegCP2(), NegCP2Fake(), S2xS2(), K3(), NegK3(),
-        E8Block(1), E8Block(-1), W(), S1xY(0), S1xY(1), S2xSigma(1),
-        S2xSigma(2),
-    ]
-    rows = [(b.render(), b) for b in samples]
-    # Enriques is a composite: report the invariants of its expansion
-    rows.append(("Enriques", expr(Block("Enriques"))))
-    return {name: {"b1": b.b1, "b2": b.inv.b2, "sigma": b.inv.sigma,
-                   "spin": b.inv.spin, "ks": b.inv.ks,
-                   "h1z2_rank": b.h1z2_rank}
-            for name, b in rows}

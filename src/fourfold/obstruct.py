@@ -128,26 +128,23 @@ def largest_liftable_class(f, bound):
     return cover.CharClass(tuple(free), square)
 
 
-def _certificate(f, c1_square, sigma, transcript, scenario, bound,
-                 theorem="none", witness="", index_kind="", index_value=None):
-    """The certificate of family f; a named theorem makes it NonSmoothable."""
-    normalized = f.cover.base.render()
+def _certificate(f, c1_square, sigma, transcript, theorem="none", witness="",
+                 index_kind="", index_value=None):
+    """The certificate of family f; a named theorem makes it NonSmoothable.
+
+    Its inputs are empty: certify stamps them.
+    """
     return Certificate(
         verdict=INCONCLUSIVE if theorem == "none" else NONSMOOTHABLE,
         theorem_used=theorem, base_dim=f.k, b_plus_ell=f.cover.b_plus_ell,
         witness_monomial=witness, c1_square=c1_square, sigma=sigma,
         index_kind=index_kind, index_value=index_value,
-        inputs=(
-            ("expression", normalized),
-            ("normalized", normalized),
-            ("scenario", scenario),
-            ("bound", str(bound)),
-        ),
+        inputs=(),
         transcript=tuple(transcript),
     )
 
 
-def check_theorem_A(f, c, scenario="manual", bound=1):
+def check_theorem_A(f, c):
     """Top-class obstruction: fires when w_top(H+) != 0 and c1^2 > sigma."""
     if not lift_valid(f, c):
         raise PreconditionViolated(
@@ -169,17 +166,17 @@ def check_theorem_A(f, c, scenario="manual", bound=1):
             f"inequality c1_square <= sigma violated: {c.square} > {sigma}",
             f"real index m_minus_n = (c1_square - sigma)/4 = {m_minus_n} > 0",
         ]
-        return _certificate(f, c.square, sigma, transcript, scenario, bound,
-                            "ThmA", top, "real_m_minus_n", m_minus_n)
+        return _certificate(f, c.square, sigma, transcript, "ThmA", top,
+                            "real_m_minus_n", m_minus_n)
     if not w_top:
         transcript.append(f"hypothesis failed: w_{b}(H+(E,l)) = 0")
     else:
         transcript.append(
             f"inequality c1_square <= sigma holds: {c.square} <= {sigma}")
-    return _certificate(f, c.square, sigma, transcript, scenario, bound)
+    return _certificate(f, c.square, sigma, transcript)
 
 
-def check_theorem_B(f, scenario="manual", bound=1):
+def check_theorem_B(f):
     """Zero-class obstruction: fires when w_b or w_{b-1} is nonzero and sigma < 0."""
     if f.cover.torsion_bits or any(cover.w2_plus_w1sq(f.cover)):
         raise ZeroClassUnavailable(
@@ -205,7 +202,7 @@ def check_theorem_B(f, scenario="manual", bound=1):
             f"inequality sigma >= 0 violated: {sigma} < 0",
             f"complex index r_minus_s = -sigma/8 = {r_minus_s} > 0",
         ]
-        return _certificate(f, 0, sigma, transcript, scenario, bound, "ThmB",
+        return _certificate(f, 0, sigma, transcript, "ThmB",
                             top if w_b else below, "complex_r_minus_s",
                             r_minus_s)
     if not euler:
@@ -213,7 +210,7 @@ def check_theorem_B(f, scenario="manual", bound=1):
             f"hypothesis failed: w_{b} and w_{b - 1} of H+(E,l) both vanish")
     else:
         transcript.append(f"inequality sigma >= 0 holds: {sigma} >= 0")
-    return _certificate(f, 0, sigma, transcript, scenario, bound)
+    return _certificate(f, 0, sigma, transcript)
 
 
 @frozen
@@ -334,15 +331,16 @@ def _certify_scenario(x, scenario, bound, prepared):
         # fires.
         fam = build_family(ls, manifold.reflection_slots(normalized, n))
         c = largest_liftable_class(fam, bound)
-        cert = check_theorem_A(fam, c, scenario=scenario, bound=bound)
+        cert = check_theorem_A(fam, c)
     else:
         # a spin part normalizes to E8 and S2xS2 summands: every slot is
         # an S2xS2
         fam = build_family(ls, manifold.reflection_slots(normalized, n - 1))
-        cert = check_theorem_B(fam, scenario=scenario, bound=bound)
-    # echo the expression as given, ahead of the normalized one
-    return cert.replace(
-        inputs=(("expression", x.render()),) + cert.inputs[1:])
+        cert = check_theorem_B(fam)
+    # stamp the inputs: the expression as given, ahead of the normalized one
+    return cert.replace(inputs=(
+        ("expression", x.render()), ("normalized", normalized.render()),
+        ("scenario", scenario), ("bound", str(bound))))
 
 
 def certify(x, scenario="auto", bound=1):
@@ -353,10 +351,13 @@ def certify(x, scenario="auto", bound=1):
     block and the other two forbid one, and nonspin and spin need opposite
     spin of the same prepared part, so at most one gives a certificate.
     Raises HypothesesNotMet, with every scenario's reason, when none does,
-    and InvalidSetting, before any scenario runs, for a bound below 1.
+    and InvalidSetting, before any scenario runs, for a bound below 1 or
+    more than cover.MAX_SUMMANDS summands, as cli.parse counts them.
     """
     if bound < 1:
         raise InvalidSetting("bound must be >= 1")
+    if sum(n for _, n in x.terms) > cover.MAX_SUMMANDS:
+        raise InvalidSetting(f"more than {cover.MAX_SUMMANDS} summands")
     prepared = []   # each scenario that gets as far prepares x once
     if scenario in _SCENARIOS:
         return _certify_scenario(x, scenario, bound, prepared)

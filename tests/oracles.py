@@ -3,9 +3,19 @@
 Exact division in the Laurent extension of the charpoly ring by u, and
 the views of an ExtPoly it needs.  The engine never divides: a unit
 1 + nil is its own inverse, so `charpoly.virtual_sw` is a convolution.
+
+Gram matrices of lattice atoms, their inertia by rational congruence
+diagonalization and the Wu criterion on them: the engine reads each
+atom's inertia and Wu class off its declaration instead.  And the table
+of block invariants that a golden digest pins.
+
 These stay here as the oracles that property checks compare against.
 """
 
+import functools
+from fractions import Fraction
+
+from fourfold import manifold
 from fourfold.charpoly import ExtPoly
 from fourfold.errors import FourfoldError, ModeMismatch
 
@@ -80,3 +90,98 @@ def laurent_divide(num, den):
         quotient = quotient + q_term
         rem = rem + q_term * den
     return quotient, min_u(quotient) < 0
+
+
+def gram(atoms):
+    """Full Gram matrix of (atom, count) pairs, block diagonal."""
+    blocks = [atom.matrix() for atom, n in atoms for _ in range(n)]
+    size = sum(len(m) for m in blocks)
+    rows = [[0] * size for _ in range(size)]
+    off = 0
+    for m in blocks:
+        for i, row in enumerate(m):
+            rows[off + i][off:off + len(row)] = row
+        off += len(m)
+    return tuple(tuple(row) for row in rows)
+
+
+def inertia(gram):
+    """Inertia (b_plus, b_minus, b_zero) by rational congruence diagonalization."""
+    n = len(gram)
+    a = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
+    plus = minus = zero = 0
+    for p in range(n):
+        if a[p][p] == 0:
+            # bring a nonzero entry to the pivot
+            swap = next((r for r in range(p + 1, n) if a[r][r] != 0), None)
+            if swap is not None:
+                a[p], a[swap] = a[swap], a[p]
+                for row in a:
+                    row[p], row[swap] = row[swap], row[p]
+            else:
+                other = next((c for c in range(p + 1, n) if a[p][c] != 0), None)
+                if other is None:
+                    zero += 1
+                    continue
+                # add row/column `other` to p; pivot becomes 2*a[p][other]
+                for c in range(n):
+                    a[p][c] += a[other][c]
+                for r in range(n):
+                    a[r][p] += a[r][other]
+        pivot = a[p][p]
+        if pivot > 0:
+            plus += 1
+        else:
+            minus += 1
+        for r in range(p + 1, n):
+            if a[r][p] == 0:
+                continue
+            factor = a[r][p] / pivot
+            for c in range(n):
+                a[r][c] -= factor * a[p][c]
+            for r2 in range(n):
+                a[r2][r] -= factor * a[r2][p]
+    return plus, minus, zero
+
+
+def is_characteristic(gram, v):
+    """True iff Q(v, x) = Q(x, x) mod 2 for all integer x (Wu criterion)."""
+    return all((sum(q * vj for q, vj in zip(row, v)) - row[i]) % 2 == 0
+               for i, row in enumerate(gram))
+
+
+@functools.cache
+def block_inertia(atoms):
+    """(b_plus, b_minus, b_zero, odd) of one block's (atom, count) pairs."""
+    g = gram(atoms)
+    return (*inertia(g), any(row[i] % 2 for i, row in enumerate(g)))
+
+
+def sum_inertia(terms):
+    """block_inertia of a sum of (block, count) pairs.
+
+    A sum's Gram matrix is block diagonal, so its inertia is the sum over
+    the pairs of count times the block's, each distinct block diagonalized
+    once; the sum is odd iff one of its blocks is.
+    """
+    pairs = [(block_inertia(b.atoms), n) for b, n in terms]
+    return (*(sum(n * inv[i] for inv, n in pairs) for i in range(3)),
+            any(inv[3] for inv, _ in pairs))
+
+
+def block_table():
+    """Machine-readable table of block invariants (parametric blocks sampled)."""
+    samples = [
+        manifold.CP2(), manifold.NegCP2(), manifold.NegCP2Fake(),
+        manifold.S2xS2(), manifold.K3(), manifold.NegK3(),
+        manifold.E8Block(1), manifold.E8Block(-1), manifold.W(),
+        manifold.S1xY(0), manifold.S1xY(1), manifold.S2xSigma(1),
+        manifold.S2xSigma(2),
+    ]
+    rows = [(b.name, b) for b in samples]
+    # Enriques is a composite: report the invariants of its expansion
+    rows.append(("Enriques", manifold.expr(manifold.Block("Enriques"))))
+    return {name: {"b1": b.b1, "b2": b.inv.b2, "sigma": b.inv.sigma,
+                   "spin": b.inv.spin, "ks": b.inv.ks,
+                   "h1z2_rank": b.h1z2_rank}
+            for name, b in rows}

@@ -11,9 +11,9 @@ import random
 import time
 
 import oracles
-from fourfold import charpoly, cli, cover, lattice, manifold, obstruct
+from fourfold import charpoly, cli, cover, manifold, obstruct
 from fourfold.charpoly import BundleClassData, ExtPoly
-from fourfold.errors import HypothesesNotMet
+from fourfold.errors import HypothesesNotMet, SpinKSInconsistent
 
 
 # the certified expressions of criteria 1-4, as criterion 7 replays them
@@ -154,28 +154,38 @@ def test_criterion_5_negative_controls(capsys):
 
 def test_criterion_6_oracle_equivalence(capsys):
     rng = random.Random(20260823)
-    atoms = [lattice.Diag(1), lattice.Diag(-1), lattice.Hyperbolic(),
-             lattice.E8(1), lattice.E8(-1)]
     failures = []
-    for _ in range(200):
-        while True:
-            picked = [rng.choice(atoms) for _ in range(rng.randint(1, 6))]
-            if sum(a.rank for a in picked) <= 12:
-                break
-        form = lattice.IntersectionForm(tuple(picked))
-        oracle = lattice.invariants(
-            lattice.IntersectionForm((lattice.RawMatrix(form.matrix()),)))
-        inv = lattice.invariants(form)
-        if (inv.rank, inv.signature, inv.parity) != \
-                (oracle.rank, oracle.signature, oracle.parity):
-            failures.append(("invariants", picked))
+    # each block's invariants against the inertia of its Gram matrix
+    blocks = [b for b in manifold.NAMED.values() if b.spec] + [
+        manifold.S1xY(p) for p in range(4)] + [manifold.S2xSigma(1)]
+    for b in blocks:
+        if (b.inv.b_plus, b.inv.b_minus, 0, b.inv.odd > 0) != \
+                oracles.block_inertia(b.atoms):
+            failures.append(("block", b.name))
+
+    # the classifier: a random indefinite simply-connected sum, with W
+    # blocks for the Enriques shape, keeps its rank, signature and parity
+    sc_blocks = [b for b in blocks if b.spec.part == "sc"]
+    shapes = set()
+    for _ in range(300):
+        x = manifold.ManifoldExpr(tuple(
+            (b, rng.randint(1, 3) if rng.random() < 0.4 else 0)
+            for b in sc_blocks) + ((manifold.W(), rng.choice((0, 0, 1, 2))),))
+        if not (x.sc.b_plus and x.sc.b_minus):
             continue
-        if inv.definite == "indefinite":
-            rebuilt = lattice.invariants(
-                lattice.classify_indefinite(form).as_form())
-            if (rebuilt.rank, rebuilt.signature, rebuilt.parity) != \
-                    (oracle.rank, oracle.signature, oracle.parity):
-                failures.append(("classify", picked))
+        try:
+            normal = manifold.normalize_homeo_type(x)
+        except SpinKSInconsistent:
+            continue
+        want, got = (oracles.sum_inertia(t for t in y.terms
+                                         if t[0].spec.part == "sc")
+                     for y in (x, normal))
+        shapes.add((want[3], x.inv.torsion > 0))
+        if (got[0] + got[1], got[0] - got[1], got[3]) != \
+                (want[0] + want[1], want[0] - want[1], want[3]):
+            failures.append(("classify", x.render()))
+    if len(shapes) < 4:
+        failures.append(("classify", f"shapes drawn: {sorted(shapes)}"))
 
     for _ in range(200):
         k = rng.randint(1, 4)
@@ -240,16 +250,16 @@ def test_criterion_7_property_suites(capsys):
         gram = [[sum(u[a][i] * (eps[a] if a == b else 0) * u[b][j]
                      for a in range(n) for b in range(n))
                  for j in range(n)] for i in range(n)]
-        form = lattice.IntersectionForm(
-            (lattice.RawMatrix(tuple(map(tuple, gram))),))
         sigma = sum(eps)
         vectors = [()]
         for _ in range(n):
             vectors = [v + (e,) for v in vectors for e in range(-3, 4)]
         for v in vectors:
-            if lattice.is_characteristic(form, v):
+            if oracles.is_characteristic(gram, v):
                 checked += 1
-                if (lattice.square(form, v) - sigma) % 8 != 0:
+                square = sum(vi * gij * vj for vi, row in zip(v, gram)
+                             for gij, vj in zip(row, v))
+                if (square - sigma) % 8 != 0:
                     failures.append(("van_der_blij", gram, v))
     if checked == 0:
         failures.append(("van_der_blij", "no characteristic vectors found"))
@@ -276,7 +286,7 @@ def test_golden_certificate_bytes(capsys):
         digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == (
         "2002b159399b1c9325350a247b279a0ef91075a9afcd33d9d43ba25109cf71a4")
-    table = json.dumps(manifold.block_table()).encode()
+    table = json.dumps(oracles.block_table()).encode()
     assert hashlib.sha256(table).hexdigest() == (
         "4b9e87331c4b9403fcc01c01a143a35cced6f692c5e2f4329606b3559403b1a0")
     # Inconclusive certificates (the first liftable class decides them),

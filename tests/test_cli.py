@@ -486,14 +486,15 @@ def module_env():
         filter(None, (src, os.environ.get("PYTHONPATH")))))
 
 
-def capped_child(argv):
-    """Run `python -m fourfold.cli argv` in a child whose address space is
-    capped at 1 GB, so that code building a list per unit of a huge input
-    fails fast instead of filling memory; (completed run, wall seconds)."""
+def capped_child(argv, head=("-m", "fourfold.cli")):
+    """Run `python -m fourfold.cli argv`, or `python *head argv`, in a child
+    whose address space is capped at 1 GB, so that code building a list per
+    unit of a huge input fails fast instead of filling memory; (completed
+    run, wall seconds)."""
     cap = 1 << 30
     start = time.perf_counter()
     run = subprocess.run(
-        [sys.executable, "-m", "fourfold.cli", *argv],
+        [sys.executable, *head, *argv],
         env=module_env(), capture_output=True, text=True, timeout=60,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
     return run, time.perf_counter() - start
@@ -630,6 +631,45 @@ def test_huge_multiple_of_s4_adds_nothing(mult, capsys):
     assert run.stderr == ""
     assert (run.returncode, run.stdout) == \
         (cli.main(["certify", text]), capsys.readouterr().out)
+
+
+LIBRARY_HUGE_COUNTS = """
+from fourfold import manifold, obstruct
+from fourfold.errors import InvalidSetting
+x = manifold.ManifoldExpr(((manifold.CP2(), 10**9),
+                           (manifold.NegCP2(), 10**9 + 20),
+                           (manifold.S1xY(1), 1)))
+try:
+    obstruct.certify(x)
+except InvalidSetting as e:
+    print(e)
+"""
+
+
+def test_library_certify_refuses_huge_counts():
+    # cli.parse refuses this sum's text; a sum built in the library reaches
+    # certify, which refuses it before normalizing lists 2 * 10^9 entries
+    run, seconds = capped_child(["-c", LIBRARY_HUGE_COUNTS], head=())
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == \
+        f"InvalidSetting: more than {cover.MAX_SUMMANDS} summands\n"
+    assert seconds < 5
+
+
+def test_library_certify_counts_summands_as_parse_does(monkeypatch):
+    monkeypatch.setattr(cover, "MAX_SUMMANDS", 4)
+    fits = cli.parse("Enriques # S1xY(b1=1)")   # Enriques counts 3
+    assert obstruct.certify(fits).verdict == "NonSmoothable"
+    over = manifold.ManifoldExpr(((manifold.Block("Enriques"), 1),
+                                  (manifold.S1xY(1), 2)))
+    for run in (lambda: cli.parse("Enriques # 2*S1xY(b1=1)"),
+                lambda: obstruct.certify(over)):
+        with pytest.raises(InvalidSetting, match="more than 4 summands"):
+            run()
+    # S4 expands to no summands at any count
+    huge_s4 = manifold.ManifoldExpr(fits.terms + ((manifold.Block("S4"),
+                                                   10 ** 100),))
+    assert obstruct.certify(huge_s4) == obstruct.certify(fits)
 
 
 @pytest.mark.parametrize("command, code, line", [

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from fourfold import cli, cover, lattice, manifold
 from fourfold.errors import (DimensionMismatch, NoNontrivialCoverAvailable,
                              PreconditionViolated)
@@ -76,9 +77,8 @@ def test_target_class_nonspin_diag_bits():
                       manifold.S2xS2(), manifold.S1xY(1))
     ls = cover.build_standard_cover(x)
     target = cover.w2_plus_w1sq(ls)
-    free_form = ls.form
     off = 0
-    for atom in free_form.atoms:
+    for atom in ls.form.atoms:
         bits = target[off:off + atom.rank]
         if isinstance(atom, lattice.Diag):
             assert bits == (1,)
@@ -86,7 +86,7 @@ def test_target_class_nonspin_diag_bits():
             assert not any(bits)
         off += atom.rank
     # the target is itself characteristic for the free form
-    assert lattice.is_characteristic(free_form, target)
+    assert oracles.is_characteristic(oracles.gram(ls.free), target)
 
 
 # --- the mod-2 condition on candidate classes ---
@@ -111,8 +111,9 @@ def test_char_class_accepts_exactly_the_characteristic_vectors(text, bound):
     """char_class's mod-2 rule against the lattice's Wu criterion."""
     ls = cover.build_standard_cover(cli.parse(text))
     box = range(-bound, bound + 1)
+    gram = oracles.gram(ls.free)
     for v in itertools.product(box, repeat=ls.form.rank):
-        if lattice.is_characteristic(ls.form, v):
+        if oracles.is_characteristic(gram, v):
             assert ls.char_class(v).square == lattice.square(ls.form, v)
         else:
             with pytest.raises(PreconditionViolated):
@@ -144,8 +145,8 @@ def test_enumeration_contains_zero_for_spin():
                      manifold.S2xS2(), manifold.S1xY(1))
     classes = cover.enumerate_characteristics(ls, 1)
     assert any(not any(c.free_part) for c in classes)
-    assert all(lattice.is_characteristic(ls.form, c.free_part)
-               for c in classes)
+    gram = oracles.gram(ls.free)
+    assert all(oracles.is_characteristic(gram, c.free_part) for c in classes)
 
 
 def test_enumeration_max_square_nonspin():
@@ -194,8 +195,9 @@ def test_enumeration_matches_brute_force(text, bound):
     """The oracle: every vector of the box, kept iff it is characteristic."""
     ls = cover.build_standard_cover(cli.parse(text))
     box = itertools.product(range(-bound, bound + 1), repeat=ls.form.rank)
+    gram = oracles.gram(ls.free)
     want = sorted((ls.char_class(v) for v in box
-                   if lattice.is_characteristic(ls.form, v)),
+                   if oracles.is_characteristic(gram, v)),
                   key=lambda c: (-c.square, c.free_part))
     assert want
     assert cover.enumerate_characteristics(ls, bound) == want
@@ -282,7 +284,6 @@ def test_spinc_does_not_recheck_classes(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("spinc re-checked or built a class")
 
-    monkeypatch.setattr(lattice, "is_characteristic", refuse)
     monkeypatch.setattr(lattice, "square", refuse)
     monkeypatch.setattr(cover, "CharClass", refuse)
     code = cli.main(["spinc", "CP2 # 2*-CP2 # S2xS2 # S1xY(b1=1)",

@@ -18,19 +18,11 @@ def samples():
     c = obstruct.largest_liftable_class(fam, 1)
     v1 = charpoly.BundleClassData(2, 1, (charpoly.ExtPoly.t(2, 1),))
     report = obstruct.corollary_constraints(fam, v1, v1)
-    raw = lattice.RawMatrix(((0, 1), (1, 0)))
     return [
         (lattice.Diag(1), ["eps"]),
         (lattice.Hyperbolic(), []),
         (lattice.E8(-1), ["sign"]),
-        (raw, ["entries"]),
-        (lattice.IntersectionForm((raw,)), ["atoms"]),
-        (lattice.invariants(x.form), ["rank", "signature", "b_plus",
-                                      "b_minus", "parity", "definite",
-                                      "b_zero"]),
-        (lattice.classify_indefinite(x.form), [
-            "parity", "e8_count", "e8_sign", "hyperbolic_count",
-            "diag_plus", "diag_minus"]),
+        (ls.form, ["atoms"]),
         (manifold.Block("S1xY", param=1), ["kind", "sign", "param"]),
         (x, ["terms"]),
         (charpoly.ExtPoly.u(2) + charpoly.ExtPoly.t(2, 1), ["k", "terms"]),
