@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fourfold import lattice
-from fourfold.errors import DimensionMismatch
+from fourfold import lattice, manifold
+from fourfold.errors import DefinitePartUnsupported, DimensionMismatch
 
 ATOMS = [
     lattice.Diag(1),
@@ -30,6 +30,39 @@ def test_atom_inertia_matches_reference():
         even = all(row[i] % 2 == 0 for i, row in enumerate(g))
         assert (atom.rank, atom.inertia, atom.even) == \
             (len(g), oracles.inertia(g), even)
+
+
+def test_hyperbolic_invariants():
+    atom = lattice.Hyperbolic()
+    assert (atom.inertia, atom.even) == ((1, 1, 0), True)
+    inv = manifold.S2xS2().inv
+    assert (inv.sigma, inv.even, inv.b_plus, inv.b_minus) == (0, True, 1, 1)
+    assert oracles.inertia(atom.matrix()) == atom.inertia
+
+
+def test_negative_e8_invariants():
+    atom = lattice.E8(-1)
+    assert (atom.inertia, atom.even) == ((0, 8, 0), True)
+    inv = manifold.E8Block(-1).inv
+    assert (inv.sigma, inv.even, inv.b_plus) == (-8, True, 0)
+    assert oracles.inertia(atom.matrix()) == atom.inertia
+
+
+def test_diagonal_invariants():
+    x = manifold.expr(manifold.CP2(), manifold.NegCP2(), manifold.NegCP2())
+    assert (x.inv.sigma, x.inv.even) == (-1, False)
+    assert (x.inv.b_plus, x.inv.b_minus) == (1, 2)
+    assert oracles.sum_inertia(x.terms) == (1, 2, 0, True)
+
+
+def test_zero_rank_form():
+    form = form_of()
+    assert form.rank == 0
+    assert lattice.square(form, ()) == 0
+    assert oracles.inertia(oracles.gram(())) == (0, 0, 0)
+    s4 = manifold.expr(manifold.Block("S4"))
+    assert s4.inv == (0,) * 6 and s4.inv.sigma == 0
+    assert manifold.normalize_homeo_type(s4) == s4
 
 
 def test_reference_inertia_of_a_degenerate_gram():
@@ -72,6 +105,20 @@ def test_characteristic_e8_zero():
     assert oracles.is_characteristic(lattice.E8_MATRIX, (0,) * 8)
 
 
+def test_characteristic_brute_force_matches_definition():
+    """On a sum of atoms the characteristic vectors are exactly the
+    vectors congruent mod 2 to the atoms' Wu bits, laid end to end."""
+    rng = random.Random(7)
+    for _ in range(20):
+        atoms = tuple(rng.choice(ATOMS) for _ in range(rng.randint(1, 3)))
+        gram = oracles.gram([(a, 1) for a in atoms])
+        wu = [bit for a in atoms for bit in a.wu]
+        for _ in range(10):
+            v = tuple(rng.randint(-2, 2) for _ in range(len(gram)))
+            assert oracles.is_characteristic(gram, v) == all(
+                (x - bit) % 2 == 0 for x, bit in zip(v, wu))
+
+
 # --- the per-atom rule: Wu bits and maximizer ---
 
 def test_atom_wu_bits_are_characteristic():
@@ -92,9 +139,73 @@ def test_atom_maximizer_matches_box_scan(atom, bound):
     assert atom.maximizer(bound) == want
 
 
+# --- the engine's classifier: normalize_homeo_type ---
+
+def test_classify_even_indefinite():
+    for x in (manifold.expr(manifold.K3()),
+              manifold.ManifoldExpr(((manifold.E8Block(-1), 2),
+                                     (manifold.S2xS2(), 3)))):
+        normal = manifold.normalize_homeo_type(x)
+        assert [(b.name, n) for b, n in normal.terms] == [
+            ("-E8", 2), ("S2xS2", 3)]
+        assert normal.inv.even
+
+
+def test_classify_odd_indefinite():
+    x = manifold.ManifoldExpr(((manifold.CP2(), 1), (manifold.NegCP2(), 10)))
+    normal = manifold.normalize_homeo_type(x)
+    assert (normal.inv.sigma, normal.inv.odd > 0) == (-9, True)
+    plus, minus, zero, odd = oracles.sum_inertia(normal.terms)
+    assert (plus, minus, zero, odd) == (x.inv.b_plus, x.inv.b_minus, 0, True)
+    assert normal.inv.ks == x.inv.ks
+
+
+def test_classify_hyperbolic():
+    x = manifold.expr(manifold.S2xS2())
+    normal = manifold.normalize_homeo_type(x)
+    assert normal == x
+    assert [(b.name, n) for b, n in normal.terms] == [("S2xS2", 1)]
+
+
+def test_classify_rejects_definite():
+    for block in (manifold.CP2(), manifold.E8Block(-1), manifold.NegCP2()):
+        with pytest.raises(DefinitePartUnsupported):
+            manifold.normalize_homeo_type(manifold.expr(block))
+
+
+SC_BLOCKS = [b for b in manifold.NAMED.values()
+             if b.spec and b.spec.part == "sc"]
+
+
 # --- properties ---
 
 atom_lists = st.lists(st.sampled_from(ATOMS), min_size=0, max_size=6)
+
+
+@given(st.lists(st.sampled_from(SC_BLOCKS + [manifold.S1xY(1)])),
+       st.lists(st.sampled_from(SC_BLOCKS + [manifold.S1xY(1)])))
+def test_signature_additive(a, b):
+    xa, xb = manifold.expr(*a), manifold.expr(*b)
+    x = manifold.expr(*a, *b)
+    assert x.inv.sigma == xa.inv.sigma + xb.inv.sigma
+    plus, minus, _, _ = oracles.sum_inertia(x.terms)
+    assert plus - minus == x.inv.sigma
+
+
+@given(st.lists(st.sampled_from(SC_BLOCKS), max_size=6),
+       st.integers(0, 2))
+def test_classify_preserves_invariants(blocks, w_count):
+    x = manifold.ManifoldExpr(
+        tuple((b, 1) for b in blocks) + ((manifold.W(), w_count),))
+    if not (x.sc.b_plus and x.sc.b_minus):
+        return
+    normal = manifold.normalize_homeo_type(x)
+    want, got = (oracles.sum_inertia(t for t in y.terms
+                                     if t[0].spec.part == "sc")
+                 for y in (x, normal))
+    assert (got[0] + got[1], got[0] - got[1], got[3]) == \
+        (want[0] + want[1], want[0] - want[1], want[3])
+    assert (normal.sc.ks, normal.inv.torsion) == (x.sc.ks, x.inv.torsion)
 
 
 @given(st.lists(st.sampled_from(ATOMS[2:]), min_size=1, max_size=4),
