@@ -10,7 +10,6 @@ free lattice of the remaining summands plus one torsion bit per W block.
 import itertools
 import math
 
-from . import lattice
 from ._frozen import frozen
 from .errors import (
     DimensionMismatch,
@@ -53,12 +52,6 @@ class LocalSystem:
         object.__setattr__(self, "b_plus_ell", self.base.sc.b_plus)
         object.__setattr__(self, "torsion_bits", self.base.inv.torsion)
 
-    @property
-    def form(self):
-        """The free part as a form of one atom per copy."""
-        return lattice.IntersectionForm(
-            a for a, n in self.free for _ in range(n))
-
     def free_block_offsets(self):
         """Map pair index -> (offset, span) into the free twisted lattice.
 
@@ -85,7 +78,12 @@ class LocalSystem:
         if any((v - bit) % 2 for v, bit in zip(free_part, w2_plus_w1sq(self))):
             raise PreconditionViolated(
                 "candidate class does not reduce to w2 + w1^2")
-        return CharClass(free_part, lattice.square(self.form, free_part))
+        square, off = 0, 0
+        for atom, n in self.free:
+            for _ in range(n):
+                square += atom.square(free_part[off:off + atom.rank])
+                off += atom.rank
+        return CharClass(free_part, square)
 
 
 @frozen
@@ -123,6 +121,14 @@ def w2_plus_w1sq(ls):
         atom.wu * n for atom, n in ls.free))
 
 
+def check_bound(bound):
+    """Raise InvalidSetting unless bound, a box's radius, is an int >= 1."""
+    if type(bound) is not int:
+        raise InvalidSetting(f"bound must be an int, got {bound!r}")
+    if bound < 1:
+        raise InvalidSetting("bound must be >= 1")
+
+
 def parity_box(ls, bound):
     """Per free coordinate, the range of entries a characteristic class may take.
 
@@ -130,10 +136,10 @@ def parity_box(ls, bound):
     so a vector is characteristic iff it reduces to the Wu class mod 2:
     each coordinate takes the entries in [-bound, bound] whose parity is
     its bit of w2_plus_w1sq, ascending in steps of 2.  Raises
-    InvalidSetting when the box holds more than MAX_CLASSES classes.
+    InvalidSetting when the box holds more than MAX_CLASSES classes, or
+    unless bound is an int >= 1.
     """
-    if bound < 1:
-        raise InvalidSetting("bound must be >= 1")
+    check_bound(bound)
     columns, size = [], 1
     for atom, n in ls.free:
         # of the 2 bound + 1 entries, bound + 1 share bound's parity.  A
@@ -169,17 +175,17 @@ def _listing(ls, bound, tail):
     `itertools.product`'s lexicographic order keeps the groups, and each
     bucket, lexicographic, so only the distinct squares are sorted.
     """
-    atoms, columns = ls.form.atoms, parity_box(ls, bound)
+    columns = parity_box(ls, bound)
+    atoms = [atom for atom, n in ls.free for _ in range(n)]
     if not atoms:
         return [(0, [(tail[:0], [tail])])]
     buckets = {0: [tail]}
     sep = ""    # a text piece ends in ", " unless the tail follows it
     for i in range(len(atoms) - 1, -1, -1):
         atom, folded = atoms[i], {}
-        matrix, start = atom.matrix(), len(columns) - atom.rank
+        start = len(columns) - atom.rank
         for v in itertools.product(*columns[start:]):
-            part = sum(vi * mij * vj for row, vi in zip(matrix, v)
-                       for mij, vj in zip(row, v))
+            part = atom.square(v)
             piece = v if type(tail) is tuple else ", ".join(map(str, v)) + sep
             for s, suffixes in buckets.items():
                 if i:

@@ -4,13 +4,14 @@ Forms are direct sums of atoms: rank-1 diagonal summands, hyperbolic
 planes, and the rank-8 even unimodular definite lattice (either sign).
 
 Every atom carries its `rank`, its `inertia` (b_plus, b_minus, b_zero),
-whether it is `even`, its Gram `matrix()`, its Wu class `wu` and
-`maximizer(bound)`: the lexicographically smallest characteristic vector
-of largest square with entries in [-bound, bound].
+whether it is `even`, its Gram `matrix()`, `square(v)`: the exact value
+v^T Q v on a vector of its rank, its Wu class `wu` and `maximizer(bound)`:
+the lexicographically smallest characteristic vector of largest square
+with entries in [-bound, bound].
 """
 
 from ._frozen import frozen
-from .errors import DimensionMismatch, PreconditionViolated
+from .errors import PreconditionViolated
 
 # Gram matrix of the even unimodular positive-definite rank-8 lattice
 # (Cartan matrix of the corresponding root system).
@@ -45,6 +46,9 @@ class Diag:
     def matrix(self):
         return ((self.eps,),)
 
+    def square(self, v):
+        return self.eps * v[0] * v[0]
+
     def maximizer(self, bound):
         # odd entries only; the square eps * v^2 peaks at the largest |v|
         # for eps = +1 and at v = +-1 for eps = -1
@@ -62,6 +66,9 @@ class Hyperbolic:
 
     def matrix(self):
         return ((0, 1), (1, 0))
+
+    def square(self, v):
+        return 2 * v[0] * v[1]
 
     def maximizer(self, bound):
         # even entries; the square 2ab peaks at (e, e) and (-e, -e)
@@ -87,41 +94,13 @@ class E8:
     def matrix(self):
         return E8_MATRIX if self.sign > 0 else _NEG_E8_MATRIX
 
+    def square(self, v):
+        return sum(vi * mij * vj for row, vi in zip(self.matrix(), v) if vi
+                   for mij, vj in zip(row, v))
+
     def maximizer(self, bound):
         # the negative form's largest square is 0, at 0 alone
         if self.sign > 0:
             raise PreconditionViolated(
                 "positive E8 has no closed-form maximizer")
         return (0,) * 8
-
-
-@frozen
-class IntersectionForm:
-    atoms: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "atoms", tuple(self.atoms))
-
-    @property
-    def rank(self):
-        return sum(a.rank for a in self.atoms)
-
-
-def square(form, v):
-    """The exact value v^T Q v of the quadratic form on an integer vector."""
-    v = tuple(v)
-    if len(v) != form.rank:
-        raise DimensionMismatch(
-            f"vector length {len(v)} != form rank {form.rank}")
-    total = 0
-    off = 0
-    for atom in form.atoms:
-        m = atom.matrix()
-        r = atom.rank
-        for i in range(r):
-            vi = v[off + i]
-            if vi:
-                for j in range(r):
-                    total += vi * m[i][j] * v[off + j]
-        off += r
-    return total

@@ -15,6 +15,7 @@ from . import charpoly, cover, manifold
 from ._frozen import frozen
 from .errors import (
     DefinitePartUnsupported,
+    DimensionMismatch,
     HypothesesNotMet,
     InvalidSetting,
     NoNontrivialCoverAvailable,
@@ -85,8 +86,13 @@ def lift_valid(f, c):
     A slot checks each distinct copy of its part once.  Models the
     per-block lift sign; whether the theorem needs one global sign instead
     (g.c = +/-c on the whole free part, as the deck involution negates
-    every twisted coefficient at once) is an open question.
+    every twisted coefficient at once) is an open question.  Raises
+    DimensionMismatch unless c's free part has the cover's rank.
     """
+    if len(c.free_part) != f.cover.rank:
+        raise DimensionMismatch(
+            f"free part has length {len(c.free_part)}, "
+            f"expected {f.cover.rank}")
     offsets = f.cover.free_block_offsets()
     for j, n in f.generators:
         off, span = offsets[j]
@@ -113,18 +119,12 @@ def largest_liftable_class(f, bound):
     slot carries (-e, -e) to (e, e).  A positive E8 atom, which a prepared
     cover never holds, raises PreconditionViolated.
     """
-    if bound < 1:
-        raise InvalidSetting("bound must be >= 1")
+    cover.check_bound(bound)
     free, square = [], 0
     for atom, n in f.cover.free:
         v = atom.maximizer(bound)
-        # char_class's rule, checked once per pair
-        if tuple(map((2).__rmod__, v)) != atom.wu:
-            raise PreconditionViolated(
-                "candidate class does not reduce to w2 + w1^2")
         free += v * n
-        square += n * sum(vi * mij * vj for row, vi in zip(atom.matrix(), v)
-                          if vi for mij, vj in zip(row, v))
+        square += n * atom.square(v)
     return cover.CharClass(tuple(free), square)
 
 
@@ -351,11 +351,11 @@ def certify(x, scenario="auto", bound=1):
     block and the other two forbid one, and nonspin and spin need opposite
     spin of the same prepared part, so at most one gives a certificate.
     Raises HypothesesNotMet, with every scenario's reason, when none does,
-    and InvalidSetting, before any scenario runs, for a bound below 1 or
-    more than cover.MAX_SUMMANDS summands, as cli.parse counts them.
+    and InvalidSetting, before any scenario runs, for a bound that is not
+    an int >= 1 or more than cover.MAX_SUMMANDS summands, as cli.parse
+    counts them.
     """
-    if bound < 1:
-        raise InvalidSetting("bound must be >= 1")
+    cover.check_bound(bound)
     if sum(n for _, n in x.terms) > cover.MAX_SUMMANDS:
         raise InvalidSetting(f"more than {cover.MAX_SUMMANDS} summands")
     prepared = []   # each scenario that gets as far prepares x once

@@ -4,9 +4,10 @@ Exact division in the Laurent extension of the charpoly ring by u, and
 the views of an ExtPoly it needs.  The engine never divides: a unit
 1 + nil is its own inverse, so `charpoly.virtual_sw` is a convolution.
 
-Gram matrices of lattice atoms, their inertia by rational congruence
-diagonalization and the Wu criterion on them: the engine reads each
-atom's inertia and Wu class off its declaration instead.  And the table
+Gram matrices of lattice atoms, the square v^T G v on them, their
+inertia by rational congruence diagonalization and the Wu criterion on
+them: the engine reads each atom's inertia and Wu class off its
+declaration, and squares a vector atom by atom, instead.  And the table
 of block invariants that a golden digest pins.
 
 These stay here as the oracles that property checks compare against.
@@ -103,6 +104,12 @@ def gram(atoms):
             rows[off + i][off:off + len(row)] = row
         off += len(m)
     return tuple(tuple(row) for row in rows)
+
+
+def square(gram, v):
+    """v^T G v, summed over the whole matrix."""
+    return sum(vi * q * vj for row, vi in zip(gram, v) if vi
+               for q, vj in zip(row, v))
 
 
 def inertia(gram):

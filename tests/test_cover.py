@@ -33,7 +33,7 @@ def test_b_plus_ell_equals_simply_connected_b_plus():
 
 def test_n_part_contributes_nothing_free():
     ls = standard_cover(manifold.S2xS2(), manifold.S2xSigma(1))
-    assert ls.form.rank == 2
+    assert ls.rank == 2
 
 
 def test_free_offsets_skip_exactly_the_n_blocks():
@@ -78,13 +78,15 @@ def test_target_class_nonspin_diag_bits():
     ls = cover.build_standard_cover(x)
     target = cover.w2_plus_w1sq(ls)
     off = 0
-    for atom in ls.form.atoms:
-        bits = target[off:off + atom.rank]
-        if isinstance(atom, lattice.Diag):
-            assert bits == (1,)
-        else:
-            assert not any(bits)
-        off += atom.rank
+    for atom, n in ls.free:
+        for _ in range(n):
+            bits = target[off:off + atom.rank]
+            if isinstance(atom, lattice.Diag):
+                assert bits == (1,)
+            else:
+                assert not any(bits)
+            off += atom.rank
+    assert off == ls.rank
     # the target is itself characteristic for the free form
     assert oracles.is_characteristic(oracles.gram(ls.free), target)
 
@@ -112,9 +114,9 @@ def test_char_class_accepts_exactly_the_characteristic_vectors(text, bound):
     ls = cover.build_standard_cover(cli.parse(text))
     box = range(-bound, bound + 1)
     gram = oracles.gram(ls.free)
-    for v in itertools.product(box, repeat=ls.form.rank):
+    for v in itertools.product(box, repeat=ls.rank):
         if oracles.is_characteristic(gram, v):
-            assert ls.char_class(v).square == lattice.square(ls.form, v)
+            assert ls.char_class(v).square == oracles.square(gram, v)
         else:
             with pytest.raises(PreconditionViolated):
                 ls.char_class(v)
@@ -194,9 +196,9 @@ BRUTE_FORCE_ROWS = [
 def test_enumeration_matches_brute_force(text, bound):
     """The oracle: every vector of the box, kept iff it is characteristic."""
     ls = cover.build_standard_cover(cli.parse(text))
-    box = itertools.product(range(-bound, bound + 1), repeat=ls.form.rank)
+    box = itertools.product(range(-bound, bound + 1), repeat=ls.rank)
     gram = oracles.gram(ls.free)
-    want = sorted((ls.char_class(v) for v in box
+    want = sorted((cover.CharClass(v, oracles.square(gram, v)) for v in box
                    if oracles.is_characteristic(gram, v)),
                   key=lambda c: (-c.square, c.free_part))
     assert want
@@ -280,11 +282,20 @@ def test_spinc_big_listing_bytes():
         "952eb37f6c02701584a7cbfeedd8ee32b775fd2e1760283010155a3fe272396a")
 
 
+def test_spinc_listing_of_every_atom_kind():
+    """236,196 classes over Diag of both signs, a hyperbolic plane and
+    positive E8, whose Gram matrix has nonzero entries off the diagonal."""
+    out = spinc_text("E8 # CP2 # -CP2 # S2xS2 # S1xY(b1=1)", 2)
+    assert out.count("\n") == 236_196
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "376c040386ab4b4368e30b45937b9c626634c8f6daaefff470bb358056e6d594")
+
+
 def test_spinc_does_not_recheck_classes(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("spinc re-checked or built a class")
 
-    monkeypatch.setattr(lattice, "square", refuse)
+    monkeypatch.setattr(cover.LocalSystem, "char_class", refuse)
     monkeypatch.setattr(cover, "CharClass", refuse)
     code = cli.main(["spinc", "CP2 # 2*-CP2 # S2xS2 # S1xY(b1=1)",
                      "--bound", "3"])

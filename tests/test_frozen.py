@@ -22,7 +22,6 @@ def samples():
         (lattice.Diag(1), ["eps"]),
         (lattice.Hyperbolic(), []),
         (lattice.E8(-1), ["sign"]),
-        (ls.form, ["atoms"]),
         (manifold.Block("S1xY", param=1), ["kind", "sign", "param"]),
         (x, ["terms"]),
         (charpoly.ExtPoly.u(2) + charpoly.ExtPoly.t(2, 1), ["k", "terms"]),
@@ -73,8 +72,8 @@ def test_equality_needs_the_same_class():
 def test_replace_rebuilds_through_post_init():
     ls = cover.build_standard_cover(cli.parse(SPIN))
     other = ls.replace(base=cli.parse("CP2 # -CP2 # W # S1xY(b1=1)"))
-    assert (other.b_plus_ell, other.torsion_bits, other.form.rank) == (1, 1, 2)
-    assert (ls.b_plus_ell, ls.torsion_bits, ls.form.rank) == (3, 0, 15)
+    assert (other.b_plus_ell, other.torsion_bits, other.rank) == (1, 1, 2)
+    assert (ls.b_plus_ell, ls.torsion_bits, ls.rank) == (3, 0, 15)
     block = manifold.Block("CP2").replace(kind="S2xS2")
     assert block.spec is manifold.BLOCKS["S2xS2"]
     assert repr(block) == "Block(kind='S2xS2', sign=0, param=0)"

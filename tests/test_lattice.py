@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fourfold import lattice, manifold
+from fourfold import cli, cover, lattice, manifold
 from fourfold.errors import DefinitePartUnsupported, DimensionMismatch
 
 ATOMS = [
@@ -18,8 +18,13 @@ ATOMS = [
 ]
 
 
-def form_of(*atoms):
-    return lattice.IntersectionForm(tuple(atoms))
+def atoms_square(atoms, v):
+    """The engine's square on a sum of atoms: each atom squares its piece."""
+    total = off = 0
+    for atom in atoms:
+        total += atom.square(v[off:off + atom.rank])
+        off += atom.rank
+    return total
 
 
 # --- the declared inertia against the reference ---
@@ -56,9 +61,9 @@ def test_diagonal_invariants():
 
 
 def test_zero_rank_form():
-    form = form_of()
-    assert form.rank == 0
-    assert lattice.square(form, ()) == 0
+    ls = cover.build_standard_cover(cli.parse("W # S1xY(b1=1)"))
+    assert (ls.rank, ls.free) == (0, ())
+    assert ls.char_class(()).square == 0
     assert oracles.inertia(oracles.gram(())) == (0, 0, 0)
     s4 = manifold.expr(manifold.Block("S4"))
     assert s4.inv == (0,) * 6 and s4.inv.sigma == 0
@@ -73,24 +78,39 @@ def test_reference_inertia_of_a_degenerate_gram():
 # --- square ---
 
 def test_square_hyperbolic():
-    assert lattice.square(form_of(lattice.Hyperbolic()), (1, 1)) == 2
+    assert lattice.Hyperbolic().square((1, 1)) == 2
+    assert oracles.square(oracles.gram(((lattice.Hyperbolic(), 1),)),
+                          (1, 1)) == 2
 
 
 def test_square_negative_diagonal():
     for m in range(5):
-        form = form_of(*([lattice.Diag(-1)] * (m + 1)))
-        assert lattice.square(form, (1,) * (m + 1)) == -m - 1
+        ls = cover.build_standard_cover(
+            cli.parse(f"{m + 1}*-CP2 # S1xY(b1=1)"))
+        assert ls.rank == m + 1
+        v = (1,) * ls.rank
+        assert ls.char_class(v).square == -m - 1 == \
+            oracles.square(oracles.gram(ls.free), v)
 
 
 def test_square_zero_vector():
     for atom in ATOMS:
-        form = form_of(atom)
-        assert lattice.square(form, (0,) * form.rank) == 0
+        assert atom.square((0,) * atom.rank) == 0
 
 
 def test_square_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        lattice.square(form_of(lattice.Hyperbolic()), (1,))
+    ls = cover.build_standard_cover(cli.parse("S2xS2 # S1xY(b1=1)"))
+    for v in ((0,), (0, 0, 0)):
+        with pytest.raises(DimensionMismatch):
+            ls.char_class(v)
+
+
+@given(st.sampled_from(ATOMS), st.data())
+def test_atom_square_matches_reference(atom, data):
+    """Each atom's square against v^T G v on its reference Gram matrix."""
+    v = tuple(data.draw(st.lists(st.integers(-10**6, 10**6),
+                                 min_size=atom.rank, max_size=atom.rank)))
+    assert atom.square(v) == oracles.square(oracles.gram(((atom, 1),)), v)
 
 
 # --- the reference Wu criterion ---
@@ -131,11 +151,11 @@ def test_atom_wu_bits_are_characteristic():
     + [(lattice.E8(-1), 1), (lattice.E8(-1), 2)])
 def test_atom_maximizer_matches_box_scan(atom, bound):
     """The closed form against every characteristic vector of the box."""
-    form = form_of(atom)
+    gram = oracles.gram(((atom, 1),))
     box = itertools.product(*[
         [x for x in range(-bound, bound + 1) if x % 2 == bit]
         for bit in atom.wu])
-    want = min(box, key=lambda v: (-lattice.square(form, v), v))
+    want = min(box, key=lambda v: (-oracles.square(gram, v), v))
     assert atom.maximizer(bound) == want
 
 
@@ -211,10 +231,10 @@ def test_classify_preserves_invariants(blocks, w_count):
 @given(st.lists(st.sampled_from(ATOMS[2:]), min_size=1, max_size=4),
        st.data())
 def test_even_forms_have_even_squares(atoms, data):
-    form = form_of(*atoms)
-    v = data.draw(st.lists(st.integers(-3, 3), min_size=form.rank,
-                           max_size=form.rank))
-    assert lattice.square(form, v) % 2 == 0
+    rank = sum(a.rank for a in atoms)
+    v = data.draw(st.lists(st.integers(-3, 3), min_size=rank,
+                           max_size=rank))
+    assert atoms_square(atoms, v) % 2 == 0
 
 
 def _unimodular(n, rng):
@@ -233,11 +253,10 @@ def _unimodular(n, rng):
 @settings(max_examples=30)
 @given(atom_lists.filter(bool), st.integers(0, 10_000))
 def test_square_invariant_under_basis_change(atoms, seed):
-    """square(u v) on the form is v^T (u^T Q u) v on the reference Gram."""
+    """The atoms' square of u v is v^T (u^T Q u) v on the reference Gram."""
     rng = random.Random(seed)
-    form = form_of(*atoms)
     q = oracles.gram([(a, 1) for a in atoms])
-    n = form.rank
+    n = len(q)
     u = _unimodular(n, rng)
     v = [rng.randint(-3, 3) for _ in range(n)]
     uv = [sum(u[i][j] * v[j] for j in range(n)) for i in range(n)]
@@ -245,5 +264,4 @@ def test_square_invariant_under_basis_change(atoms, seed):
           for i in range(n)]
     conj = [[sum(u[a][i] * qu[a][j] for a in range(n)) for j in range(n)]
             for i in range(n)]
-    assert lattice.square(form, uv) == sum(
-        v[i] * conj[i][j] * v[j] for i in range(n) for j in range(n))
+    assert atoms_square(atoms, uv) == oracles.square(conj, v)

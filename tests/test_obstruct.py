@@ -8,8 +8,10 @@ import oracles
 from fourfold import charpoly, cli, cover, lattice, manifold, obstruct
 from fourfold.charpoly import BundleClassData, ExtPoly
 from fourfold.errors import (
+    DimensionMismatch,
     FourfoldError,
     HypothesesNotMet,
+    InvalidSetting,
     OrientationReversalUnavailable,
     PreconditionViolated,
     RankMismatch,
@@ -130,8 +132,21 @@ def test_family_dimension_follows_generators():
 
 def test_lift_zero_class():
     fam, ls = family_for(spin_expr(), k=2)
-    c = ls.char_class((0,) * ls.form.rank)
+    c = ls.char_class((0,) * ls.rank)
     assert obstruct.lift_valid(fam, c)
+
+
+@pytest.mark.parametrize("free_part, square", [
+    ((), 0), ((1,), 5), ((0,) * 9, 0), ((1,) * 4, 0)])
+def test_lift_refuses_a_class_of_the_wrong_length(free_part, square):
+    x = cli.parse("2*-CP2 # CP2 # S2xS2 # S1xY(b1=1)")
+    fam, ls = family_for(x, k=2)
+    assert len(fam.generators) == 2 and ls.rank == 5
+    c = cover.CharClass(free_part, square)
+    with pytest.raises(DimensionMismatch):
+        obstruct.lift_valid(fam, c)
+    with pytest.raises(DimensionMismatch):
+        obstruct.check_theorem_A(fam, c)
 
 
 def test_lift_class_off_reflected_summands():
@@ -354,7 +369,7 @@ def test_prepared_cover_has_closed_form_atoms(counts, n_block):
     except FourfoldError:
         return
     ls = cover.build_standard_cover(prepared)
-    for atom in ls.form.atoms:
+    for atom, _ in ls.free:
         assert isinstance(atom, (lattice.Diag, lattice.Hyperbolic)) \
             or atom == lattice.E8(-1)
     # Theorem A takes one generator per positive direction of the free form
@@ -379,6 +394,20 @@ def test_largest_liftable_class_at_huge_bound():
     assert oracles.is_characteristic(oracles.gram(fam.cover.free),
                                      c.free_part)
     assert obstruct.lift_valid(fam, c)
+
+
+@pytest.mark.parametrize("bound", [0, 1.5, 2.0, True, "2"])
+def test_bound_must_be_an_int_of_at_least_one(bound):
+    # a Theorem A row, a spin row and their cover and family
+    nonspin = cli.parse("CP2 # 2*-CP2 # S2xS2 # S1xY(b1=1)")
+    spin = cli.parse("2*-E8 # 3*S2xS2 # S1xY(b1=1)")
+    fam, ls = family_for(nonspin)
+    for call in (lambda: obstruct.certify(nonspin, bound=bound),
+                 lambda: obstruct.certify(spin, bound=bound),
+                 lambda: obstruct.largest_liftable_class(fam, bound),
+                 lambda: cover.enumerate_characteristics(ls, bound)):
+        with pytest.raises(InvalidSetting, match="bound must be"):
+            call()
 
 
 def test_certify_does_not_enumerate(monkeypatch):
@@ -456,7 +485,7 @@ def test_theorem_a_and_b_agree_on_zero_class():
     # class of H+ is nonzero; the full-rank family makes both nonzero
     x = spin_expr(e8=2, s2=3)
     fam, ls = family_for(x, k=3)
-    zero = ls.char_class((0,) * ls.form.rank)
+    zero = ls.char_class((0,) * ls.rank)
     a = obstruct.check_theorem_A(fam, zero)
     b = obstruct.check_theorem_B(fam)
     assert a.verdict == b.verdict == obstruct.NONSMOOTHABLE
