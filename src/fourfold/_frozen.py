@@ -12,18 +12,20 @@ def frozen(cls):
     same class, and `==`, `hash` and `repr` read the tuple of fields;
     assigning or deleting an attribute raises AttributeError; and
     `v.replace(**changes)` is a copy with some fields changed.
-    `__init__` is straight-line code, compiled once per class, because
-    every certificate constructs dozens of values.
+    `__init__` is straight-line code, compiled once per class, that stores
+    each field in the instance `__dict__`, because every certificate
+    constructs dozens of values; a `__post_init__` stores what it derives
+    the same way.
     """
     names = tuple(cls.__annotations__)
-    defaults = {f"_{n}": vars(cls)[n] for n in names if n in vars(cls)}
-    params = "".join(f", {n}=_{n}" if f"_{n}" in defaults else f", {n}"
+    space = {f"_{n}": vars(cls)[n] for n in names if n in vars(cls)}
+    params = "".join(f", {n}=_{n}" if f"_{n}" in space else f", {n}"
                      for n in names)
-    body = "".join(f"    _set(self, {n!r}, {n})\n" for n in names)
+    body = "    d = self.__dict__\n" + "".join(
+        f"    d[{n!r}] = {n}\n" for n in names)
     if hasattr(cls, "__post_init__"):
         body += "    self.__post_init__()\n"
-    space = {"_set": object.__setattr__, **defaults}
-    exec(f"def __init__(self{params}):\n{body or '    pass'}\n", space)
+    exec(f"def __init__(self{params}):\n{body}", space)
     fields = operator.attrgetter(*names) if len(names) > 1 else (
         lambda v: tuple(getattr(v, n) for n in names))
 
@@ -46,7 +48,8 @@ def frozen(cls):
         raise AttributeError(f"cannot delete field {name!r}")
 
     def replace(self, **changes):
-        return cls(**dict(zip(names, fields(self)), **changes))
+        d = self.__dict__
+        return cls(**{**{n: d[n] for n in names}, **changes})
 
     for fn in (space["__init__"], __eq__, __hash__, __repr__, __setattr__,
                __delattr__, replace):

@@ -20,7 +20,7 @@ class ExtPoly:
     terms: frozenset = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", frozenset(self.terms))
+        self.__dict__["terms"] = frozenset(self.terms)
         for mask, _ in self.terms:
             if mask >> self.k:
                 raise ValueError("generator index out of range")
@@ -102,15 +102,16 @@ class BundleClassData:
     sw: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "sw", tuple(self.sw))
+        d = self.__dict__
+        d["sw"] = tuple(self.sw)
         for i, w in enumerate(self.sw, 1):
             if w.k != self.k:
                 raise ModeMismatch("class data over the wrong torus")
             if any(up or mask.bit_count() != i for mask, up in w.terms):
                 raise ValueError(
                     f"w{i} must be a pure base class of degree {i}")
-        object.__setattr__(self, "classes", {0: ExtPoly.one(self.k), **{
-            i: w for i, w in enumerate(self.sw, 1) if w}})
+        d["classes"] = {0: ExtPoly.one(self.k), **{
+            i: w for i, w in enumerate(self.sw, 1) if w}}
 
     def w(self, i):
         """Degree-i class, with w0 = 1 and wi = 0 where none is stored."""

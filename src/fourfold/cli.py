@@ -41,19 +41,9 @@ _TERM_RE = re.compile(
     r"(?:\s*\(\s*(?P<key>[A-Za-z0-9]+)\s*=\s*(?P<param>-?\d+)\s*\))?\s*")
 
 
-def _parse_block(m, offset):
-    """The Block a term's match names: shared, or built with its parameter."""
-    name, key, param = m["name"], m["key"], m["param"]
-    found = _NAMES.get(name if param is None else f"{name}({key}={{p}})")
-    if found is None:
-        text = name if param is None else f"{name}({key}={param})"
-        raise ParseError(f"unknown block {text!r}", offset)
-    if param is None:
-        return found
-    try:   # int() refuses more than sys.get_int_max_str_digits() digits
-        return manifold.Block(found, param=int(param))
-    except ValueError as e:
-        raise ParseError(str(e), offset) from None
+def _offset(parts, i, at=0):
+    """Where `at` in term i of the text split on "#" lies in the text."""
+    return sum(map(len, parts[:i])) + i + at
 
 
 def parse(text):
@@ -67,32 +57,44 @@ def parse(text):
         raise ParseError("empty expression", 0)
     terms = []
     count = 0
-    pos = 0
     parts = text.split("#")
-    for part in parts:
-        if not part.strip():
-            raise ParseError("empty connected-sum term", pos)
+    for i, part in enumerate(parts):
         m = _TERM_RE.fullmatch(part)
         if m is None:
-            bad = pos + (len(part) - len(part.lstrip()))
-            raise ParseError(f"cannot parse term {part.strip()!r}", bad)
-        mult = 1
-        if m["mult"] is not None:
+            if not part.strip():
+                raise ParseError("empty connected-sum term", _offset(parts, i))
+            raise ParseError(f"cannot parse term {part.strip()!r}", _offset(
+                parts, i, len(part) - len(part.lstrip())))
+        mult, name, key, param = m.groups()
+        if mult is None:
+            mult = 1
+        else:
             try:
-                mult = int(m["mult"])
+                mult = int(mult)
             except ValueError as e:  # too many digits for int()
-                raise ParseError(str(e), pos + m.start("mult")) from None
+                raise ParseError(
+                    str(e), _offset(parts, i, m.start("mult"))) from None
             if mult < 0:
                 raise NegativeMultiplicity(
                     f"multiplicity {mult} must be >= 0")
-        block = _parse_block(m, pos + m.start("name"))
-        size = len(manifold.COMPOSITES.get(block.kind, (block,)))
-        count += mult * size
+        # a name without a parameter is a shared Block; one with, its kind
+        block = _NAMES.get(name if param is None else f"{name}({key}={{p}})")
+        if block is None:
+            text = name if param is None else f"{name}({key}={param})"
+            raise ParseError(f"unknown block {text!r}",
+                             _offset(parts, i, m.start("name")))
+        if param is not None:
+            try:   # int() refuses more than sys.get_int_max_str_digits()
+                block = manifold.Block(block, param=int(param))
+            except ValueError as e:   # digits, or a parameter out of range
+                raise ParseError(
+                    e.args[0], _offset(parts, i, m.start("name"))) from None
+        count += mult if block.spec else mult * len(
+            manifold.COMPOSITES[block.kind])
         if count > cover.MAX_SUMMANDS:
             raise InvalidSetting(
                 f"more than {cover.MAX_SUMMANDS} summands")
         terms.append((block, mult))
-        pos += len(part) + 1
     return manifold.ManifoldExpr(tuple(terms))
 
 
@@ -105,53 +107,50 @@ def replay(cert):
     return again == cert
 
 
-def _dumps(doc):
-    """The text of json.dumps(doc, indent=2) for a document of str, int,
-    None, dicts and lists.
+def _int(v):
+    """The JSON text of an int or None."""
+    return "null" if v is None else int.__repr__(v)
 
-    With an indent json.dumps always runs its pure-Python encoder; this
-    writer lays out the same text and encodes strings with the same C
-    function.
-    """
-    from json.encoder import encode_basestring_ascii as string
 
-    def value(v, indent):
-        if v is None:
-            return "null"
-        if type(v) is str:
-            return string(v)
-        if type(v) is int:
-            return int.__repr__(v)
-        brackets = "{}" if type(v) is dict else "[]"
-        if not v:
-            return brackets
-        inner = indent + "  "
-        items = ([f"{string(k)}: {value(x, inner)}" for k, x in v.items()]
-                 if type(v) is dict else [value(x, inner) for x in v])
-        return (brackets[0] + inner + ("," + inner).join(items) + indent
-                + brackets[1])
-
-    return value(doc, "\n")
+def _container(members, brackets, indent):
+    """The text of a JSON object or array as json.dumps(..., indent=2) lays
+    it out, from its members' text; `indent` starts its closing line."""
+    if not members:
+        return brackets
+    inner = indent + "  "
+    return (brackets[0] + inner + ("," + inner).join(members) + indent
+            + brackets[1])
 
 
 def emit_json(cert):
-    """Stable machine-readable form of a certificate."""
-    index = {}
-    if cert.index_kind:
-        index[cert.index_kind] = cert.index_value
-    doc = {
-        "verdict": cert.verdict,
-        "theorem": cert.theorem_used,
-        "base_dim": cert.base_dim,
-        "b_plus_ell": cert.b_plus_ell,
-        "witness_monomial": cert.witness_monomial,
-        "c1_square": cert.c1_square,
-        "sigma": cert.sigma,
-        "index": index,
-        "inputs": dict(cert.inputs),
-        "transcript": list(cert.transcript),
-    }
-    return _dumps(doc)
+    """Stable machine-readable form of a certificate.
+
+    The text of json.dumps(doc, indent=2) for the certificate's fixed
+    ten-key document, written from its fields: with an indent json.dumps
+    always runs its pure-Python encoder, and this writer lays out the same
+    text, strings through the same C function and ints through
+    int.__repr__.
+    """
+    import json.encoder   # loaded on first use: spinc never needs it
+    string = json.encoder.encode_basestring_ascii
+    index = [f"{string(cert.index_kind)}: {_int(cert.index_value)}"
+             ] if cert.index_kind else []
+    # a repeated key keeps its first place and its last value, as in a dict
+    inputs = [f"{string(k)}: {string(v)}"
+              for k, v in dict(cert.inputs).items()]
+    return _container([
+        f'"verdict": {string(cert.verdict)}',
+        f'"theorem": {string(cert.theorem_used)}',
+        f'"base_dim": {int.__repr__(cert.base_dim)}',
+        f'"b_plus_ell": {int.__repr__(cert.b_plus_ell)}',
+        f'"witness_monomial": {string(cert.witness_monomial)}',
+        f'"c1_square": {_int(cert.c1_square)}',
+        f'"sigma": {int.__repr__(cert.sigma)}',
+        '"index": ' + _container(index, "{}", "\n  "),
+        '"inputs": ' + _container(inputs, "{}", "\n  "),
+        '"transcript": ' + _container(
+            list(map(string, cert.transcript)), "[]", "\n  "),
+    ], "{}", "\n")
 
 
 def _cmd_invariants(x, args):
@@ -203,7 +202,10 @@ def _cmd_certify(x, args):
         cert = obstruct.certify(x, scenario=args.scenario, bound=args.bound)
     except HypothesesNotMet as e:
         if args.json:
-            print(_dumps({"verdict": "HypothesesNotMet", "reason": str(e)}))
+            import json.encoder
+            reason = json.encoder.encode_basestring_ascii(str(e))
+            print(_container(['"verdict": "HypothesesNotMet"',
+                              f'"reason": {reason}'], "{}", "\n"))
         else:
             print(f"HypothesesNotMet: {e.args[0] if e.args else e}")
         return 3

@@ -19,7 +19,9 @@ from .errors import (
 )
 
 # the most classes one listing may hold: at least the 531,441 of
-# -E8 # 2*S2xS2 # S1xY(b1=1) at bound 2, which peak at 95 MB in `spinc`
+# -E8 # 2*S2xS2 # S1xY(b1=1) at bound 2, whose `spinc` child peaks at
+# 17 MB resident, 15 MB of which `fourfold invariants S4` takes too
+# (ru_maxrss, Python 3.11)
 MAX_CLASSES = 1_000_000
 # the most summands one expression may hold, composites counted expanded:
 # room for benchmark rows of thousands of summands
@@ -46,11 +48,12 @@ class LocalSystem:
                 # n copies of one atom are one pair; K3's two atoms alternate
                 free += b.atoms * n if len(b.atoms) > 1 else [
                     (a, m * n) for a, m in b.atoms]
-        object.__setattr__(self, "free", tuple(free))
+        d = self.__dict__
+        d["free"] = tuple(free)
         # a W block has no free cohomology, so this is the sc part's b2
-        object.__setattr__(self, "rank", self.base.sc.b2)
-        object.__setattr__(self, "b_plus_ell", self.base.sc.b_plus)
-        object.__setattr__(self, "torsion_bits", self.base.inv.torsion)
+        d["rank"] = self.base.sc.b2
+        d["b_plus_ell"] = self.base.sc.b_plus
+        d["torsion_bits"] = self.base.inv.torsion
 
     def free_block_offsets(self):
         """Map pair index -> (offset, span) into the free twisted lattice.

@@ -14,6 +14,7 @@ from ._frozen import frozen
 from .errors import (
     DefinitePartUnsupported,
     GenusZero,
+    InvalidSetting,
     OrientationReversalUnavailable,
     SpinKSInconsistent,
 )
@@ -113,35 +114,43 @@ class Block:
     def __post_init__(self):
         spec = BLOCKS.get(self.kind)
         if spec is None and self.kind not in COMPOSITES:
-            raise ValueError(f"unknown block kind {self.kind!r}")
+            raise InvalidSetting(f"unknown block kind {self.kind!r}")
+        # the parser builds only ints; a bool or a float would render a
+        # name it cannot read back
+        if type(self.sign) is not int or type(self.param) is not int:
+            raise InvalidSetting(
+                f"sign and param must be ints, got {self.sign!r} and "
+                f"{self.param!r}")
         if self.kind == "S2xSigma" and self.param < 1:
             raise GenusZero("S2xSigma requires positive genus")
         if self.kind == "S1xY" and self.param < 0:
-            raise ValueError("b1 must be non-negative")
+            raise InvalidSetting("b1 must be non-negative")
         if self.kind == "E8" and self.sign not in (1, -1):
-            raise ValueError("E8 block needs sign +1 or -1")
+            raise InvalidSetting("E8 block needs sign +1 or -1")
         # not fields: the BLOCKS row of the kind (None for the COMPOSITES),
         # the sort key, the rendered name, the row's (atom, count) pairs,
         # and the invariants, read off those at a cost that does not grow
         # with the parameter
-        object.__setattr__(self, "spec", spec)
+        d = self.__dict__
+        d["spec"] = spec
         if spec is None:
             return
-        object.__setattr__(self, "key", (_ORDER[self.kind], -self.sign,
-                                         self.param))
-        object.__setattr__(self, "name", spec.name.format(
-            s="-" if self.sign < 0 else "", p=self.param))
-        object.__setattr__(self, "atoms", spec.atoms(self))
+        d["key"] = _ORDER[self.kind], -self.sign, self.param
+        try:   # str() refuses more than sys.get_int_max_str_digits() digits
+            d["name"] = spec.name.format(s="-" if self.sign < 0 else "",
+                                         p=self.param)
+        except ValueError as e:
+            raise InvalidSetting(str(e)) from None
+        d["atoms"] = atoms = spec.atoms(self)
         b_plus = b_minus = 0
         odd = False
-        for atom, n in self.atoms:
+        for atom, n in atoms:
             p, m, _ = atom.inertia
             b_plus += n * p
             b_minus += n * m
             odd = odd or not atom.even
-        object.__setattr__(self, "inv", Invariants((
-            b_plus, b_minus, spec.ks, int(odd), int(not spec.spin),
-            spec.h1_torsion)))
+        d["inv"] = Invariants((b_plus, b_minus, spec.ks, int(odd),
+                               int(not spec.spin), spec.h1_torsion))
 
     @property
     def b1(self):
@@ -224,16 +233,31 @@ class ManifoldExpr:
                 key = part.key
                 merged[key] = part, n + (merged[key][1] if key in merged else 0)
         terms = [merged[key] for key in sorted(merged) if merged[key][1]]
-        # the one walk: each pair's Invariants, times its count, to its part
-        sc, rest = [0] * 6, [0] * 6
+        # the one walk: each pair's Invariants, times its count, summed
+        # over the simply-connected part (s*) and over the rest (r*)
+        sp = sm = sk = so = sn = st = rp = rm = rk = ro = rn = rt = 0
         for b, n in terms:
-            part = sc if b.spec.part == "sc" else rest
-            for i, v in enumerate(b.inv):
-                part[i] += n * v
-        object.__setattr__(self, "terms", tuple(terms))
+            p, m, k, o, ns, t = b.inv
+            if b.spec.part == "sc":
+                sp += n * p
+                sm += n * m
+                sk += n * k
+                so += n * o
+                sn += n * ns
+                st += n * t
+            else:
+                rp += n * p
+                rm += n * m
+                rk += n * k
+                ro += n * o
+                rn += n * ns
+                rt += n * t
+        d = self.__dict__
+        d["terms"] = tuple(terms)
         # not fields: the sum's Invariants, and its simply-connected part's
-        object.__setattr__(self, "sc", Invariants(sc))
-        object.__setattr__(self, "inv", Invariants(map(sum, zip(sc, rest))))
+        d["sc"] = Invariants((sp, sm, sk, so, sn, st))
+        d["inv"] = Invariants((sp + rp, sm + rm, sk + rk, so + ro, sn + rn,
+                               st + rt))
 
     @property
     def b1(self):

@@ -36,7 +36,7 @@ class FamilyDescriptor:
     generators: tuple           # slots: (pair index, copies), one per pair
 
     def __post_init__(self):    # not a field: k, the base torus dimension
-        object.__setattr__(self, "k", sum(n for _, n in self.generators))
+        self.__dict__["k"] = sum(n for _, n in self.generators)
 
 
 @frozen
@@ -178,21 +178,26 @@ def check_theorem_A(f, c):
 
 def check_theorem_B(f):
     """Zero-class obstruction: fires when w_b or w_{b-1} is nonzero and sigma < 0."""
-    if f.cover.torsion_bits or any(cover.w2_plus_w1sq(f.cover)):
+    # the free part of w2 + w1^2 is each atom's Wu class, copy by copy
+    if f.cover.torsion_bits or any(1 in atom.wu for atom, _ in f.cover.free):
         raise ZeroClassUnavailable(
             "w2 + w1^2 != 0: no candidate class with c1 = 0 exists")
     b = f.cover.b_plus_ell
     w_b = charpoly.line_sum_w(f.k, b)
     w_b1 = charpoly.line_sum_w(f.k, b - 1)
-    euler = w_b + w_b1 * charpoly.ExtPoly.u(f.k)
     sigma = f.cover.base.inv.sigma
     top, below = w_b.render(), w_b1.render()
+    # the terms of e_C4 = w_b + w_{b-1} u.  ExtPoly.render lists the terms
+    # without u first, each part in the order of its masks, so they are
+    # top's, then below's times u: no monomial renders twice
+    euler = ([top] if w_b else []) + [
+        "u" if t == "1" else t + "*u" for t in below.split(" + ") if w_b1]
     transcript = [
         f"b_plus_ell = {b}",
         f"base_dim = {f.k}",
         f"w_{b}(H+(E,l)) = {top}",
         f"w_{b - 1}(H+(E,l)) = {below}",
-        f"e_C4(H+(E,l)) = {euler.render()}",
+        f"e_C4(H+(E,l)) = {' + '.join(euler) or '0'}",
         "c1_square = 0",
         f"sigma = {sigma}",
     ]
@@ -291,38 +296,39 @@ _SCENARIOS = {
 
 
 def _certify_scenario(x, scenario, bound, prepared):
-    """Check one scenario's hypotheses in order, then run its theorem.
+    """One scenario's certificate, or the reason of its first unmet hypothesis.
 
-    prepared holds _prepare(x), or the HypothesesNotMet it raised, once
-    a scenario has called it.
+    Checks the hypotheses in order, then runs the scenario's theorem.
+    prepared holds _prepare(x), or the reason it refused x, once a
+    scenario has called it.  A reason is returned, not raised: auto passes
+    over most scenarios, and an exception costs more than the check.
     """
     w_blocks, ks_zero, spin, theorem = _SCENARIOS[scenario]
     label = "spin" if spin else "non-spin"
     if w_blocks and x.inv.torsion < 1:
-        raise HypothesesNotMet("at least one Enriques block required")
+        return "at least one Enriques block required"
     if not w_blocks and x.inv.torsion:
-        raise HypothesesNotMet(f"{label} scenario does not apply to W blocks")
+        return f"{label} scenario does not apply to W blocks"
     if ks_zero and x.inv.ks != 0:
-        raise HypothesesNotMet(
-            "Kirby-Siebenmann class must vanish for a smooth manifold")
+        return "Kirby-Siebenmann class must vanish for a smooth manifold"
     if not prepared:
         try:
             prepared.append(_prepare(x))
         except HypothesesNotMet as e:
-            prepared.append(e)
+            prepared.append(e.args[0])
     normalized = prepared[0]
-    if isinstance(normalized, HypothesesNotMet):
-        raise normalized
+    if type(normalized) is str:
+        return normalized
     if spin is not None:
         sc = normalized.sc
         if sc.spin != spin:
-            raise HypothesesNotMet(f"{label} simply-connected part required")
+            return f"{label} simply-connected part required"
         if abs(sc.sigma) <= 8:
-            raise HypothesesNotMet("|sigma(M)| > 8")
+            return "|sigma(M)| > 8"
     try:
         ls = cover.build_standard_cover(normalized)
     except NoNontrivialCoverAvailable as e:
-        raise HypothesesNotMet(str(e)) from None
+        return str(e)
     n = ls.b_plus_ell
     if theorem == "ThmA":
         # after _prepare there is one slot copy per positive direction.
@@ -355,18 +361,23 @@ def certify(x, scenario="auto", bound=1):
     an int >= 1 or more than cover.MAX_SUMMANDS summands, as cli.parse
     counts them.
     """
+    if type(x) is not manifold.ManifoldExpr:
+        raise InvalidSetting(f"certify needs a ManifoldExpr, got {x!r}")
     cover.check_bound(bound)
     if sum(n for _, n in x.terms) > cover.MAX_SUMMANDS:
         raise InvalidSetting(f"more than {cover.MAX_SUMMANDS} summands")
     prepared = []   # each scenario that gets as far prepares x once
     if scenario in _SCENARIOS:
-        return _certify_scenario(x, scenario, bound, prepared)
+        cert = _certify_scenario(x, scenario, bound, prepared)
+        if type(cert) is str:
+            raise HypothesesNotMet(cert)
+        return cert
     if scenario != "auto":
-        raise ValueError(f"unknown scenario {scenario!r}")
+        raise InvalidSetting(f"unknown scenario {scenario!r}")
     reasons = []
     for name in _SCENARIOS:
-        try:
-            return _certify_scenario(x, name, bound, prepared)
-        except HypothesesNotMet as e:
-            reasons.append(f"{name}: {e.args[0]}")
+        cert = _certify_scenario(x, name, bound, prepared)
+        if type(cert) is not str:
+            return cert
+        reasons.append(f"{name}: {cert}")
     raise HypothesesNotMet("; ".join(reasons))

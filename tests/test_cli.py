@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fourfold import charpoly, cli, cover, manifold, obstruct
-from fourfold.errors import (GenusZero, InvalidSetting, NegativeMultiplicity,
-                             ParseError)
+from fourfold.errors import (GenusZero, HypothesesNotMet, InvalidSetting,
+                             NegativeMultiplicity, ParseError)
 
 
 # --- parsing ---
@@ -153,19 +153,58 @@ def test_emit_json_deterministic_bytes():
     assert a == b
 
 
-# every scalar a certificate document holds, in dicts and lists up to
-# three deep: None, ints of any sign, and strings with quotes,
-# backslashes, control and non-ASCII characters
-_JSON_DOC = st.recursive(
-    st.one_of(st.none(), st.integers(), st.text()),
-    lambda inner: st.one_of(st.lists(inner, max_size=4),
-                            st.dictionaries(st.text(), inner, max_size=4)),
-    max_leaves=12)
+def reference_document(cert):
+    """The dict emit_json writes, built field by field, for json.dumps."""
+    index = {}
+    if cert.index_kind:
+        index[cert.index_kind] = cert.index_value
+    return {
+        "verdict": cert.verdict,
+        "theorem": cert.theorem_used,
+        "base_dim": cert.base_dim,
+        "b_plus_ell": cert.b_plus_ell,
+        "witness_monomial": cert.witness_monomial,
+        "c1_square": cert.c1_square,
+        "sigma": cert.sigma,
+        "index": index,
+        "inputs": dict(cert.inputs),
+        "transcript": list(cert.transcript),
+    }
 
 
-@given(_JSON_DOC)
-def test_json_writer_matches_json_dumps(doc):
-    assert cli._dumps(doc) == json.dumps(doc, indent=2)
+# text with quotes, backslashes, control and non-ASCII characters
+_JSON_TEXT = st.text(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f') | st.characters())
+_INT_OR_NONE = st.none() | st.integers()
+# few enough keys that an input repeats one often
+_INPUT_KEY = st.sampled_from(["expression", "bound", ""]) | _JSON_TEXT
+
+
+@given(st.builds(
+    obstruct.Certificate,
+    verdict=_JSON_TEXT, theorem_used=_JSON_TEXT, base_dim=st.integers(),
+    b_plus_ell=st.integers(), witness_monomial=_JSON_TEXT,
+    c1_square=_INT_OR_NONE, sigma=st.integers(),
+    index_kind=st.just("") | _JSON_TEXT, index_value=_INT_OR_NONE,
+    inputs=st.lists(st.tuples(_INPUT_KEY, _JSON_TEXT), max_size=5).map(tuple),
+    transcript=st.lists(_JSON_TEXT, max_size=5).map(tuple)))
+def test_json_writer_matches_json_dumps(cert):
+    assert cli.emit_json(cert) == json.dumps(reference_document(cert),
+                                             indent=2)
+
+
+@given(_JSON_TEXT)
+def test_hypotheses_not_met_json_matches_json_dumps(reason):
+    def refuse(*args, **kwargs):
+        raise HypothesesNotMet(reason)
+
+    out = io.StringIO()
+    with mock.patch.object(obstruct, "certify", refuse), \
+            contextlib.redirect_stdout(out):
+        assert cli.main(["certify", "S1xY(b1=1)", "--json"]) == 3
+    doc = {"verdict": "HypothesesNotMet",
+           "reason": str(HypothesesNotMet(reason))}
+    assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("text, scenario, verdict", [

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 from hypothesis import given
@@ -9,6 +10,7 @@ from fourfold import manifold
 from fourfold.errors import (
     DefinitePartUnsupported,
     GenusZero,
+    InvalidSetting,
     OrientationReversalUnavailable,
 )
 
@@ -56,6 +58,36 @@ def test_genus_zero_rejected():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="unknown block kind 'Bogus'"):
         manifold.Block("Bogus")
+
+
+@pytest.mark.parametrize("kind, values", [
+    ("S1xY", {"param": True}), ("S1xY", {"param": 1.0}),
+    ("S1xY", {"param": "1"}), ("S2xSigma", {"param": 2.0}),
+    ("E8", {"sign": True}), ("E8", {"sign": -1.0}),
+    ("CP2", {"sign": None}),
+])
+def test_block_takes_only_int_param_and_sign(kind, values):
+    # the parser builds only ints: a bool or a float would render a name,
+    # S1xY(b1=True) or S1xY(b1=1.0), that it cannot read back
+    with pytest.raises(InvalidSetting, match="must be ints"):
+        manifold.Block(kind, **values)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no digit limit on int rendering")
+def test_block_param_must_render():
+    digits = sys.get_int_max_str_digits()
+    if not digits:
+        pytest.skip("the digit limit is off")
+    with pytest.raises(InvalidSetting, match="digits"):
+        manifold.Block("S1xY", param=10 ** digits)
+
+
+def test_a_bool_parameter_never_reaches_a_certificate():
+    # once certified and stamped as S1xY(b1=True), which replay cannot parse
+    with pytest.raises(InvalidSetting):
+        manifold.expr(manifold.E8Block(-1), manifold.NegCP2Fake(),
+                      manifold.S2xS2(), manifold.S1xY(True))
 
 
 # --- connected sums ---

@@ -480,6 +480,38 @@ def test_theorem_b_requires_zero_class():
         obstruct.check_theorem_B(fam)
 
 
+@pytest.mark.parametrize("text", [
+    "CP2 # -CP2 # S1xY(b1=1)",
+    "2*-E8 # 3*S2xS2 # -CP2 # S1xY(b1=1)",
+    "W # 2*S2xS2 # -E8 # S1xY(b1=1)",
+    "K3 # S2xS2 # S1xY(b1=1)",
+    "2*-E8 # 3*S2xS2 # S2xSigma(g=2)",
+])
+def test_theorem_b_refuses_exactly_a_nonzero_wu_class(text):
+    # the per-pair Wu test agrees with the rank-length w2 + w1^2
+    fam, ls = family_for(cli.parse(text), k=0)
+    if ls.torsion_bits or any(cover.w2_plus_w1sq(ls)):
+        with pytest.raises(ZeroClassUnavailable):
+            obstruct.check_theorem_B(fam)
+    else:
+        assert obstruct.check_theorem_B(fam).theorem_used == "none"
+
+
+@pytest.mark.parametrize("text, k", [
+    ("2*-E8 # S2xS2 # S1xY(b1=1)", 0),
+    *[("2*-E8 # 4*S2xS2 # S1xY(b1=1)", k) for k in range(5)],
+])
+def test_theorem_b_euler_text_is_the_rendered_class(text, k):
+    # e_C4 reuses the texts of w_b and w_{b-1}; the reference renders
+    # w_b + w_{b-1} u as one polynomial
+    fam, ls = family_for(cli.parse(text), k)
+    b = ls.b_plus_ell
+    euler = charpoly.line_sum_w(k, b) + charpoly.line_sum_w(
+        k, b - 1) * charpoly.ExtPoly.u(k)
+    transcript = obstruct.check_theorem_B(fam).transcript
+    assert f"e_C4(H+(E,l)) = {euler.render()}" in transcript
+
+
 def test_theorem_a_and_b_agree_on_zero_class():
     # with c = 0 both checks fire exactly when sigma < 0 and the relevant
     # class of H+ is nonzero; the full-rank family makes both nonzero
@@ -637,8 +669,15 @@ def test_certify_prepares_each_input_once(monkeypatch, text, theorem):
 
 
 def test_certify_unknown_scenario():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSetting, match="unknown scenario 'bogus'"):
         obstruct.certify(spin_expr(), scenario="bogus")
+
+
+@pytest.mark.parametrize("x", [
+    "2*-E8 # 3*S2xS2 # S1xY(b1=1)", None, 3, (), manifold.K3()])
+def test_certify_refuses_what_is_not_an_expression(x):
+    with pytest.raises(InvalidSetting, match="needs a ManifoldExpr"):
+        obstruct.certify(x)
 
 
 def test_verdict_invariant_under_permutation():
