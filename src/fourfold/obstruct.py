@@ -357,27 +357,22 @@ def certify(x, scenario="auto", bound=1):
     block and the other two forbid one, and nonspin and spin need opposite
     spin of the same prepared part, so at most one gives a certificate.
     Raises HypothesesNotMet, with every scenario's reason, when none does,
-    and InvalidSetting, before any scenario runs, for a bound that is not
-    an int >= 1 or more than cover.MAX_SUMMANDS summands, as cli.parse
-    counts them.
+    and InvalidSetting, before any scenario runs, for an x that is not a
+    ManifoldExpr, an unknown scenario, a bound that is not an int >= 1 or
+    more than cover.MAX_SUMMANDS summands, as cli.parse counts them.
     """
     if type(x) is not manifold.ManifoldExpr:
         raise InvalidSetting(f"certify needs a ManifoldExpr, got {x!r}")
     cover.check_bound(bound)
     if sum(n for _, n in x.terms) > cover.MAX_SUMMANDS:
         raise InvalidSetting(f"more than {cover.MAX_SUMMANDS} summands")
-    prepared = []   # each scenario that gets as far prepares x once
-    if scenario in _SCENARIOS:
-        cert = _certify_scenario(x, scenario, bound, prepared)
-        if type(cert) is str:
-            raise HypothesesNotMet(cert)
-        return cert
-    if scenario != "auto":
+    if scenario != "auto" and scenario not in _SCENARIOS:
         raise InvalidSetting(f"unknown scenario {scenario!r}")
+    prepared = []   # each scenario that gets as far prepares x once
     reasons = []
-    for name in _SCENARIOS:
+    for name in _SCENARIOS if scenario == "auto" else (scenario,):
         cert = _certify_scenario(x, name, bound, prepared)
         if type(cert) is not str:
             return cert
-        reasons.append(f"{name}: {cert}")
+        reasons.append(f"{name}: {cert}" if scenario == "auto" else cert)
     raise HypothesesNotMet("; ".join(reasons))
