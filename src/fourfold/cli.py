@@ -118,8 +118,9 @@ def _container(members, brackets, indent):
     if not members:
         return brackets
     inner = indent + "  "
-    return (brackets[0] + inner + ("," + inner).join(members) + indent
-            + brackets[1])
+    body = ("," + inner).join(members)
+    # one f-string copies the body once, where each + would copy it again
+    return f"{brackets[0]}{inner}{body}{indent}{brackets[1]}"
 
 
 def emit_json(cert):
