@@ -9,7 +9,7 @@ class w_b + w_{b-1} u that theorem B reads lives in the same ring.
 import itertools
 
 from ._frozen import frozen
-from .errors import ModeMismatch
+from .errors import InvalidSetting, ModeMismatch
 
 
 @frozen
@@ -20,10 +20,14 @@ class ExtPoly:
     terms: frozenset = frozenset()
 
     def __post_init__(self):
-        self.__dict__["terms"] = frozenset(self.terms)
-        for mask, _ in self.terms:
-            if mask >> self.k:
-                raise ValueError("generator index out of range")
+        try:   # a term that is not a pair of ints fails in the walk
+            self.__dict__["terms"] = terms = frozenset(self.terms)
+            wide = [mask for mask, _ in terms if mask >> self.k]
+        except (TypeError, ValueError):
+            raise InvalidSetting(f"terms {self.terms!r} are not (mask, "
+                                 f"power) pairs over k = {self.k!r}") from None
+        if wide:
+            raise InvalidSetting("generator index out of range")
 
     # constructors
 
@@ -38,7 +42,7 @@ class ExtPoly:
     @classmethod
     def t(cls, k, i):
         if not 1 <= i <= k:
-            raise ValueError(f"t{i} undefined for k={k}")
+            raise InvalidSetting(f"t{i} undefined for k={k}")
         return cls(k, frozenset({(1 << (i - 1), 0)}))
 
     @classmethod
@@ -108,7 +112,7 @@ class BundleClassData:
             if w.k != self.k:
                 raise ModeMismatch("class data over the wrong torus")
             if any(up or mask.bit_count() != i for mask, up in w.terms):
-                raise ValueError(
+                raise InvalidSetting(
                     f"w{i} must be a pure base class of degree {i}")
         d["classes"] = {0: ExtPoly.one(self.k), **{
             i: w for i, w in enumerate(self.sw, 1) if w}}
@@ -116,9 +120,6 @@ class BundleClassData:
     def w(self, i):
         """Degree-i class, with w0 = 1 and wi = 0 where none is stored."""
         return self.classes.get(i, ExtPoly.zero(self.k))
-
-    def total(self):
-        return sum(self.sw, ExtPoly.one(self.k))
 
 
 def line_sum_w(k, i):

@@ -309,7 +309,7 @@ def parse_poly(text, k):
                 out = out * (charpoly.ExtPoly.t(k, int(m[1])) if m[1]
                              else charpoly.ExtPoly.u(k, int(m[2] or 1)))
             except ValueError as e:
-                raise ParseError(str(e)) from None
+                raise ParseError(e.args[0]) from None
         terms ^= out.terms
     return charpoly.ExtPoly(k, terms)
 

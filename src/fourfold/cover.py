@@ -55,18 +55,6 @@ class LocalSystem:
         d["b_plus_ell"] = self.base.sc.b_plus
         d["torsion_bits"] = self.base.inv.torsion
 
-    def free_block_offsets(self):
-        """Map pair index -> (offset, span) into the free twisted lattice.
-
-        The pair's copies start at offset, one after another, span apart.
-        """
-        offsets, off = {}, 0
-        for j, (block, n) in enumerate(self.base.terms):
-            if block.spec.part != "N":
-                offsets[j] = (off, block.inv.b2)
-                off += n * block.inv.b2
-        return offsets
-
     def char_class(self, free_part):
         """The twisted Euler class with this free part.
 

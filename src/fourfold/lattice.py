@@ -11,7 +11,7 @@ with entries in [-bound, bound].
 """
 
 from ._frozen import frozen
-from .errors import PreconditionViolated
+from .errors import InvalidSetting, PreconditionViolated
 
 # Gram matrix of the even unimodular positive-definite rank-8 lattice
 # (Cartan matrix of the corresponding root system).
@@ -37,7 +37,7 @@ class Diag:
 
     def __post_init__(self):
         if self.eps not in (1, -1):
-            raise ValueError(f"Diag sign must be +1 or -1, got {self.eps}")
+            raise InvalidSetting(f"Diag sign must be +1 or -1, got {self.eps}")
 
     @property
     def inertia(self):
@@ -85,7 +85,7 @@ class E8:
 
     def __post_init__(self):
         if self.sign not in (1, -1):
-            raise ValueError(f"E8 sign must be +1 or -1, got {self.sign}")
+            raise InvalidSetting(f"E8 sign must be +1 or -1, got {self.sign}")
 
     @property
     def inertia(self):

@@ -121,6 +121,12 @@ class Block:
             raise InvalidSetting(
                 f"sign and param must be ints, got {self.sign!r} and "
                 f"{self.param!r}")
+        # a sign or param the name does not show renders as another block
+        name = spec.name if spec else ""
+        if self.sign and "{s}" not in name or self.param and "{p}" not in name:
+            raise InvalidSetting(
+                f"{self.kind} takes only the sign and param its name shows, "
+                f"got sign={self.sign}, param={self.param}")
         if self.kind == "S2xSigma" and self.param < 1:
             raise GenusZero("S2xSigma requires positive genus")
         if self.kind == "S1xY" and self.param < 0:
@@ -228,7 +234,7 @@ class ManifoldExpr:
         merged = {}
         for b, n in self.terms:
             if not isinstance(n, int) or n < 0:
-                raise ValueError(f"count {n!r} must be an int >= 0")
+                raise InvalidSetting(f"count {n!r} must be an int >= 0")
             for part in COMPOSITES[b.kind] if b.spec is None else (b,):
                 key = part.key
                 merged[key] = part, n + (merged[key][1] if key in merged else 0)

@@ -15,12 +15,10 @@ from . import charpoly, cover, manifold
 from ._frozen import frozen
 from .errors import (
     DefinitePartUnsupported,
-    DimensionMismatch,
     HypothesesNotMet,
     InvalidSetting,
     NoNontrivialCoverAvailable,
     OrientationReversalUnavailable,
-    PreconditionViolated,
     RankMismatch,
     SlotUnavailable,
     ZeroClassUnavailable,
@@ -67,7 +65,10 @@ def build_family(ls, slots):
     which adds 1 to ls.b_plus_ell, so k, the sum of the n, is at most
     ls.b_plus_ell.
     """
-    slots = tuple(slots)
+    try:
+        slots = tuple(slots)
+    except TypeError:
+        raise SlotUnavailable(f"slots {slots!r} are not iterable") from None
     terms = ls.base.terms
     for slot in slots:
         j, n = slot if type(slot) is tuple and len(slot) == 2 else (-1, 0)
@@ -78,54 +79,6 @@ def build_family(ls, slots):
     if len({j for j, _ in slots}) != len(slots):
         raise SlotUnavailable("reflection slots must be on distinct pairs")
     return FamilyDescriptor(cover=ls, generators=slots)
-
-
-def lift_valid(f, c):
-    """True iff each generator maps its copy's part of c to plus/minus itself.
-
-    A slot checks each distinct copy of its part once.  Models the
-    per-block lift sign; whether the theorem needs one global sign instead
-    (g.c = +/-c on the whole free part, as the deck involution negates
-    every twisted coefficient at once) is an open question.  Raises
-    DimensionMismatch unless c's free part has the cover's rank.
-    """
-    if len(c.free_part) != f.cover.rank:
-        raise DimensionMismatch(
-            f"free part has length {len(c.free_part)}, "
-            f"expected {f.cover.rank}")
-    offsets = f.cover.free_block_offsets()
-    for j, n in f.generators:
-        off, span = offsets[j]
-        reflect = f.cover.base.terms[j][0].spec.reflect
-        part = tuple(c.free_part[off:off + n * span])
-        # a part that repeats one copy, as a closed-form class does, is
-        # checked once
-        step = len(part) if part == part[:span] * n else span
-        for at in range(0, len(part), step):
-            comp = part[at:at + span]
-            if reflect(comp) not in (comp, tuple(-x for x in comp)):
-                return False
-    return True
-
-
-def largest_liftable_class(f, bound):
-    """The first class of enumerate_characteristics that lift_valid accepts.
-
-    Found in closed form, without a search: the square is a sum over the
-    form's atoms, so the first class in (-square, lexicographic) order
-    joins each atom's maximizer, and its square is the sum over the free
-    part's (atom, count) pairs of count times the maximizer's square.
-    That class already lifts: a CP2 slot negates its entry, and an S2xS2
-    slot carries (-e, -e) to (e, e).  A positive E8 atom, which a prepared
-    cover never holds, raises PreconditionViolated.
-    """
-    cover.check_bound(bound)
-    free, square = [], 0
-    for atom, n in f.cover.free:
-        v = atom.maximizer(bound)
-        free += v * n
-        square += n * atom.square(v)
-    return cover.CharClass(tuple(free), square)
 
 
 def _certificate(f, c1_square, sigma, transcript, theorem="none", witness="",
@@ -144,11 +97,22 @@ def _certificate(f, c1_square, sigma, transcript, theorem="none", witness="",
     )
 
 
-def check_theorem_A(f, c):
-    """Top-class obstruction: fires when w_top(H+) != 0 and c1^2 > sigma."""
-    if not lift_valid(f, c):
-        raise PreconditionViolated(
-            "generators do not lift: class not carried to plus/minus itself")
+def check_theorem_A(f, bound):
+    """Top-class obstruction: fires when w_top(H+) != 0 and c1^2 > sigma.
+
+    c1 is the characteristic class of largest square with entries in
+    [-bound, bound] that lifts, each generator carrying its block's part
+    to plus/minus itself (the per-block lift sign).  The square is a sum
+    over the form's atoms, so c1 joins each atom's maximizer, and c1^2 is
+    the sum over the free part's (atom, count) pairs of count times the
+    maximizer's square.  That class lifts: a CP2 slot negates its entry,
+    and an S2xS2 slot carries (-e, -e) to (e, e).  Raises InvalidSetting
+    unless bound is an int >= 1, and PreconditionViolated for a positive
+    E8 atom, which a prepared cover never holds.
+    """
+    cover.check_bound(bound)
+    c1_square = sum(n * atom.square(atom.maximizer(bound))
+                    for atom, n in f.cover.free)
     b = f.cover.b_plus_ell
     w_top = charpoly.line_sum_w(f.k, b)
     top = w_top.render()
@@ -157,23 +121,23 @@ def check_theorem_A(f, c):
         f"b_plus_ell = {b}",
         f"base_dim = {f.k}",
         f"w_{b}(H+(E,l)) = {top}",
-        f"c1_square = {c.square}",
+        f"c1_square = {c1_square}",
         f"sigma = {sigma}",
     ]
-    if w_top and c.square > sigma:
-        m_minus_n = (c.square - sigma) // 4
+    if w_top and c1_square > sigma:
+        m_minus_n = (c1_square - sigma) // 4
         transcript += [
-            f"inequality c1_square <= sigma violated: {c.square} > {sigma}",
+            f"inequality c1_square <= sigma violated: {c1_square} > {sigma}",
             f"real index m_minus_n = (c1_square - sigma)/4 = {m_minus_n} > 0",
         ]
-        return _certificate(f, c.square, sigma, transcript, "ThmA", top,
+        return _certificate(f, c1_square, sigma, transcript, "ThmA", top,
                             "real_m_minus_n", m_minus_n)
     if not w_top:
         transcript.append(f"hypothesis failed: w_{b}(H+(E,l)) = 0")
     else:
         transcript.append(
-            f"inequality c1_square <= sigma holds: {c.square} <= {sigma}")
-    return _certificate(f, c.square, sigma, transcript)
+            f"inequality c1_square <= sigma holds: {c1_square} <= {sigma}")
+    return _certificate(f, c1_square, sigma, transcript)
 
 
 def check_theorem_B(f):
@@ -336,8 +300,7 @@ def _certify_scenario(x, scenario, bound, prepared):
         # alone decides the verdict: when it is Inconclusive no smaller one
         # fires.
         fam = build_family(ls, manifold.reflection_slots(normalized, n))
-        c = largest_liftable_class(fam, bound)
-        cert = check_theorem_A(fam, c)
+        cert = check_theorem_A(fam, bound)
     else:
         # a spin part normalizes to E8 and S2xS2 summands: every slot is
         # an S2xS2
@@ -366,7 +329,8 @@ def certify(x, scenario="auto", bound=1):
     cover.check_bound(bound)
     if sum(n for _, n in x.terms) > cover.MAX_SUMMANDS:
         raise InvalidSetting(f"more than {cover.MAX_SUMMANDS} summands")
-    if scenario != "auto" and scenario not in _SCENARIOS:
+    if type(scenario) is not str or (
+            scenario != "auto" and scenario not in _SCENARIOS):
         raise InvalidSetting(f"unknown scenario {scenario!r}")
     prepared = []   # each scenario that gets as far prepares x once
     reasons = []

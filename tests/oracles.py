@@ -3,6 +3,7 @@
 Exact division in the Laurent extension of the charpoly ring by u, and
 the views of an ExtPoly it needs.  The engine never divides: a unit
 1 + nil is its own inverse, so `charpoly.virtual_sw` is a convolution.
+The total class of class data, which the engine never forms.
 
 Gram matrices of lattice atoms, the square v^T G v on them, their
 inertia by rational congruence diagonalization and the Wu criterion on
@@ -10,15 +11,20 @@ them: the engine reads each atom's inertia and Wu class off its
 declaration, and squares a vector atom by atom, instead.  And the table
 of block invariants that a golden digest pins.
 
+The lift checks on a whole class, under the per-block and the global
+reading of the lift sign, the Theorem A class as a vector, and the
+global reading's largest square in closed form: the engine decides
+Theorem A from the family and the bound alone.
+
 These stay here as the oracles that property checks compare against.
 """
 
 import functools
 from fractions import Fraction
 
-from fourfold import manifold
+from fourfold import cover, manifold
 from fourfold.charpoly import ExtPoly
-from fourfold.errors import FourfoldError, ModeMismatch
+from fourfold.errors import DimensionMismatch, FourfoldError, ModeMismatch
 
 
 class NonMonicDenominator(FourfoldError):
@@ -63,6 +69,11 @@ def invert_unit(p):
         raise NonMonicDenominator(
             "leading coefficient is not 1 + nilpotent")
     return p
+
+
+def total(data):
+    """The total class 1 + w1 + w2 + ... of BundleClassData."""
+    return sum(data.sw, ExtPoly.one(data.k))
 
 
 def laurent_divide(num, den):
@@ -192,3 +203,85 @@ def block_table():
                    "spin": b.inv.spin, "ks": b.inv.ks,
                    "h1z2_rank": b.h1z2_rank}
             for name, b in rows}
+
+
+def free_block_offsets(ls):
+    """Map pair index -> (offset, span) into the free twisted lattice.
+
+    The pair's copies start at offset, one after another, span apart.
+    """
+    offsets, off = {}, 0
+    for j, (block, n) in enumerate(ls.base.terms):
+        if block.spec.part != "N":
+            offsets[j] = (off, block.inv.b2)
+            off += n * block.inv.b2
+    return offsets
+
+
+def slot_copies(f):
+    """(offset, span, reflection) of each generator's copy of family f."""
+    offsets = free_block_offsets(f.cover)
+    for j, n in f.generators:
+        off, span = offsets[j]
+        reflect = f.cover.base.terms[j][0].spec.reflect
+        for at in range(off, off + n * span, span):
+            yield at, span, reflect
+
+
+def lift_valid(f, c):
+    """True iff each generator maps its copy's part of c to plus/minus itself.
+
+    The per-block reading of the lift sign.  Raises DimensionMismatch
+    unless c's free part has the cover's rank.
+    """
+    if len(c.free_part) != f.cover.rank:
+        raise DimensionMismatch(
+            f"free part has length {len(c.free_part)}, "
+            f"expected {f.cover.rank}")
+    for at, span, reflect in slot_copies(f):
+        part = tuple(c.free_part[at:at + span])
+        if reflect(part) not in (part, tuple(-x for x in part)):
+            return False
+    return True
+
+
+def lifts_with_global_sign(f, c):
+    """True iff each generator carries c to +/-c on the whole free part."""
+    free = tuple(c.free_part)
+    for at, span, reflect in slot_copies(f):
+        image = list(free)
+        image[at:at + span] = reflect(free[at:at + span])
+        if tuple(image) not in (free, tuple(-v for v in free)):
+            return False
+    return True
+
+
+def closed_form_class(f, bound):
+    """The class Theorem A decides by: each atom's maximizer, joined."""
+    free, square = [], 0
+    for atom, n in f.cover.free:
+        v = atom.maximizer(bound)
+        free += v * n
+        square += n * atom.square(v)
+    return cover.CharClass(tuple(free), square)
+
+
+def global_sign_square(f, bound):
+    """The largest square of a class that lifts under one global sign.
+
+    None when no class does.  e and o are the largest even and odd
+    numbers up to the bound, and every slot is an S2xS2 or a CP2 copy.
+    A generator fixes c or negates it.  To fix c, an S2xS2 copy must be
+    (a, -a), best at a = 0, and a CP2 copy cannot be fixed, as its entry
+    is odd.  To negate c, c must be 0 off that generator's copy, so every
+    odd coordinate of the free part lies on it: then a CP2 copy gives
+    (+-o), square o^2, and an S2xS2 copy (e, e), square 2e^2.
+    """
+    e, o = bound - bound % 2, bound - 1 + bound % 2
+    odd = sum(cover.w2_plus_w1sq(f.cover))
+    cp2 = [n for j, n in f.generators
+           if f.cover.base.terms[j][0].kind == "CP2"]
+    if cp2:
+        return o * o if cp2 == [1] and odd == 1 else None
+    fixed = closed_form_class(f, bound).square - 2 * e * e * f.k
+    return max(fixed, 2 * e * e) if f.k and not odd else fixed

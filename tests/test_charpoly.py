@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import oracles
 from fourfold import charpoly
 from fourfold.charpoly import BundleClassData, ExtPoly
-from fourfold.errors import ModeMismatch
+from fourfold.errors import InvalidSetting, ModeMismatch
 from oracles import NonExactDivision, NonMonicDenominator
 
 
@@ -42,6 +42,16 @@ def test_mode_mismatch():
         ExtPoly.u(2, 1) + ExtPoly.u(3, 1)
     with pytest.raises(ModeMismatch):
         oracles.laurent_divide(ExtPoly.u(2, 1), ExtPoly.u(3, 1))
+
+
+@pytest.mark.parametrize("k, terms", [
+    (2, {(1.5, 0)}), (2, 5), (2, {1}), (2, {(1,)}), (2, {(1, 0, 0)}),
+    ("2", {(1, 0)}), (2, {(4, 0)}), (2, {(-1, 0)}),
+])
+def test_poly_refuses_terms_it_cannot_hold(k, terms):
+    # a term is a (mask, u power) pair with a mask of k bits
+    with pytest.raises(InvalidSetting):
+        ExtPoly(k, terms)
 
 
 def test_render_canonical():
@@ -113,7 +123,7 @@ def test_fixed_euler_is_top_class():
 def test_line_sum_small():
     b = total_sw_line_sum(2, [(1,), (2,)], 0)
     assert b.rank == 2
-    assert b.total() == (ExtPoly.one(2) + ExtPoly.t(2, 1)) \
+    assert oracles.total(b) == (ExtPoly.one(2) + ExtPoly.t(2, 1)) \
         * (ExtPoly.one(2) + ExtPoly.t(2, 2))
     assert b.w(2) == ExtPoly.t(2, 1) * ExtPoly.t(2, 2)
 
@@ -121,7 +131,7 @@ def test_line_sum_small():
 def test_line_sum_trivial_only():
     b = total_sw_line_sum(0, [], 5)
     assert b.rank == 5
-    assert b.total() == ExtPoly.one(0)
+    assert oracles.total(b) == ExtPoly.one(0)
 
 
 def test_line_sum_with_trivial_rank():
@@ -190,7 +200,7 @@ def test_virtual_times_denominator_roundtrip(seed):
     total = ExtPoly.zero(k)
     for i in range(k + 1):
         total = total + charpoly.virtual_sw(a, b, i)
-    assert total * b.total() == a.total()
+    assert total * oracles.total(b) == oracles.total(a)
 
 
 def test_virtual_mode_mismatch():

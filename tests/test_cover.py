@@ -39,7 +39,7 @@ def test_n_part_contributes_nothing_free():
 def test_free_offsets_skip_exactly_the_n_blocks():
     x = manifold.expr(manifold.K3(), manifold.S1xY(2), manifold.S2xSigma(1))
     ls = cover.build_standard_cover(x)
-    offsets = ls.free_block_offsets()
+    offsets = oracles.free_block_offsets(ls)
     for j, (block, _) in enumerate(x.terms):
         assert (j not in offsets) == (block.kind in ("S1xY", "S2xSigma"))
 

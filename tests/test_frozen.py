@@ -14,8 +14,9 @@ def samples():
     x = manifold.normalize_homeo_type(cli.parse(SPIN))
     ls = cover.build_standard_cover(x)
     fam = obstruct.build_family(ls, manifold.reflection_slots(x, 2))
-    # the zero vector is not characteristic on this odd form
-    c = obstruct.largest_liftable_class(fam, 1)
+    # the zero vector is not characteristic on this odd form; its Wu
+    # class is
+    c = ls.char_class(cover.w2_plus_w1sq(ls))
     v1 = charpoly.BundleClassData(2, 1, (charpoly.ExtPoly.t(2, 1),))
     report = obstruct.corollary_constraints(fam, v1, v1)
     return [

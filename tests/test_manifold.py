@@ -6,9 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from fourfold import manifold
+from fourfold import cli, manifold
 from fourfold.errors import (
     DefinitePartUnsupported,
+    FourfoldError,
     GenusZero,
     InvalidSetting,
     OrientationReversalUnavailable,
@@ -81,6 +82,35 @@ def test_block_param_must_render():
         pytest.skip("the digit limit is off")
     with pytest.raises(InvalidSetting, match="digits"):
         manifold.Block("S1xY", param=10 ** digits)
+
+
+@pytest.mark.parametrize("kind, values", [
+    ("CP2", {"param": 3}), ("CP2", {"sign": 1}), ("K3", {"sign": -1}),
+    ("E8", {"sign": -1, "param": 7}), ("S1xY", {"sign": 1, "param": 1}),
+    ("S2xSigma", {"sign": -1, "param": 1}), ("Enriques", {"param": 1}),
+    ("S4", {"sign": 1}),
+])
+def test_block_refuses_a_sign_or_param_its_name_does_not_show(kind, values):
+    # CP2 with param 3 would render as CP2 without being equal to it
+    with pytest.raises(InvalidSetting, match="its name shows"):
+        manifold.Block(kind, **values)
+
+
+def test_every_accepted_block_round_trips():
+    accepted = set()
+    for kind in [*manifold.BLOCKS, *manifold.COMPOSITES]:
+        for sign, param in itertools.product((-2, -1, 0, 1, 2), (-1, 0, 1, 2)):
+            try:
+                block = manifold.Block(kind, sign, param)
+            except FourfoldError:
+                continue
+            accepted.add((kind, sign, param))
+            x = manifold.ManifoldExpr(((manifold.CP2(), 1), (block, 2)))
+            assert cli.parse(x.render()) == x
+    # a sign only on E8, a param only where the name has one
+    assert {(k, s, p) for k, s, p in accepted if s or p} == {
+        ("E8", 1, 0), ("E8", -1, 0), ("S1xY", 0, 1), ("S1xY", 0, 2),
+        ("S2xSigma", 0, 1), ("S2xSigma", 0, 2)}
 
 
 def test_a_bool_parameter_never_reaches_a_certificate():

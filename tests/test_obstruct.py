@@ -98,6 +98,9 @@ def test_family_rejects_bad_slots():
     for slot in bad:
         with pytest.raises(SlotUnavailable):
             obstruct.build_family(ls, (slot,))
+    for slots in (None, 5, 1.5):          # not an iterable of slots
+        with pytest.raises(SlotUnavailable, match="not iterable"):
+            obstruct.build_family(ls, slots)
     for repeated in [((1, 1), (1, 1)), ((1, 1), (1, 2))]:
         with pytest.raises(SlotUnavailable, match="distinct pairs"):
             obstruct.build_family(ls, repeated)
@@ -128,12 +131,12 @@ def test_family_dimension_follows_generators():
     assert (cert.base_dim, cert.verdict) == (1, obstruct.INCONCLUSIVE)
 
 
-# --- lift_valid ---
+# --- the per-block lift reference ---
 
 def test_lift_zero_class():
     fam, ls = family_for(spin_expr(), k=2)
     c = ls.char_class((0,) * ls.rank)
-    assert obstruct.lift_valid(fam, c)
+    assert oracles.lift_valid(fam, c)
 
 
 @pytest.mark.parametrize("free_part, square", [
@@ -144,9 +147,7 @@ def test_lift_refuses_a_class_of_the_wrong_length(free_part, square):
     assert len(fam.generators) == 2 and ls.rank == 5
     c = cover.CharClass(free_part, square)
     with pytest.raises(DimensionMismatch):
-        obstruct.lift_valid(fam, c)
-    with pytest.raises(DimensionMismatch):
-        obstruct.check_theorem_A(fam, c)
+        oracles.lift_valid(fam, c)
 
 
 def test_lift_class_off_reflected_summands():
@@ -154,7 +155,7 @@ def test_lift_class_off_reflected_summands():
     fam, ls = family_for(x)
     free = (0,) * 8 + (0, 0) + (1,) + (1,)
     c = ls.char_class(free)
-    assert obstruct.lift_valid(fam, c)
+    assert oracles.lift_valid(fam, c)
 
 
 def test_lift_cp2_component_flipped_to_minus_itself():
@@ -164,14 +165,14 @@ def test_lift_cp2_component_flipped_to_minus_itself():
     fam, ls = family_for(x)
     assert fam.k == 1
     c = ls.char_class((1, 1, 1))
-    assert obstruct.lift_valid(fam, c)
+    assert oracles.lift_valid(fam, c)
 
 
 def test_lift_rejects_moved_component():
     x = manifold.expr(manifold.S2xS2(), manifold.S1xY(1))
     fam, ls = family_for(x)
     moved = ls.char_class((2, 0))  # reflection sends (2,0) to (0,-2)
-    assert not obstruct.lift_valid(fam, moved)
+    assert not oracles.lift_valid(fam, moved)
     # a slot of two copies checks each, whether the part repeats one or not
     x = manifold.expr(manifold.S2xS2(), manifold.S2xS2(), manifold.S1xY(1))
     fam, ls = family_for(x)
@@ -179,22 +180,7 @@ def test_lift_rejects_moved_component():
     for free, lifts in (((2, 0, 2, 0), False), ((2, 2, 2, 0), False),
                         ((2, 0, 2, 2), False), ((2, 2, -2, -2), True),
                         ((2, 2, 2, 2), True)):
-        assert obstruct.lift_valid(fam, ls.char_class(free)) == lifts
-
-
-def lifts_with_global_sign(f, c):
-    """True iff each generator carries c to +/-c on the whole free part."""
-    offsets = f.cover.free_block_offsets()
-    free = tuple(c.free_part)
-    for j, n in f.generators:
-        off, span = offsets[j]
-        reflect = f.cover.base.terms[j][0].spec.reflect
-        for at in range(off, off + n * span, span):   # one copy per generator
-            image = list(free)
-            image[at:at + span] = reflect(free[at:at + span])
-            if tuple(image) not in (free, tuple(-v for v in free)):
-                return False
-    return True
+        assert oracles.lift_valid(fam, ls.char_class(free)) == lifts
 
 
 def certify_family(x):
@@ -217,12 +203,12 @@ def test_criterion_4_needs_per_block_lift_signs(k):
     x = cli.parse(f"Enriques # {k}*-CP2 # S2xSigma(g=1)")
     fam = certify_family(x)
     for bound in (1, 2, 3):
-        c = obstruct.largest_liftable_class(fam, bound)
+        c = oracles.closed_form_class(fam, bound)
         cert = obstruct.certify(x, bound=bound)
         assert (cert.verdict, cert.c1_square) == \
             (obstruct.NONSMOOTHABLE, c.square)
-        assert obstruct.lift_valid(fam, c)
-        assert lifts_with_global_sign(fam, c) == (k == 0), bound
+        assert oracles.lift_valid(fam, c)
+        assert oracles.lifts_with_global_sign(fam, c) == (k == 0), bound
 
 
 @pytest.mark.parametrize("text", [
@@ -239,13 +225,13 @@ def test_rows_deciding_on_per_block_lift_signs(text):
     fam = certify_family(x)
     for bound in (1, 2, 3, 4):
         cert = obstruct.certify(x, bound=bound)
-        c = obstruct.largest_liftable_class(fam, bound)
+        c = oracles.closed_form_class(fam, bound)
         assert (cert.verdict, cert.theorem_used) == (
             (obstruct.INCONCLUSIVE, "none") if bound < 3
             else (obstruct.NONSMOOTHABLE, "ThmA")), bound
         assert cert.c1_square == c.square
-        assert obstruct.lift_valid(fam, c)
-        assert not lifts_with_global_sign(fam, c), bound
+        assert oracles.lift_valid(fam, c)
+        assert not oracles.lifts_with_global_sign(fam, c), bound
 
 
 # --- theorem A ---
@@ -254,8 +240,8 @@ def test_theorem_a_fires_on_nonspin_series():
     for m in (0, 3):
         x = nonspin_expr(m=m, n=2)
         fam, ls = family_for(x)
-        c = ls.char_class((0,) * 8 + (0, 0, 0, 0) + (1,) * m + (1,))
-        cert = obstruct.check_theorem_A(fam, c)
+        # at bound 1 each -CP2 and the -CP2fake give -1, the rest 0
+        cert = obstruct.check_theorem_A(fam, 1)
         assert cert.verdict == obstruct.NONSMOOTHABLE
         assert cert.theorem_used == "ThmA"
         assert (cert.c1_square, cert.sigma) == (-m - 1, -m - 9)
@@ -269,41 +255,42 @@ def test_theorem_a_inconclusive_when_top_class_vanishes():
     ls = cover.build_standard_cover(x)
     fam = obstruct.build_family(
         ls, manifold.reflection_slots(x, ls.b_plus_ell - 1))
-    c = ls.char_class((0,) * 8 + (0, 0, 0, 0) + (1,))
-    cert = obstruct.check_theorem_A(fam, c)
+    cert = obstruct.check_theorem_A(fam, 1)
     assert cert.verdict == obstruct.INCONCLUSIVE
     assert cert.theorem_used == "none"
 
 
 def test_theorem_a_never_fires_when_inequality_holds():
-    # sigma = 0 and every enumerated class has square <= 0 = sigma
+    # sigma = 0, and up to bound 2 every class that lifts has square <= 0
     x = manifold.expr(manifold.CP2(), manifold.NegCP2(), manifold.S1xY(1))
     fam, ls = family_for(x)
-    fired = 0
-    for c in cover.enumerate_characteristics(ls, 2):
-        if not obstruct.lift_valid(fam, c):
-            continue
-        assert c.square <= x.inv.sigma
-        cert = obstruct.check_theorem_A(fam, c)
+    for bound in (1, 2):
+        lifting = [c for c in cover.enumerate_characteristics(ls, bound)
+                   if oracles.lift_valid(fam, c)]
+        assert lifting and all(c.square <= x.inv.sigma for c in lifting)
+        cert = obstruct.check_theorem_A(fam, bound)
         assert cert.verdict == obstruct.INCONCLUSIVE
-        fired += 1
-    assert fired > 0
+        assert cert.c1_square == lifting[0].square
 
 
-def test_theorem_a_precondition_checks():
-    x = manifold.expr(manifold.S2xS2(), manifold.S1xY(1))
-    fam, ls = family_for(x)
-    with pytest.raises(PreconditionViolated, match="do not lift"):
-        # characteristic, but the reflection sends (2, 0) to (0, -2)
-        obstruct.check_theorem_A(fam, ls.char_class((2, 0)))
+# --- the class Theorem A decides by ---
 
-
-# --- largest liftable class ---
-
-def first_liftable(fam, bound):
+def first_liftable(fam, bound, lifts=oracles.lift_valid):
     """The oracle: the first class of the sorted coset that lifts."""
     return next((c for c in cover.enumerate_characteristics(fam.cover, bound)
-                 if obstruct.lift_valid(fam, c)), None)
+                 if lifts(fam, c)), None)
+
+
+def check_against_scans(fam, bound):
+    """Theorem A's class and square, and the global reading's square,
+    each against the first class of the scan that lifts."""
+    want = first_liftable(fam, bound)
+    assert want is not None
+    assert oracles.closed_form_class(fam, bound) == want
+    assert obstruct.check_theorem_A(fam, bound).c1_square == want.square
+    best = first_liftable(fam, bound, oracles.lifts_with_global_sign)
+    assert oracles.global_sign_square(fam, bound) == (
+        None if best is None else best.square)
 
 
 @pytest.mark.parametrize("text, bound, step", [
@@ -325,7 +312,12 @@ def first_liftable(fam, bound):
                          ("2*CP2 # S2xS2 # S1xY(b1=1)", (4, 5)),
                          ("2*W # CP2 # -CP2 # S1xY(b1=1)", (4, 5)),
                          ("2*W # S2xS2 # CP2 # 2*-CP2 # S1xY(b1=1)", (4, 5)),
-                         ("CP2 # -CP2fake # 2*S2xS2 # S2xSigma(g=1)", (4,)))
+                         ("CP2 # -CP2fake # 2*S2xS2 # S2xSigma(g=1)", (4,)),
+                         # the global reading's other branches: a CP2 slot
+                         # that holds the only odd entry, beside an S2xS2
+                         # slot, and an all-even free part
+                         ("CP2 # S2xS2 # S1xY(b1=1)", (3,)),
+                         ("2*S2xS2 # 2*W # S2xSigma(g=1)", (2,)))
     for bound in bounds for step in (1, 2)])
 def test_largest_liftable_class_matches_oracle(text, bound, step):
     # step 2 keeps every other slot, and half its copies rounded up, so
@@ -334,10 +326,7 @@ def test_largest_liftable_class_matches_oracle(text, bound, step):
     ls = cover.build_standard_cover(x)
     slots = [(j, -(-n // step)) for j, n in
              manifold.reflection_slots(x, ls.b_plus_ell)[::step]]
-    fam = obstruct.build_family(ls, slots)
-    want = first_liftable(fam, bound)
-    assert want is not None
-    assert obstruct.largest_liftable_class(fam, bound) == want
+    check_against_scans(obstruct.build_family(ls, slots), bound)
 
 
 @settings(max_examples=60, deadline=None)
@@ -355,9 +344,7 @@ def test_largest_liftable_class_matches_oracle_random(counts, n_block, bound,
     # up to `copies` copies of each reflecting pair; 0 leaves it out
     slots = [(j, min(n, want)) for (j, n), want in
              zip(manifold.reflection_slots(x, ls.b_plus_ell), copies) if want]
-    fam = obstruct.build_family(ls, slots)
-    assert obstruct.largest_liftable_class(fam, bound) == \
-        first_liftable(fam, bound)
+    check_against_scans(obstruct.build_family(ls, slots), bound)
 
 
 @given(counts=random_blocks, n_block=n_blocks)
@@ -377,23 +364,24 @@ def test_prepared_cover_has_closed_form_atoms(counts, n_block):
         n for _, n in manifold.reflection_slots(prepared, prepared.inv.b2))
 
 
-def test_largest_liftable_class_refuses_positive_e8():
+def test_theorem_a_refuses_positive_e8():
     # an unprepared cover may hold +E8; no scan stands in for its rule
     fam, _ = family_for(cli.parse("E8 # S2xS2 # S1xY(b1=1)"))
     with pytest.raises(PreconditionViolated):
-        obstruct.largest_liftable_class(fam, 1)
+        obstruct.check_theorem_A(fam, 1)
 
 
-def test_largest_liftable_class_at_huge_bound():
+def test_theorem_a_class_at_huge_bound():
     # a box of 10^9 entries per coordinate: no search could finish
     fam, _ = family_for(cli.parse("Enriques # CP2 # S1xY(b1=1)"))
-    c = obstruct.largest_liftable_class(fam, 10**9)
+    c = oracles.closed_form_class(fam, 10**9)
     assert c.free_part == (0, 0, 0, 0, 0, 0, 0, 0,
                            -1_000_000_000, -1_000_000_000, -999_999_999)
     assert c.square == 2_999_999_998_000_000_001
     assert oracles.is_characteristic(oracles.gram(fam.cover.free),
                                      c.free_part)
-    assert obstruct.lift_valid(fam, c)
+    assert oracles.lift_valid(fam, c)
+    assert obstruct.check_theorem_A(fam, 10**9).c1_square == c.square
 
 
 @pytest.mark.parametrize("bound", [0, 1.5, 2.0, True, "2"])
@@ -404,7 +392,7 @@ def test_bound_must_be_an_int_of_at_least_one(bound):
     fam, ls = family_for(nonspin)
     for call in (lambda: obstruct.certify(nonspin, bound=bound),
                  lambda: obstruct.certify(spin, bound=bound),
-                 lambda: obstruct.largest_liftable_class(fam, bound),
+                 lambda: obstruct.check_theorem_A(fam, bound),
                  lambda: cover.enumerate_characteristics(ls, bound)):
         with pytest.raises(InvalidSetting, match="bound must be"):
             call()
@@ -412,9 +400,11 @@ def test_bound_must_be_an_int_of_at_least_one(bound):
 
 def test_certify_does_not_enumerate(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("certify enumerated the characteristic coset")
+        raise AssertionError("certify enumerated or built a class")
 
     monkeypatch.setattr(cover, "enumerate_characteristics", refuse)
+    monkeypatch.setattr(cover.LocalSystem, "char_class", refuse)
+    monkeypatch.setattr(cover, "CharClass", refuse)
     x = cli.parse("30*-CP2 # -E8 # -CP2fake # 2*S2xS2 # S1xY(b1=1)")
     cert = obstruct.certify(x)
     assert cert.verdict == obstruct.NONSMOOTHABLE
@@ -514,11 +504,12 @@ def test_theorem_b_euler_text_is_the_rendered_class(text, k):
 
 def test_theorem_a_and_b_agree_on_zero_class():
     # with c = 0 both checks fire exactly when sigma < 0 and the relevant
-    # class of H+ is nonzero; the full-rank family makes both nonzero
+    # class of H+ is nonzero; the full-rank family makes both nonzero.  At
+    # bound 1 Theorem A's class on this even form is 0
     x = spin_expr(e8=2, s2=3)
     fam, ls = family_for(x, k=3)
-    zero = ls.char_class((0,) * ls.rank)
-    a = obstruct.check_theorem_A(fam, zero)
+    a = obstruct.check_theorem_A(fam, 1)
+    assert a.c1_square == 0
     b = obstruct.check_theorem_B(fam)
     assert a.verdict == b.verdict == obstruct.NONSMOOTHABLE
 
@@ -593,7 +584,7 @@ def test_constraints_closed_form(b, data):
     report = obstruct.corollary_constraints(fam, v1, w1)
     assert report.incompatible == (k == b and w1.rank < v1.rank)
     assert all(e.product == "0" for e in report.entries if e.degree > 0)
-    total = w1.total() * oracles.invert_unit(v1.total())
+    total = oracles.total(w1) * oracles.invert_unit(oracles.total(v1))
     assert [e.degree for e in report.entries] == list(
         range(max(0, w1.rank - v1.rank + 1), k + 1))
     for e in report.entries:
@@ -668,9 +659,10 @@ def test_certify_prepares_each_input_once(monkeypatch, text, theorem):
     assert len(calls) == 1
 
 
-def test_certify_unknown_scenario():
-    with pytest.raises(InvalidSetting, match="unknown scenario 'bogus'"):
-        obstruct.certify(spin_expr(), scenario="bogus")
+@pytest.mark.parametrize("scenario", ["bogus", ["spin"], {"a": 1}])
+def test_certify_unknown_scenario(scenario):
+    with pytest.raises(InvalidSetting, match="unknown scenario"):
+        obstruct.certify(spin_expr(), scenario=scenario)
 
 
 @pytest.mark.parametrize("x", [
