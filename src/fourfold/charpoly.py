@@ -22,12 +22,13 @@ class ExtPoly:
     def __post_init__(self):
         try:   # a term that is not a pair of ints fails in the walk
             self.__dict__["terms"] = terms = frozenset(self.terms)
-            wide = [mask for mask, _ in terms if mask >> self.k]
+            bad = [mask for mask, up in terms
+                   if mask >> self.k or up < 0 or type(up) is not int]
         except (TypeError, ValueError):
             raise InvalidSetting(f"terms {self.terms!r} are not (mask, "
                                  f"power) pairs over k = {self.k!r}") from None
-        if wide:
-            raise InvalidSetting("generator index out of range")
+        if bad:
+            raise InvalidSetting("mask wider than k or u power not an int >= 0")
 
     # constructors
 
@@ -107,8 +108,12 @@ class BundleClassData:
 
     def __post_init__(self):
         d = self.__dict__
+        if type(self.rank) is not int or self.rank < 0:
+            raise InvalidSetting(f"rank {self.rank!r} must be an int >= 0")
         d["sw"] = tuple(self.sw)
         for i, w in enumerate(self.sw, 1):
+            if not isinstance(w, ExtPoly):
+                raise InvalidSetting(f"w{i} = {w!r} is not an ExtPoly")
             if w.k != self.k:
                 raise ModeMismatch("class data over the wrong torus")
             if any(up or mask.bit_count() != i for mask, up in w.terms):

@@ -8,13 +8,11 @@ Expression grammar:
            | Enriques | S4 | S1xY(b1=INT) | S2xSigma(g=INT)
 
 Exit codes: 0 success or informational output, 1 input error or a
-reader that closed the output early, 2 usage error (argparse: a missing
-argument, an option value of the wrong type or an unknown command),
-3 inconclusive or hypotheses not met.
+reader that closed the output early, 2 usage error (a missing or extra
+argument, an unknown command or option, or a bad option value), 3
+inconclusive or hypotheses not met.
 """
 
-import argparse
-import functools
 import os
 import re
 import sys
@@ -336,69 +334,88 @@ def _cmd_constraints(x, args):
     return 0
 
 
-@functools.cache   # built on first use, once per process
-def build_parser():
-    p = argparse.ArgumentParser(
-        prog="fourfold",
-        description="Non-smoothability certificates for families of "
-                    "4-manifolds over tori, with exact arithmetic.")
-    sub = p.add_subparsers(dest="command", required=True)
+class _Args:   # a command line as read; an option not given keeps these
+    reverse = json = False
+    bound, scenario, generators = 1, "auto", None
 
-    def common(sp):
-        sp.add_argument("expr", help="connected-sum expression")
-        sp.add_argument("--reverse", action="store_true",
-                        help="reverse orientation before processing")
 
-    sp = sub.add_parser("invariants", help="signature, Betti numbers, spin, KS")
-    common(sp)
-    sp.set_defaults(func=_cmd_invariants)
+# command -> (function, help line, options, positionals).  An option maps to
+# its value's converter, a tuple of its choices, or None for a flag; every
+# command takes --reverse, and an expression before the positionals named
+_COMMANDS = {name: (func, text, {"reverse": None, **options}, ("expr", *more))
+             for name, (func, text, options, *more) in {
+    "invariants": (_cmd_invariants, "signature, Betti numbers, spin, KS", {}),
+    "classify": (_cmd_classify, "homeomorphism normal form", {}),
+    "cover": (_cmd_cover, "twisted-coefficient invariants", {}),
+    "spinc": (_cmd_spinc, "enumerate characteristic classes", {"bound": int}),
+    "certify": (_cmd_certify, "run the full certificate pipeline", {
+        "scenario": ("auto", "spin", "nonspin", "enriques"),
+        "bound": int, "json": None}),
+    "constraints": (_cmd_constraints, "index-bundle vanishing constraints "
+                    "from a data file", {"generators": int}, "data"),
+}.items()}
 
-    sp = sub.add_parser("classify", help="homeomorphism normal form")
-    common(sp)
-    sp.set_defaults(func=_cmd_classify)
 
-    sp = sub.add_parser("cover", help="twisted-coefficient invariants")
-    common(sp)
-    sp.set_defaults(func=_cmd_cover)
+def _exit(name, error=None):
+    """Print a usage line and exit: 0 with the help, 2 with `error`."""
+    usage = f"[-h] {{{','.join(_COMMANDS)}}} ..."
+    text = "\n".join(f"  {n:<12} {row[1]}" for n, row in _COMMANDS.items())
+    if name is not None:
+        _, text, options, positionals = _COMMANDS[name]
+        usage = " ".join([name, "[-h]", *(
+            f"[--{key}]" if kind is None else f"[--{key} {key.upper()}]"
+            if kind is int else f"[--{key} {{{','.join(kind)}}}]"
+            for key, kind in options.items()), *positionals])
+    if error is None:
+        print(f"usage: fourfold {usage}\n\n{text}", flush=True)
+        raise SystemExit(0)
+    print(f"usage: fourfold {usage}\nfourfold: error: {error}", file=sys.stderr)
+    raise SystemExit(2)
 
-    sp = sub.add_parser("spinc", help="enumerate characteristic classes")
-    common(sp)
-    sp.add_argument("--bound", type=int, default=1)
-    sp.set_defaults(func=_cmd_spinc)
 
-    sp = sub.add_parser("certify", help="run the full certificate pipeline")
-    common(sp)
-    sp.add_argument("--scenario", default="auto",
-                    choices=["auto", "spin", "nonspin", "enriques"])
-    sp.add_argument("--bound", type=int, default=1)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=_cmd_certify)
-
-    sp = sub.add_parser("constraints",
-                        help="index-bundle vanishing constraints from a data file")
-    common(sp)
-    sp.add_argument("data", help="class data file with V1/W1 sections")
-    sp.add_argument("--generators", type=int, default=None)
-    sp.set_defaults(func=_cmd_constraints)
-
-    return p
+def _read_argv(argv):
+    """(the command's function, its arguments) from a command line: only
+    -h, --help and --name[=value] before "--" are options, anywhere after
+    the command, the last repeat winning; every other token is positional."""
+    name, *rest = argv or [None]
+    if name not in _COMMANDS:   # -h, --help, an unknown command or none
+        _exit(None, None if name in ("-h", "--help") else
+              f"unknown command {name!r}" if argv else "no command")
+    func, _, options, positionals = _COMMANDS[name]
+    args, given, tokens = _Args(), [], iter(rest)
+    for token in tokens:
+        if token == "--":
+            given += tokens
+        elif token in ("-h", "--help"):
+            _exit(name)
+        elif token[:2] != "--":
+            given.append(token)
+        else:
+            key, eq, value = token[2:].partition("=")
+            if key not in options or eq and options[key] is None:
+                _exit(name, f"unknown option {token!r}")   # or a flag's value
+            kind = options[key]
+            if kind is not None and not eq:   # the value is the next token
+                value = next(tokens, None)
+            try:   # a flag reads True; a value must convert, or be a choice
+                setattr(args, key, True if kind is None else int(value)
+                        if kind is int else kind[kind.index(value)])
+            except (TypeError, ValueError):   # None: no token was left
+                _exit(name, f"--{key} takes {'an int' if kind is int else kind}"
+                      f", not {value!r}")
+    if len(given) != len(positionals):
+        _exit(name, f"{len(given)} positionals for {' '.join(positionals)}")
+    args.__dict__.update(zip(positionals, given))
+    return func, args
 
 
 def main(argv=None):
-    # argparse reads "-K3 " as a positional, not an option; the space comes
-    # off after parsing.  After "--" every token is a positional already
-    argv = list(sys.argv[1:] if argv is None else argv)
-    end = argv.index("--") if "--" in argv else len(argv)
-    padded = {a + " " for a in argv[:end]
-              if a[:1] == "-" and a[1:2] not in ("", "-", "h")}
-    argv[:end] = [a + " " if a + " " in padded else a for a in argv[:end]]
-    args = build_parser().parse_args(argv)
-    vars(args).update({n: v[:-1] for n, v in vars(args).items() if v in padded})
     try:
+        func, args = _read_argv(sys.argv[1:] if argv is None else argv)
         x = parse(args.expr)
         if args.reverse:
             x = manifold.mirror(x)
-        code = args.func(x, args)
+        code = func(x, args)
         sys.stdout.flush()  # a closed reader fails here, not at exit
         return code
     except FourfoldError as e:

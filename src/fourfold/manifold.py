@@ -231,8 +231,14 @@ class ManifoldExpr:
     def __post_init__(self):
         # merge the pairs, composites expanded, into one per distinct block,
         # by its sort key
+        try:   # terms that are not pairs fail to unpack
+            pairs = [(b, n) for b, n in self.terms]
+        except (TypeError, ValueError):
+            raise InvalidSetting(f"terms {self.terms!r} are not pairs") from None
         merged = {}
-        for b, n in self.terms:
+        for b, n in pairs:
+            if not isinstance(b, Block):
+                raise InvalidSetting(f"{b!r} is not a Block")
             if not isinstance(n, int) or n < 0:
                 raise InvalidSetting(f"count {n!r} must be an int >= 0")
             for part in COMPOSITES[b.kind] if b.spec is None else (b,):

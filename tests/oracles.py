@@ -80,8 +80,12 @@ def laurent_divide(num, den):
     """Exact division in the Laurent extension by u.
 
     The denominator must be monic in u: its top u-coefficient must be
-    1 + nilpotent.  Returns (quotient, has_negative_u).  Raises
-    NonExactDivision when the denominator does not divide the numerator.
+    1 + nilpotent.  Returns (q, shift), the quotient as q * u^-shift: an
+    ExtPoly holds no negative u power, so the division runs on num shifted
+    up by u^s, past the lowest power it can reach, and `shift` is the
+    least s >= 0 that keeps q's powers >= 0; it is 0 iff the quotient has
+    no negative u power.  Raises NonExactDivision when the denominator
+    does not divide the numerator.
     """
     if num.k != den.k:
         raise ModeMismatch("operands live in different rings")
@@ -90,9 +94,10 @@ def laurent_divide(num, den):
     m = max_u(den)
     # its own inverse; NonMonicDenominator when not a unit
     lead = invert_unit(u_coefficient(den, m))
-    floor = min_u(num) - m - num.k - 8
+    s = m + num.k + 8
+    floor = min_u(num)   # the lowest quotient power tried, shifted by s
     quotient = ExtPoly.zero(num.k)
-    rem = num
+    rem = shift_u(num, s)
     while rem:
         d = max_u(rem)
         if d - m < floor:
@@ -101,7 +106,8 @@ def laurent_divide(num, den):
         q_term = shift_u(u_coefficient(rem, d) * lead, d - m)
         quotient = quotient + q_term
         rem = rem + q_term * den
-    return quotient, min_u(quotient) < 0
+    low = min(s, min_u(quotient)) if quotient else s
+    return shift_u(quotient, -low), s - low
 
 
 def gram(atoms):

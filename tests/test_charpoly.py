@@ -46,10 +46,12 @@ def test_mode_mismatch():
 
 @pytest.mark.parametrize("k, terms", [
     (2, {(1.5, 0)}), (2, 5), (2, {1}), (2, {(1,)}), (2, {(1, 0, 0)}),
-    ("2", {(1, 0)}), (2, {(4, 0)}), (2, {(-1, 0)}),
+    ("2", {(1, 0)}), (2, {(4, 0)}), (2, {(-1, 0)}), (2, {(1, "x")}),
+    (2, {(1, -1)}), (2, {(1, 1.0)}), (2, {(0, None)}),
 ])
 def test_poly_refuses_terms_it_cannot_hold(k, terms):
-    # a term is a (mask, u power) pair with a mask of k bits
+    # a term is a (mask, u power) pair with a mask of k bits and an int
+    # power >= 0: before, (1, "x") rendered t1*u^x and (1, -1) t1*u^-1
     with pytest.raises(InvalidSetting):
         ExtPoly(k, terms)
 
@@ -218,31 +220,40 @@ def test_class_data_is_pure_and_homogeneous(sw):
         BundleClassData(k=2, rank=2, sw=sw)
 
 
+@pytest.mark.parametrize("rank, sw", [
+    (1, (5,)), (1, ("t1",)), (1, (ExtPoly.t(2, 1), None)),
+    ("1", ()), (1.0, ()), (None, ()), (-1, ())])
+def test_class_data_holds_a_rank_and_polynomials(rank, sw):
+    # before, (5,) raised AttributeError, and a rank of "1" a TypeError
+    # only once corollary_constraints subtracted it
+    with pytest.raises(InvalidSetting):
+        BundleClassData(k=2, rank=rank, sw=sw)
+
+
 # --- Laurent division ---
 
 def test_laurent_monomials():
     k = 1
     num = ExtPoly.u(k, 2) + ExtPoly.t(k, 1) * ExtPoly.u(k, 1)
-    q, neg = oracles.laurent_divide(num, ExtPoly.u(k, 1))
+    q, shift = oracles.laurent_divide(num, ExtPoly.u(k, 1))
     assert q == ExtPoly.u(k, 1) + ExtPoly.t(k, 1)
-    assert not neg
+    assert shift == 0
 
 
 def test_laurent_negative_degree():
     k = 2
     num = ExtPoly.t(k, 1) * ExtPoly.t(k, 2)
-    q, neg = oracles.laurent_divide(num, ExtPoly.u(k, 1))
-    assert neg
-    assert oracles.shift_u(q, 1) == num
+    q, shift = oracles.laurent_divide(num, ExtPoly.u(k, 1))
+    # the quotient t1*t2*u^-1
+    assert (q, shift) == (num, 1)
 
 
 def test_laurent_trivial_sw_sign():
     # u^n / u^m has negative terms exactly when n < m
     for n in range(4):
         for m in range(4):
-            q, neg = oracles.laurent_divide(ExtPoly.u(2, n), ExtPoly.u(2, m))
-            assert neg == (n < m)
-            assert q == oracles.shift_u(ExtPoly.u(2, n), -m)
+            q, shift = oracles.laurent_divide(ExtPoly.u(2, n), ExtPoly.u(2, m))
+            assert (q, shift) == (ExtPoly.u(2, max(n - m, 0)), max(m - n, 0))
 
 
 def test_laurent_nonmonic_rejected():
@@ -279,12 +290,8 @@ def test_laurent_roundtrip(seed):
     k = rng.randint(1, 4)
     q = random_poly(k, rng)
     d = monic_poly(k, rng)
-    quotient, neg = oracles.laurent_divide(q * d, d)
-    if not q:
-        assert not quotient
-    else:
-        assert quotient == q
-        assert neg == (oracles.min_u(q) < 0)
+    # q's u powers are >= 0, so the quotient needs no shift
+    assert oracles.laurent_divide(q * d, d) == (q, 0)
 
 
 @settings(max_examples=200)

@@ -322,14 +322,79 @@ def test_exit_codes_partition():
 
 
 @pytest.mark.parametrize("argv", [
-    ["certify"], ["certify", "K3", "--bound", "x"], ["nonesuch", "K3"]],
-    ids=["missing-expression", "bound-not-int", "unknown-command"])
+    ["certify"], ["certify", "K3", "--bound", "x"], ["nonesuch", "K3"],
+    [], ["--json", "certify", "K3"], ["spinc", "K3", "--bou", "2"],
+    ["certify", "K3", "--js"], ["certify", "K3", "--json=1"],
+    ["certify", "K3", "--scenario", "bogus"], ["spinc", "K3", "--bound"],
+    ["spinc", "K3", "--bound="], ["spinc", "K3", "extra"],
+    ["constraints", "K3"], ["certify", "K3", "--generators", "1"],
+    ["spinc", "K3", "-", "--bound", "2"]],
+    ids=["missing-expression", "bound-not-int", "unknown-command",
+         "no-command", "option-before-command", "abbreviation",
+         "flag-abbreviation", "flag-with-value", "bad-choice",
+         "trailing-option", "empty-value", "extra-positional",
+         "missing-data-file", "option-of-another-command",
+         "dash-is-a-positional"])
 def test_usage_error_exits_two(argv, capsys):
-    # argparse ends a usage error with exit 2, as README documents
+    # a usage error ends in exit 2 with the usage on stderr, as README
+    # documents; the usage is the command's when there is one
     with pytest.raises(SystemExit) as e:
         cli.main(argv)
     assert e.value.code == 2
-    assert capsys.readouterr().err.startswith("usage: fourfold")
+    out, err = capsys.readouterr()
+    command = argv[0] if argv and argv[0] in cli._COMMANDS else "[-h]"
+    assert out == "" and err.startswith(f"usage: fourfold {command} ")
+    assert err.count("\n") == 2 and "\nfourfold: error: " in err
+
+
+_SUM = "-CP2 # S2xS2 # S1xY(b1=1)"
+_NONSPIN = "-E8#-CP2fake#S2xS2#S1xY(b1=1)"
+
+
+@pytest.mark.parametrize("argv, same", [
+    (["spinc", _SUM, "--bound=2"], ["spinc", _SUM, "--bound", "2"]),
+    (["spinc", "--bound", "2", _SUM], ["spinc", _SUM, "--bound", "2"]),
+    (["spinc", _SUM, "--bound", "3", "--bound=2"],
+     ["spinc", _SUM, "--bound", "2"]),
+    (["certify", "--json", "--scenario=auto", "--scenario", "nonspin",
+      _NONSPIN], ["certify", _NONSPIN, "--scenario=nonspin", "--json"]),
+    (["invariants", "--reverse", "--", "-K3"], ["invariants", "K3"]),
+    (["spinc", "--", _SUM], ["spinc", _SUM]),
+], ids=["equals-sign", "option-first", "last-repeat-wins", "choice-forms",
+        "reverse-then-double-dash", "double-dash"])
+def test_option_forms_read_alike(argv, same):
+    got = outputs(argv)
+    assert got == outputs(same)
+    assert got[0] == 0 and got[1] and not got[2]
+
+
+def test_help_lists_every_command(capsys):
+    for argv in (["-h"], ["--help"]):
+        with pytest.raises(SystemExit) as e:
+            cli.main(argv)
+        assert e.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: fourfold [-h] {")
+        rows = out.splitlines()[2:]
+        assert [row.split()[0] for row in rows] == list(cli._COMMANDS)
+        assert [row.split(None, 1)[1] for row in rows] == [
+            text for _, text, _, _ in cli._COMMANDS.values()]
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_command_help_comes_from_the_table(command, capsys):
+    # -h anywhere before "--" prints the command's usage and help line
+    with pytest.raises(SystemExit) as e:
+        cli.main([command, "K3", "-h", "--bogus"])
+    assert e.value.code == 0
+    usage, blank, text = capsys.readouterr().out.splitlines()
+    _, help_line, options, positionals = cli._COMMANDS[command]
+    assert usage.startswith(f"usage: fourfold {command} [-h] [--reverse]")
+    assert usage.endswith(" ".join(positionals))
+    assert all(f"[--{name}" in usage for name in options)
+    assert (blank, text) == ("", help_line)
+    # after "--", -h is the expression
+    assert cli.main(["invariants", "--", "-h"]) == 1
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -362,8 +427,7 @@ def test_leading_dash_file_after_double_dash(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("exists", [True, False])
 def test_leading_dash_file_without_double_dash(exists, tmp_path, monkeypatch,
                                                capsys):
-    # the space that keeps "-c.txt" from reading as an option never
-    # reaches the path
+    # a token that starts with one "-" is a positional, read as given
     monkeypatch.chdir(tmp_path)
     if exists:
         (tmp_path / "-c.txt").write_text(
@@ -393,14 +457,17 @@ _TERM = st.one_of(_BLOCK, st.builds("{}*{}".format, st.integers(0, 99), _BLOCK))
 
 
 def documented_exit(argv):
-    """True iff cli.main ends argv in exit 0, 1 or 3, or argparse's 2."""
+    """True iff cli.main ends argv in exit 0, 1 or 3, or a usage error's 2,
+    or, when a -h or --help before any "--" asks for it, the help's 0."""
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         try:
             code = cli.main(argv)
-        except SystemExit as e:   # argparse rejected the command line
-            code = ("argparse", e.code)
-    return code in (0, 1, 3, ("argparse", 2))
+        except SystemExit as e:   # a usage error, or the help
+            code = ("exit", e.code)
+    options = argv[:argv.index("--")] if "--" in argv else argv
+    helped = {"-h", "--help"} & set(options)
+    return code in (0, 1, 3, ("exit", 2)) or helped and code == ("exit", 0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -429,6 +496,32 @@ def test_random_spinc_gets_documented_exit(text, bound):
     # a lowered cap keeps every listing under 20,000 classes
     with mock.patch.object(cover, "MAX_CLASSES", 20_000):
         assert documented_exit(["spinc", text, "--bound", str(bound)])
+
+
+_OPTIONS = sorted({name for _, _, options, _ in cli._COMMANDS.values()
+                   for name in options})
+# command names, option names with and without values, "--", -h, ints,
+# scenario names and small sums, in any order
+_ARGV_TOKEN = st.one_of(
+    st.sampled_from([*cli._COMMANDS, "--", "-h", "--help", "-", "--bogus"]),
+    st.sampled_from(_OPTIONS).map("--{}".format),
+    st.builds("--{}={}".format, st.sampled_from(_OPTIONS), st.one_of(
+        st.integers(-2, 3), st.sampled_from(["", "auto", "spin", "x"]))),
+    st.integers(-2, 3).map(str),
+    st.sampled_from(["auto", "spin", "nonspin", "enriques"]),
+    _SMALL_SUM)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=st.one_of(
+    st.lists(_ARGV_TOKEN, max_size=7),
+    st.builds(lambda command, rest: [command, *rest],
+              st.sampled_from(list(cli._COMMANDS)),
+              st.lists(_ARGV_TOKEN, max_size=6))))
+def test_random_command_line_gets_documented_exit(argv):
+    # a lowered cap keeps every listing under 20,000 classes
+    with mock.patch.object(cover, "MAX_CLASSES", 20_000):
+        assert documented_exit(argv)
 
 
 def outputs(argv):
@@ -555,21 +648,36 @@ before = set(sys.modules)
 import fourfold.cli
 imported = set(sys.modules) - before
 with contextlib.redirect_stdout(io.StringIO()):
-    code = fourfold.cli.main(["spinc", "CP2 # 2*-CP2 # S1xY(b1=1)"])
+    code = fourfold.cli.main(sys.argv[1:])
 print(json.dumps([code, sorted(imported), sorted(set(sys.modules) - before)]))
 """
 
 
+def cold_child(*argv):
+    """(exit code, modules importing cli loads, modules loaded by the end)
+    of one command in a fresh interpreter."""
+    run = subprocess.run([sys.executable, "-c", COLD_PATH, *argv],
+                         env=module_env(), capture_output=True, text=True,
+                         check=True)
+    return json.loads(run.stdout)
+
+
 def test_cold_path_imports_only_what_it_runs():
-    run = subprocess.run([sys.executable, "-c", COLD_PATH], env=module_env(),
-                         capture_output=True, text=True, check=True)
-    code, imported, after_spinc = json.loads(run.stdout)
+    code, imported, after_spinc = cold_child(
+        "spinc", "CP2 # 2*-CP2 # S1xY(b1=1)")
     assert code == 0
     assert "fourfold.cover" in imported
+    # no argument parser either: cli reads the command line from its table
+    parsers = {"argparse", "gettext", "locale"}
     unwanted = {"dataclasses", "inspect", "fractions", "decimal", "json",
-                "fourfold.obstruct", "fourfold.charpoly"}
+                "fourfold.obstruct", "fourfold.charpoly", *parsers}
     assert unwanted.isdisjoint(imported)
     assert unwanted.isdisjoint(after_spinc)
+    code, _, after_certify = cold_child(
+        "certify", "--json", "2*-E8 # 3*S2xS2 # S1xY(b1=1)")
+    assert code == 0
+    assert "fourfold.obstruct" in after_certify
+    assert parsers.isdisjoint(after_certify)
 
 
 def test_package_names_resolve_on_first_use():
@@ -584,7 +692,7 @@ def test_package_names_resolve_on_first_use():
 
 
 @pytest.mark.parametrize("argv", [["spinc", "S2xS2 # S1xY(b1=1)"],
-                                  ["invariants", "K3"]])
+                                  ["invariants", "K3"], ["certify", "-h"]])
 def test_closed_reader_ends_quietly(argv):
     child = subprocess.Popen(
         [sys.executable, "-m", "fourfold.cli", *argv], env=module_env(),

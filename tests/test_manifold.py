@@ -128,6 +128,16 @@ def test_count_must_be_a_nonnegative_int(count):
         manifold.ManifoldExpr(((manifold.CP2(), count),))
 
 
+@pytest.mark.parametrize("terms", [
+    5, ((1, 2),), ((manifold.CP2(),),), ((manifold.CP2(), 1, 2),), "ab",
+    (("CP2", 1),), None],
+    ids=["not-iterable", "int-block", "single", "triple", "text",
+         "block-name", "none"])
+def test_terms_must_be_block_count_pairs(terms):
+    with pytest.raises(InvalidSetting):
+        manifold.ManifoldExpr(terms)
+
+
 def test_s4_is_identity():
     x = manifold.expr(manifold.K3(), manifold.S2xS2())
     y = manifold.ManifoldExpr(x.terms + ((manifold.Block("S4"), 5),))

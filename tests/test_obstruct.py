@@ -737,6 +737,36 @@ def test_certify_properties_random(counts, n_block, bound, data):
         assert cli.replay(got)
 
 
+def _accepted_blocks():
+    """Every Block the library takes with a sign in -1..1 and a param in
+    -1..3: each kind, composites included."""
+    blocks = []
+    for kind, sign, param in itertools.product(
+            [*manifold.BLOCKS, *manifold.COMPOSITES], (-1, 0, 1), range(-1, 4)):
+        try:
+            blocks.append(manifold.Block(kind, sign, param))
+        except FourfoldError:
+            pass
+    return blocks
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(st.sampled_from(_accepted_blocks()),
+                                st.one_of(st.integers(0, 3), st.booleans())),
+                      max_size=8),
+       scenario=st.sampled_from(["auto", "spin", "nonspin", "enriques"]),
+       bound=st.sampled_from((1, 2, 3, 10**9)))
+def test_every_accepted_sum_certifies_or_refuses(pairs, scenario, bound):
+    """A ManifoldExpr built from Blocks, not parsed: certify returns a
+    certificate or raises a FourfoldError, and replay reproduces it."""
+    x = manifold.ManifoldExpr(tuple(pairs))
+    try:
+        cert = obstruct.certify(x, scenario=scenario, bound=bound)
+    except FourfoldError:
+        return
+    assert cli.replay(cert)
+
+
 # --- the verdict in closed form ---
 
 # every block name, composites and parametrized blocks included
