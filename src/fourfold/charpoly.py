@@ -20,6 +20,8 @@ class ExtPoly:
     terms: frozenset = frozenset()
 
     def __post_init__(self):
+        if type(self.k) is not int or self.k < 0:
+            raise InvalidSetting(f"k {self.k!r} must be an int >= 0")
         try:   # a term that is not a pair of ints fails in the walk
             self.__dict__["terms"] = terms = frozenset(self.terms)
             bad = [mask for mask, up in terms
@@ -110,7 +112,10 @@ class BundleClassData:
         d = self.__dict__
         if type(self.rank) is not int or self.rank < 0:
             raise InvalidSetting(f"rank {self.rank!r} must be an int >= 0")
-        d["sw"] = tuple(self.sw)
+        try:   # an sw that is not iterable fails here
+            d["sw"] = tuple(self.sw)
+        except TypeError:
+            raise InvalidSetting(f"sw {self.sw!r} is not a sequence") from None
         for i, w in enumerate(self.sw, 1):
             if not isinstance(w, ExtPoly):
                 raise InvalidSetting(f"w{i} = {w!r} is not an ExtPoly")

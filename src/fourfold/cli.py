@@ -10,7 +10,8 @@ Expression grammar:
 Exit codes: 0 success or informational output, 1 input error or a
 reader that closed the output early, 2 usage error (a missing or extra
 argument, an unknown command or option, or a bad option value), 3
-inconclusive or hypotheses not met.
+inconclusive or hypotheses not met.  An error whose stderr reader has
+closed keeps its code and drops its message.
 """
 
 import os
@@ -64,17 +65,13 @@ def parse(text):
             raise ParseError(f"cannot parse term {part.strip()!r}", _offset(
                 parts, i, len(part) - len(part.lstrip())))
         mult, name, key, param = m.groups()
-        if mult is None:
-            mult = 1
-        else:
-            try:
-                mult = int(mult)
-            except ValueError as e:  # too many digits for int()
-                raise ParseError(
-                    str(e), _offset(parts, i, m.start("mult"))) from None
-            if mult < 0:
-                raise NegativeMultiplicity(
-                    f"multiplicity {mult} must be >= 0")
+        try:   # int() refuses more than sys.get_int_max_str_digits() digits
+            mult = int(mult or 1)
+        except ValueError as e:
+            raise ParseError(
+                str(e), _offset(parts, i, m.start("mult"))) from None
+        if mult < 0:
+            raise NegativeMultiplicity(f"multiplicity {mult} must be >= 0")
         # a name without a parameter is a shared Block; one with, its kind
         block = _NAMES.get(name if param is None else f"{name}({key}={{p}})")
         if block is None:
@@ -356,6 +353,19 @@ _COMMANDS = {name: (func, text, {"reverse": None, **options}, ("expr", *more))
 }.items()}
 
 
+def _drop(stream):
+    """Point stream at the null device: its reader left, so drop its buffer."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
+def _complain(text):
+    """Print text to stderr now; a reader that closed it drops it."""
+    try:
+        print(text, file=sys.stderr, flush=True)
+    except BrokenPipeError:
+        _drop(sys.stderr)
+
+
 def _exit(name, error=None):
     """Print a usage line and exit: 0 with the help, 2 with `error`."""
     usage = f"[-h] {{{','.join(_COMMANDS)}}} ..."
@@ -369,7 +379,7 @@ def _exit(name, error=None):
     if error is None:
         print(f"usage: fourfold {usage}\n\n{text}", flush=True)
         raise SystemExit(0)
-    print(f"usage: fourfold {usage}\nfourfold: error: {error}", file=sys.stderr)
+    _complain(f"usage: fourfold {usage}\nfourfold: error: {error}")
     raise SystemExit(2)
 
 
@@ -419,10 +429,10 @@ def main(argv=None):
         sys.stdout.flush()  # a closed reader fails here, not at exit
         return code
     except FourfoldError as e:
-        print(str(e), file=sys.stderr)
+        _complain(str(e))
         return 1
-    except BrokenPipeError:  # the reader left: drop what is still buffered
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError:
+        _drop(sys.stdout)
         return 1
 
 

@@ -174,53 +174,10 @@ NAMED = {b.name: b for b in (
     for sign in ((1, -1) if "{s}" in spec.name else (0,)))}
 
 
-# convenience constructors
-
-def CP2():
-    return NAMED["CP2"]
-
-
-def NegCP2():
-    return NAMED["-CP2"]
-
-
-def NegCP2Fake():
-    return NAMED["-CP2fake"]
-
-
-def S2xS2():
-    return NAMED["S2xS2"]
-
-
-def K3():
-    return NAMED["K3"]
-
-
-def NegK3():
-    return NAMED["-K3"]
-
-
-def E8Block(sign=-1):
-    if sign not in (1, -1):
-        return Block("E8", sign)   # which refuses the sign
-    return NAMED["E8" if sign > 0 else "-E8"]
-
-
-def W():
-    return NAMED["W"]
-
-
-def S1xY(b1=0):
-    return Block("S1xY", param=b1)
-
-
-def S2xSigma(genus):
-    return Block("S2xSigma", param=genus)
-
-
 # composite blocks and their summands: Enriques surfaces decompose as
 # -E8 # S2xS2 # W, and S4 is the identity
-COMPOSITES = {"Enriques": (E8Block(-1), S2xS2(), W()), "S4": ()}
+COMPOSITES = {"Enriques": (NAMED["-E8"], NAMED["S2xS2"], NAMED["W"]),
+              "S4": ()}
 NAMED.update((kind, Block(kind)) for kind in COMPOSITES)
 
 
@@ -239,7 +196,7 @@ class ManifoldExpr:
         for b, n in pairs:
             if not isinstance(b, Block):
                 raise InvalidSetting(f"{b!r} is not a Block")
-            if not isinstance(n, int) or n < 0:
+            if type(n) is not int or n < 0:
                 raise InvalidSetting(f"count {n!r} must be an int >= 0")
             for part in COMPOSITES[b.kind] if b.spec is None else (b,):
                 key = part.key
@@ -301,7 +258,7 @@ def mirror(x):
 
 
 def _normalize_sc(sc, w_count):
-    """Normal form of the simply-connected part, as (block, count) pairs.
+    """Normal form of the simply-connected part, as (name, count) pairs.
 
     sc holds the part's Invariants.  w_count is the number of W summands
     in the ambient expression; a rational homology sphere with torsion w2
@@ -320,29 +277,25 @@ def _normalize_sc(sc, w_count):
         if ks != p % 2:
             raise SpinKSInconsistent(
                 "spin part violates KS = sigma/8 mod 2")
-        sign = 1 if sigma > 0 else -1
-        return (E8Block(sign), p), (S2xS2(), min(bp, bm))
+        return ("E8" if sigma > 0 else "-E8", p), ("S2xS2", min(bp, bm))
 
     # odd case
-    if w_count >= 1:
+    if w_count >= 1 and ks == w_count % 2:
         # Enriques-style shape: w_count E8 summands plus a diagonal rest
-        for sign, heavy in ((-1, bm), (1, bp)):
-            if ks == w_count % 2 and heavy - 8 * w_count >= 0:
-                n_plus = bp if sign < 0 else bp - 8 * w_count
-                n_minus = bm - 8 * w_count if sign < 0 else bm
-                if n_plus + n_minus >= 1:
-                    return ((E8Block(sign), w_count), (CP2(), n_plus),
-                            (NegCP2(), n_minus))
+        e = 8 * w_count
+        for e8, n_plus, n_minus in (("-E8", bp, bm - e), ("E8", bp - e, bm)):
+            if min(n_plus, n_minus) >= 0 and n_plus + n_minus >= 1:
+                return (e8, w_count), ("CP2", n_plus), ("-CP2", n_minus)
     if ks == 0:
         if sigma <= -9:
-            return ((NegCP2(), -sigma - 9), (E8Block(-1), 1),
-                    (NegCP2Fake(), 1), (S2xS2(), bp))
+            return (("-CP2", -sigma - 9), ("-E8", 1), ("-CP2fake", 1),
+                    ("S2xS2", bp))
         if sigma >= 9:
-            return ((CP2(), sigma - 7), (E8Block(1), 1), (NegCP2Fake(), 1),
-                    (S2xS2(), bm - 1))
-        return (CP2(), bp), (NegCP2(), bm)
+            return (("CP2", sigma - 7), ("E8", 1), ("-CP2fake", 1),
+                    ("S2xS2", bm - 1))
+        return ("CP2", bp), ("-CP2", bm)
     # ks == 1: one fake summand fixes the Kirby-Siebenmann bit
-    return (CP2(), bp), (NegCP2(), bm - 1), (NegCP2Fake(), 1)
+    return ("CP2", bp), ("-CP2", bm - 1), ("-CP2fake", 1)
 
 
 def normalize_homeo_type(x, reverse=False):
@@ -353,8 +306,9 @@ def normalize_homeo_type(x, reverse=False):
     """
     if reverse:
         x = mirror(x)
-    return ManifoldExpr(_normalize_sc(x.sc, x.inv.torsion) + tuple(
-        t for t in x.terms if t[0].spec.part != "sc"))
+    return ManifoldExpr(
+        [(NAMED[name], n) for name, n in _normalize_sc(x.sc, x.inv.torsion)]
+        + [t for t in x.terms if t[0].spec.part != "sc"])
 
 
 def reflection_slots(x, k):

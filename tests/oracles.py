@@ -195,12 +195,11 @@ def sum_inertia(terms):
 
 def block_table():
     """Machine-readable table of block invariants (parametric blocks sampled)."""
-    samples = [
-        manifold.CP2(), manifold.NegCP2(), manifold.NegCP2Fake(),
-        manifold.S2xS2(), manifold.K3(), manifold.NegK3(),
-        manifold.E8Block(1), manifold.E8Block(-1), manifold.W(),
-        manifold.S1xY(0), manifold.S1xY(1), manifold.S2xSigma(1),
-        manifold.S2xSigma(2),
+    samples = [manifold.NAMED[name] for name in (
+        "CP2", "-CP2", "-CP2fake", "S2xS2", "K3", "-K3", "E8", "-E8", "W")] + [
+        manifold.Block("S1xY", param=0), manifold.Block("S1xY", param=1),
+        manifold.Block("S2xSigma", param=1),
+        manifold.Block("S2xSigma", param=2),
     ]
     rows = [(b.name, b) for b in samples]
     # Enriques is a composite: report the invariants of its expansion

@@ -157,7 +157,8 @@ def test_criterion_6_oracle_equivalence(capsys):
     failures = []
     # each block's invariants against the inertia of its Gram matrix
     blocks = [b for b in manifold.NAMED.values() if b.spec] + [
-        manifold.S1xY(p) for p in range(4)] + [manifold.S2xSigma(1)]
+        manifold.Block("S1xY", param=p) for p in range(4)] + [
+        manifold.Block("S2xSigma", param=1)]
     for b in blocks:
         if (b.inv.b_plus, b.inv.b_minus, 0, b.inv.odd > 0) != \
                 oracles.block_inertia(b.atoms):
@@ -170,7 +171,8 @@ def test_criterion_6_oracle_equivalence(capsys):
     for _ in range(300):
         x = manifold.ManifoldExpr(tuple(
             (b, rng.randint(1, 3) if rng.random() < 0.4 else 0)
-            for b in sc_blocks) + ((manifold.W(), rng.choice((0, 0, 1, 2))),))
+            for b in sc_blocks) + (
+                (manifold.NAMED["W"], rng.choice((0, 0, 1, 2))),))
         if not (x.sc.b_plus and x.sc.b_minus):
             continue
         try:
@@ -209,10 +211,9 @@ def test_criterion_6_oracle_equivalence(capsys):
 def test_criterion_7_property_suites(capsys):
     rng = random.Random(4417)
     failures = []
-    pool = [manifold.CP2(), manifold.NegCP2(), manifold.NegCP2Fake(),
-            manifold.S2xS2(), manifold.K3(), manifold.NegK3(),
-            manifold.E8Block(1), manifold.E8Block(-1), manifold.W(),
-            manifold.S1xY(1), manifold.S2xSigma(1)]
+    pool = [manifold.NAMED[name] for name in (
+        "CP2", "-CP2", "-CP2fake", "S2xS2", "K3", "-K3", "E8", "-E8", "W")] + [
+        manifold.Block("S1xY", param=1), manifold.Block("S2xSigma", param=1)]
 
     # signature / KS additivity and normalize idempotence
     from fourfold.errors import DefinitePartUnsupported
@@ -343,7 +344,8 @@ def test_criterion_8_corollary_reporter(capsys):
     failures = []
     for _ in range(50):
         k = rng.randint(1, 5)
-        x = manifold.expr(*([manifold.S2xS2()] * k), manifold.S1xY(1))
+        x = manifold.expr(*([manifold.NAMED["S2xS2"]] * k),
+                          manifold.Block("S1xY", param=1))
         ls = cover.build_standard_cover(x)
         fam = obstruct.build_family(ls, manifold.reflection_slots(x, k))
         m, n = rng.randint(0, 8), rng.randint(0, 8)

@@ -47,7 +47,8 @@ def test_mode_mismatch():
 @pytest.mark.parametrize("k, terms", [
     (2, {(1.5, 0)}), (2, 5), (2, {1}), (2, {(1,)}), (2, {(1, 0, 0)}),
     ("2", {(1, 0)}), (2, {(4, 0)}), (2, {(-1, 0)}), (2, {(1, "x")}),
-    (2, {(1, -1)}), (2, {(1, 1.0)}), (2, {(0, None)}),
+    (2, {(1, -1)}), (2, {(1, 1.0)}), (2, {(0, None)}), (-1, ()), (2.5, ()),
+    (True, ()),
 ])
 def test_poly_refuses_terms_it_cannot_hold(k, terms):
     # a term is a (mask, u power) pair with a mask of k bits and an int
@@ -222,7 +223,7 @@ def test_class_data_is_pure_and_homogeneous(sw):
 
 @pytest.mark.parametrize("rank, sw", [
     (1, (5,)), (1, ("t1",)), (1, (ExtPoly.t(2, 1), None)),
-    ("1", ()), (1.0, ()), (None, ()), (-1, ())])
+    ("1", ()), (1.0, ()), (None, ()), (-1, ()), (1, 5)])
 def test_class_data_holds_a_rank_and_polynomials(rank, sw):
     # before, (5,) raised AttributeError, and a rank of "1" a TypeError
     # only once corollary_constraints subtracted it

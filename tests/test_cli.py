@@ -703,6 +703,22 @@ def test_closed_reader_ends_quietly(argv):
     assert (child.wait(timeout=60), err) == (1, b"")
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("argv, code", [
+    (["certify"], 2), (["nonesuch"], 2), (["certify", "bogus"], 1)])
+def test_closed_error_reader_keeps_the_exit_code(argv, code, unbuffered):
+    # a usage error still exits 2 and an input error 1: before, the print
+    # to stderr failed at exit (120) or in main (1)
+    child = subprocess.Popen(
+        [sys.executable, "-m", "fourfold.cli", *argv],
+        env=dict(module_env(), PYTHONUNBUFFERED=unbuffered),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    child.stderr.close()  # the child starts up long after this
+    with child.stdout:
+        out = child.stdout.read()
+    assert (child.wait(timeout=60), out) == (code, b"")
+
+
 def test_invariants_output(capsys):
     cli.main(["invariants", "Enriques"])
     out = capsys.readouterr().out
@@ -783,9 +799,9 @@ def test_huge_multiple_of_s4_adds_nothing(mult, capsys):
 LIBRARY_HUGE_COUNTS = """
 from fourfold import manifold, obstruct
 from fourfold.errors import InvalidSetting
-x = manifold.ManifoldExpr(((manifold.CP2(), 10**9),
-                           (manifold.NegCP2(), 10**9 + 20),
-                           (manifold.S1xY(1), 1)))
+x = manifold.ManifoldExpr(((manifold.NAMED["CP2"], 10**9),
+                           (manifold.NAMED["-CP2"], 10**9 + 20),
+                           (manifold.Block("S1xY", param=1), 1)))
 try:
     obstruct.certify(x)
 except InvalidSetting as e:
@@ -808,7 +824,7 @@ def test_library_certify_counts_summands_as_parse_does(monkeypatch):
     fits = cli.parse("Enriques # S1xY(b1=1)")   # Enriques counts 3
     assert obstruct.certify(fits).verdict == "NonSmoothable"
     over = manifold.ManifoldExpr(((manifold.Block("Enriques"), 1),
-                                  (manifold.S1xY(1), 2)))
+                                  (manifold.Block("S1xY", param=1), 2)))
     for run in (lambda: cli.parse("Enriques # 2*S1xY(b1=1)"),
                 lambda: obstruct.certify(over)):
         with pytest.raises(InvalidSetting, match="more than 4 summands"):

@@ -21,9 +21,9 @@ def standard_cover(*blocks):
 # --- build_standard_cover ---
 
 def test_b_plus_ell_equals_simply_connected_b_plus():
-    x = manifold.expr(manifold.E8Block(-1), manifold.E8Block(-1),
-                      manifold.S2xS2(), manifold.S2xS2(), manifold.S2xS2(),
-                      manifold.S1xY(1))
+    x = manifold.expr(manifold.NAMED["-E8"], manifold.NAMED["-E8"],
+                      *([manifold.NAMED["S2xS2"]] * 3),
+                      manifold.Block("S1xY", param=1))
     ls = cover.build_standard_cover(x)
     assert ls.b_plus_ell == 3
     sc = manifold.ManifoldExpr(
@@ -32,12 +32,14 @@ def test_b_plus_ell_equals_simply_connected_b_plus():
 
 
 def test_n_part_contributes_nothing_free():
-    ls = standard_cover(manifold.S2xS2(), manifold.S2xSigma(1))
+    ls = standard_cover(manifold.NAMED["S2xS2"],
+                        manifold.Block("S2xSigma", param=1))
     assert ls.rank == 2
 
 
 def test_free_offsets_skip_exactly_the_n_blocks():
-    x = manifold.expr(manifold.K3(), manifold.S1xY(2), manifold.S2xSigma(1))
+    x = manifold.expr(manifold.NAMED["K3"], manifold.Block("S1xY", param=2),
+                      manifold.Block("S2xSigma", param=1))
     ls = cover.build_standard_cover(x)
     offsets = oracles.free_block_offsets(ls)
     for j, (block, _) in enumerate(x.terms):
@@ -46,35 +48,35 @@ def test_free_offsets_skip_exactly_the_n_blocks():
 
 def test_no_cover_when_h1_trivial():
     with pytest.raises(NoNontrivialCoverAvailable) as e:
-        standard_cover(manifold.K3())
+        standard_cover(manifold.NAMED["K3"])
     assert "no nontrivial double cover" in str(e.value)
 
 
 def test_no_recipe_cover_without_n_blocks():
     with pytest.raises(NoNontrivialCoverAvailable) as e:
-        standard_cover(manifold.K3(), manifold.W())
+        standard_cover(manifold.NAMED["K3"], manifold.NAMED["W"])
     assert "does not apply" in str(e.value)
 
 
 # --- w2 + w1^2 target class ---
 
 def test_target_class_spin_no_torsion():
-    ls = standard_cover(manifold.E8Block(-1), manifold.S2xS2(),
-                     manifold.S1xY(1))
+    ls = standard_cover(manifold.NAMED["-E8"], manifold.NAMED["S2xS2"],
+                     manifold.Block("S1xY", param=1))
     assert not any(cover.w2_plus_w1sq(ls)) and ls.torsion_bits == 0
 
 
 def test_target_class_w_torsion_bit():
-    ls = standard_cover(manifold.E8Block(-1), manifold.S2xS2(), manifold.W(),
-                     manifold.S1xY(1))
+    ls = standard_cover(manifold.NAMED["-E8"], manifold.NAMED["S2xS2"],
+                        manifold.NAMED["W"], manifold.Block("S1xY", param=1))
     assert not any(cover.w2_plus_w1sq(ls))
     assert ls.torsion_bits == 1
 
 
 def test_target_class_nonspin_diag_bits():
-    x = manifold.expr(manifold.NegCP2(), manifold.NegCP2(),
-                      manifold.E8Block(-1), manifold.NegCP2Fake(),
-                      manifold.S2xS2(), manifold.S1xY(1))
+    x = manifold.expr(manifold.NAMED["-CP2"], manifold.NAMED["-CP2"],
+                      manifold.NAMED["-E8"], manifold.NAMED["-CP2fake"],
+                      manifold.NAMED["S2xS2"], manifold.Block("S1xY", param=1))
     ls = cover.build_standard_cover(x)
     target = cover.w2_plus_w1sq(ls)
     off = 0
@@ -94,12 +96,14 @@ def test_target_class_nonspin_diag_bits():
 # --- the mod-2 condition on candidate classes ---
 
 def test_zero_class_exists_for_spin():
-    ls = standard_cover(manifold.S2xS2(), manifold.S1xY(1))
+    ls = standard_cover(manifold.NAMED["S2xS2"],
+                        manifold.Block("S1xY", param=1))
     assert ls.char_class((0, 0)).square == 0
 
 
 def test_odd_entry_on_hyperbolic_rejected():
-    ls = standard_cover(manifold.S2xS2(), manifold.S1xY(1))
+    ls = standard_cover(manifold.NAMED["S2xS2"],
+                        manifold.Block("S1xY", param=1))
     with pytest.raises(PreconditionViolated,
                        match="does not reduce to w2 \\+ w1\\^2"):
         ls.char_class((1, 0))
@@ -124,9 +128,10 @@ def test_char_class_accepts_exactly_the_characteristic_vectors(text, bound):
 
 def test_nonspin_witness_class():
     m, n = 3, 2
-    x = manifold.expr(*([manifold.NegCP2()] * m), manifold.E8Block(-1),
-                      manifold.NegCP2Fake(), *([manifold.S2xS2()] * n),
-                      manifold.S1xY(1))
+    x = manifold.expr(*([manifold.NAMED["-CP2"]] * m), manifold.NAMED["-E8"],
+                      manifold.NAMED["-CP2fake"],
+                      *([manifold.NAMED["S2xS2"]] * n),
+                      manifold.Block("S1xY", param=1))
     ls = cover.build_standard_cover(x)
     # block order: -E8 (8 coords), n hyperbolics, m copies of -CP2, fake -CP2
     free = (0,) * 8 + (0, 0) * n + (1,) * m + (1,)
@@ -135,7 +140,8 @@ def test_nonspin_witness_class():
 
 
 def test_dimension_mismatch():
-    ls = standard_cover(manifold.S2xS2(), manifold.S1xY(1))
+    ls = standard_cover(manifold.NAMED["S2xS2"],
+                        manifold.Block("S1xY", param=1))
     with pytest.raises(DimensionMismatch):
         ls.char_class((0,))
 
@@ -143,8 +149,8 @@ def test_dimension_mismatch():
 # --- enumeration ---
 
 def test_enumeration_contains_zero_for_spin():
-    ls = standard_cover(manifold.E8Block(-1), manifold.E8Block(-1),
-                     manifold.S2xS2(), manifold.S1xY(1))
+    ls = standard_cover(manifold.NAMED["-E8"], manifold.NAMED["-E8"],
+                     manifold.NAMED["S2xS2"], manifold.Block("S1xY", param=1))
     classes = cover.enumerate_characteristics(ls, 1)
     assert any(not any(c.free_part) for c in classes)
     gram = oracles.gram(ls.free)
@@ -153,17 +159,18 @@ def test_enumeration_contains_zero_for_spin():
 
 def test_enumeration_max_square_nonspin():
     for m in (0, 2, 4):
-        x = manifold.expr(*([manifold.NegCP2()] * m), manifold.E8Block(-1),
-                          manifold.NegCP2Fake(), manifold.S2xS2(),
-                          manifold.S1xY(1))
+        x = manifold.expr(*([manifold.NAMED["-CP2"]] * m),
+                          manifold.NAMED["-E8"], manifold.NAMED["-CP2fake"],
+                          manifold.NAMED["S2xS2"],
+                          manifold.Block("S1xY", param=1))
         ls = cover.build_standard_cover(x)
         classes = cover.enumerate_characteristics(ls, 1)
         assert classes[0].square == -m - 1
 
 
 def test_enumeration_sorted_square_descending():
-    x = manifold.expr(manifold.CP2(), manifold.NegCP2(), manifold.NegCP2(),
-                      manifold.S1xY(1))
+    x = manifold.expr(manifold.NAMED["CP2"], manifold.NAMED["-CP2"],
+                      manifold.NAMED["-CP2"], manifold.Block("S1xY", param=1))
     classes = cover.enumerate_characteristics(cover.build_standard_cover(x), 2)
     squares = [c.square for c in classes]
     assert squares == sorted(squares, reverse=True)
@@ -171,8 +178,10 @@ def test_enumeration_sorted_square_descending():
 
 
 def test_enumeration_stable_under_block_permutation():
-    a = manifold.expr(manifold.CP2(), manifold.NegCP2(), manifold.S1xY(1))
-    b = manifold.expr(manifold.NegCP2(), manifold.S1xY(1), manifold.CP2())
+    a = manifold.expr(manifold.NAMED["CP2"], manifold.NAMED["-CP2"],
+                      manifold.Block("S1xY", param=1))
+    b = manifold.expr(manifold.NAMED["-CP2"], manifold.Block("S1xY", param=1),
+                      manifold.NAMED["CP2"])
     la, lb = cover.build_standard_cover(a), cover.build_standard_cover(b)
     ca = cover.enumerate_characteristics(la, 1)
     cb = cover.enumerate_characteristics(lb, 1)
@@ -306,8 +315,9 @@ def test_spinc_does_not_recheck_classes(monkeypatch, capsys):
 def test_van_der_blij_spin_squares():
     # every class of the 3^12 box, grouped by square and first-atom piece
     # as spinc lists them
-    ls = standard_cover(manifold.E8Block(-1), manifold.S2xS2(), manifold.S2xS2(),
-                     manifold.S1xY(1))
+    ls = standard_cover(manifold.NAMED["-E8"], manifold.NAMED["S2xS2"],
+                        manifold.NAMED["S2xS2"],
+                        manifold.Block("S1xY", param=1))
     listing = cover._listing(ls, 2, ())
     assert sum(len(suffixes) for _, groups in listing
                for _, suffixes in groups) == 3 ** 12
@@ -315,6 +325,7 @@ def test_van_der_blij_spin_squares():
 
 
 def test_bound_must_be_positive():
-    ls = standard_cover(manifold.S2xS2(), manifold.S1xY(1))
+    ls = standard_cover(manifold.NAMED["S2xS2"],
+                        manifold.Block("S1xY", param=1))
     with pytest.raises(ValueError):
         cover.enumerate_characteristics(ls, 0)

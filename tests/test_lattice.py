@@ -40,7 +40,7 @@ def test_atom_inertia_matches_reference():
 def test_hyperbolic_invariants():
     atom = lattice.Hyperbolic()
     assert (atom.inertia, atom.even) == ((1, 1, 0), True)
-    inv = manifold.S2xS2().inv
+    inv = manifold.NAMED["S2xS2"].inv
     assert (inv.sigma, inv.even, inv.b_plus, inv.b_minus) == (0, True, 1, 1)
     assert oracles.inertia(atom.matrix()) == atom.inertia
 
@@ -48,13 +48,14 @@ def test_hyperbolic_invariants():
 def test_negative_e8_invariants():
     atom = lattice.E8(-1)
     assert (atom.inertia, atom.even) == ((0, 8, 0), True)
-    inv = manifold.E8Block(-1).inv
+    inv = manifold.NAMED["-E8"].inv
     assert (inv.sigma, inv.even, inv.b_plus) == (-8, True, 0)
     assert oracles.inertia(atom.matrix()) == atom.inertia
 
 
 def test_diagonal_invariants():
-    x = manifold.expr(manifold.CP2(), manifold.NegCP2(), manifold.NegCP2())
+    x = manifold.expr(manifold.NAMED["CP2"], manifold.NAMED["-CP2"],
+                      manifold.NAMED["-CP2"])
     assert (x.inv.sigma, x.inv.even) == (-1, False)
     assert (x.inv.b_plus, x.inv.b_minus) == (1, 2)
     assert oracles.sum_inertia(x.terms) == (1, 2, 0, True)
@@ -162,9 +163,9 @@ def test_atom_maximizer_matches_box_scan(atom, bound):
 # --- the engine's classifier: normalize_homeo_type ---
 
 def test_classify_even_indefinite():
-    for x in (manifold.expr(manifold.K3()),
-              manifold.ManifoldExpr(((manifold.E8Block(-1), 2),
-                                     (manifold.S2xS2(), 3)))):
+    for x in (manifold.expr(manifold.NAMED["K3"]),
+              manifold.ManifoldExpr(((manifold.NAMED["-E8"], 2),
+                                     (manifold.NAMED["S2xS2"], 3)))):
         normal = manifold.normalize_homeo_type(x)
         assert [(b.name, n) for b, n in normal.terms] == [
             ("-E8", 2), ("S2xS2", 3)]
@@ -172,7 +173,8 @@ def test_classify_even_indefinite():
 
 
 def test_classify_odd_indefinite():
-    x = manifold.ManifoldExpr(((manifold.CP2(), 1), (manifold.NegCP2(), 10)))
+    x = manifold.ManifoldExpr(((manifold.NAMED["CP2"], 1),
+                               (manifold.NAMED["-CP2"], 10)))
     normal = manifold.normalize_homeo_type(x)
     assert (normal.inv.sigma, normal.inv.odd > 0) == (-9, True)
     plus, minus, zero, odd = oracles.sum_inertia(normal.terms)
@@ -181,16 +183,16 @@ def test_classify_odd_indefinite():
 
 
 def test_classify_hyperbolic():
-    x = manifold.expr(manifold.S2xS2())
+    x = manifold.expr(manifold.NAMED["S2xS2"])
     normal = manifold.normalize_homeo_type(x)
     assert normal == x
     assert [(b.name, n) for b, n in normal.terms] == [("S2xS2", 1)]
 
 
 def test_classify_rejects_definite():
-    for block in (manifold.CP2(), manifold.E8Block(-1), manifold.NegCP2()):
+    for name in ("CP2", "-E8", "-CP2"):
         with pytest.raises(DefinitePartUnsupported):
-            manifold.normalize_homeo_type(manifold.expr(block))
+            manifold.normalize_homeo_type(manifold.expr(manifold.NAMED[name]))
 
 
 SC_BLOCKS = [b for b in manifold.NAMED.values()
@@ -202,8 +204,11 @@ SC_BLOCKS = [b for b in manifold.NAMED.values()
 atom_lists = st.lists(st.sampled_from(ATOMS), min_size=0, max_size=6)
 
 
-@given(st.lists(st.sampled_from(SC_BLOCKS + [manifold.S1xY(1)])),
-       st.lists(st.sampled_from(SC_BLOCKS + [manifold.S1xY(1)])))
+SUM_BLOCKS = SC_BLOCKS + [manifold.Block("S1xY", param=1)]
+
+
+@given(st.lists(st.sampled_from(SUM_BLOCKS)),
+       st.lists(st.sampled_from(SUM_BLOCKS)))
 def test_signature_additive(a, b):
     xa, xb = manifold.expr(*a), manifold.expr(*b)
     x = manifold.expr(*a, *b)
@@ -216,7 +221,7 @@ def test_signature_additive(a, b):
        st.integers(0, 2))
 def test_classify_preserves_invariants(blocks, w_count):
     x = manifold.ManifoldExpr(
-        tuple((b, 1) for b in blocks) + ((manifold.W(), w_count),))
+        tuple((b, 1) for b in blocks) + ((manifold.NAMED["W"], w_count),))
     if not (x.sc.b_plus and x.sc.b_minus):
         return
     normal = manifold.normalize_homeo_type(x)

@@ -15,11 +15,10 @@ from fourfold.errors import (
     OrientationReversalUnavailable,
 )
 
-BLOCK_SAMPLES = [
-    manifold.CP2(), manifold.NegCP2(), manifold.NegCP2Fake(),
-    manifold.S2xS2(), manifold.K3(), manifold.NegK3(),
-    manifold.E8Block(1), manifold.E8Block(-1), manifold.W(),
-    manifold.S1xY(0), manifold.S1xY(2), manifold.S2xSigma(1),
+BLOCK_SAMPLES = [manifold.NAMED[name] for name in (
+    "CP2", "-CP2", "-CP2fake", "S2xS2", "K3", "-K3", "E8", "-E8", "W")] + [
+    manifold.Block("S1xY", param=0), manifold.Block("S1xY", param=2),
+    manifold.Block("S2xSigma", param=1),
 ]
 
 
@@ -53,7 +52,7 @@ def test_block_form_consistent_with_lattice():
 
 def test_genus_zero_rejected():
     with pytest.raises(GenusZero):
-        manifold.S2xSigma(0)
+        manifold.Block("S2xSigma", param=0)
 
 
 def test_unknown_kind_rejected():
@@ -105,7 +104,7 @@ def test_every_accepted_block_round_trips():
             except FourfoldError:
                 continue
             accepted.add((kind, sign, param))
-            x = manifold.ManifoldExpr(((manifold.CP2(), 1), (block, 2)))
+            x = manifold.ManifoldExpr(((manifold.NAMED["CP2"], 1), (block, 2)))
             assert cli.parse(x.render()) == x
     # a sign only on E8, a param only where the name has one
     assert {(k, s, p) for k, s, p in accepted if s or p} == {
@@ -116,20 +115,22 @@ def test_every_accepted_block_round_trips():
 def test_a_bool_parameter_never_reaches_a_certificate():
     # once certified and stamped as S1xY(b1=True), which replay cannot parse
     with pytest.raises(InvalidSetting):
-        manifold.expr(manifold.E8Block(-1), manifold.NegCP2Fake(),
-                      manifold.S2xS2(), manifold.S1xY(True))
+        manifold.expr(manifold.NAMED["-E8"], manifold.NAMED["-CP2fake"],
+                      manifold.NAMED["S2xS2"],
+                      manifold.Block("S1xY", param=True))
 
 
 # --- connected sums ---
 
-@pytest.mark.parametrize("count", [-1, 1.5, "2", None])
+@pytest.mark.parametrize("count", [-1, 1.5, "2", None, True])
 def test_count_must_be_a_nonnegative_int(count):
     with pytest.raises(ValueError, match="must be an int >= 0"):
-        manifold.ManifoldExpr(((manifold.CP2(), count),))
+        manifold.ManifoldExpr(((manifold.NAMED["CP2"], count),))
 
 
 @pytest.mark.parametrize("terms", [
-    5, ((1, 2),), ((manifold.CP2(),),), ((manifold.CP2(), 1, 2),), "ab",
+    5, ((1, 2),), ((manifold.NAMED["CP2"],),),
+    ((manifold.NAMED["CP2"], 1, 2),), "ab",
     (("CP2", 1),), None],
     ids=["not-iterable", "int-block", "single", "triple", "text",
          "block-name", "none"])
@@ -139,7 +140,7 @@ def test_terms_must_be_block_count_pairs(terms):
 
 
 def test_s4_is_identity():
-    x = manifold.expr(manifold.K3(), manifold.S2xS2())
+    x = manifold.expr(manifold.NAMED["K3"], manifold.NAMED["S2xS2"])
     y = manifold.ManifoldExpr(x.terms + ((manifold.Block("S4"), 5),))
     assert x == y
 
@@ -153,8 +154,8 @@ def test_enriques_expansion():
 
 
 def test_spin_sum_invariants():
-    x = manifold.expr(manifold.E8Block(-1), manifold.E8Block(-1),
-                      manifold.S2xS2(), manifold.S2xS2(), manifold.S2xS2())
+    x = manifold.expr(manifold.NAMED["-E8"], manifold.NAMED["-E8"],
+                      *([manifold.NAMED["S2xS2"]] * 3))
     inv = x.inv
     assert (inv.sigma, inv.b_plus, inv.spin, inv.ks) == (-16, 3, True, 0)
     assert not oracles.sum_inertia(x.terms)[3]
@@ -174,8 +175,10 @@ def test_connected_sum_additivity(a, b):
 
 # every kind, both E8 signs and the composites, parameters 0-5
 ANY_BLOCK = st.one_of(st.sampled_from(list(manifold.NAMED.values())),
-                      st.builds(manifold.S1xY, st.integers(0, 5)),
-                      st.builds(manifold.S2xSigma, st.integers(1, 5)))
+                      st.builds(lambda p: manifold.Block("S1xY", param=p),
+                                st.integers(0, 5)),
+                      st.builds(lambda g: manifold.Block("S2xSigma", param=g),
+                                st.integers(1, 5)))
 
 
 @given(st.lists(ANY_BLOCK, max_size=8), st.booleans())
@@ -200,8 +203,9 @@ def test_sum_invariants_match_the_reference(blocks, reverse):
 # --- mirror ---
 
 def test_mirror_blocks():
-    x = manifold.expr(manifold.CP2(), manifold.K3(), manifold.E8Block(-1),
-                      manifold.S2xS2(), manifold.S1xY(1))
+    x = manifold.expr(manifold.NAMED["CP2"], manifold.NAMED["K3"],
+                      manifold.NAMED["-E8"], manifold.NAMED["S2xS2"],
+                      manifold.Block("S1xY", param=1))
     m = manifold.mirror(x)
     assert m.inv.sigma == -x.inv.sigma
     kinds = sorted(b.kind for b, _ in m.terms)
@@ -211,13 +215,13 @@ def test_mirror_blocks():
 
 def test_mirror_fake_cp2_unavailable():
     with pytest.raises(OrientationReversalUnavailable):
-        manifold.mirror(manifold.expr(manifold.NegCP2Fake()))
+        manifold.mirror(manifold.expr(manifold.NAMED["-CP2fake"]))
 
 
 # --- normalization ---
 
 def test_normalize_k3():
-    out = manifold.normalize_homeo_type(manifold.expr(manifold.K3()))
+    out = manifold.normalize_homeo_type(manifold.expr(manifold.NAMED["K3"]))
     assert [(b.name, n) for b, n in out.terms] == [
         ("-E8", 2), ("S2xS2", 3)]
     assert (out.inv.sigma, out.inv.b2) == (-16, 22)
@@ -225,7 +229,8 @@ def test_normalize_k3():
 
 def test_normalize_odd_negative_signature():
     # 10 copies of -CP2 plus S2xS2: sigma=-10, ks=0, odd indefinite
-    x = manifold.expr(*([manifold.NegCP2()] * 10), manifold.S2xS2())
+    x = manifold.expr(*([manifold.NAMED["-CP2"]] * 10),
+                      manifold.NAMED["S2xS2"])
     out = manifold.normalize_homeo_type(x)
     assert [(b.name, n) for b, n in out.terms] == [
         ("-E8", 1), ("S2xS2", 1), ("-CP2", 1), ("-CP2fake", 1)]
@@ -234,8 +239,9 @@ def test_normalize_odd_negative_signature():
 
 def test_normalize_nonspin_normal_shape_is_fixed():
     for m, n in ((0, 1), (3, 2)):
-        x = manifold.expr(*([manifold.NegCP2()] * m), manifold.E8Block(-1),
-                          manifold.NegCP2Fake(), *([manifold.S2xS2()] * n))
+        x = manifold.expr(*([manifold.NAMED["-CP2"]] * m),
+                          manifold.NAMED["-E8"], manifold.NAMED["-CP2fake"],
+                          *([manifold.NAMED["S2xS2"]] * n))
         assert manifold.normalize_homeo_type(x) == x
 
 
@@ -243,30 +249,31 @@ def test_normalize_enriques_type():
     # m Enriques + a S2xS2 + 2b (-E8) -> (m+2b) -E8 # (m+a) S2xS2 # m W
     for m, a, b in ((1, 0, 0), (2, 1, 1), (1, 2, 2)):
         x = manifold.expr(*([manifold.Block("Enriques")] * m),
-                          *([manifold.S2xS2()] * a),
-                          *([manifold.E8Block(-1)] * (2 * b)))
+                          *([manifold.NAMED["S2xS2"]] * a),
+                          *([manifold.NAMED["-E8"]] * (2 * b)))
         out = manifold.normalize_homeo_type(x)
         counts = {blk.name: n for blk, n in out.terms}
         assert counts == {"-E8": m + 2 * b, "S2xS2": m + a, "W": m}
 
 
 def test_normalize_small_odd_balanced():
-    x = manifold.expr(manifold.CP2(), manifold.NegCP2(), manifold.NegCP2())
+    x = manifold.expr(manifold.NAMED["CP2"], manifold.NAMED["-CP2"],
+                      manifold.NAMED["-CP2"])
     out = manifold.normalize_homeo_type(x)
     assert [(b.name, n) for b, n in out.terms] == [("CP2", 1),
                                                        ("-CP2", 2)]
 
 
 def test_normalize_ks_one_odd():
-    x = manifold.expr(manifold.CP2(), manifold.NegCP2(),
-                      manifold.NegCP2Fake())
+    x = manifold.expr(manifold.NAMED["CP2"], manifold.NAMED["-CP2"],
+                      manifold.NAMED["-CP2fake"])
     out = manifold.normalize_homeo_type(x)
     assert [(b.name, n) for b, n in out.terms] == [
         ("CP2", 1), ("-CP2", 1), ("-CP2fake", 1)]
 
 
 def test_normalize_reverse_flag():
-    x = manifold.expr(manifold.K3())
+    x = manifold.expr(manifold.NAMED["K3"])
     out = manifold.normalize_homeo_type(x, reverse=True)
     assert out.inv.sigma == 16
     assert all(b.name in ("E8", "S2xS2") for b, _ in out.terms)
@@ -274,7 +281,7 @@ def test_normalize_reverse_flag():
 
 def test_normalize_rejects_definite():
     with pytest.raises(DefinitePartUnsupported):
-        manifold.normalize_homeo_type(manifold.expr(manifold.CP2()))
+        manifold.normalize_homeo_type(manifold.expr(manifold.NAMED["CP2"]))
 
 
 @given(st.lists(st.sampled_from(BLOCK_SAMPLES), max_size=6))
@@ -293,24 +300,24 @@ def test_normalize_idempotent_and_invariant_preserving(blocks):
 
 
 def test_smooth_blocks_have_zero_ks():
-    smooth = [manifold.CP2(), manifold.NegCP2(), manifold.S2xS2(),
-              manifold.K3(), manifold.NegK3(), manifold.S1xY(1),
-              manifold.S2xSigma(1), manifold.Block("Enriques"),
-              manifold.Block("S4")]
+    smooth = [manifold.NAMED[name] for name in (
+        "CP2", "-CP2", "S2xS2", "K3", "-K3")] + [
+        manifold.Block("S1xY", param=1), manifold.Block("S2xSigma", param=1),
+        manifold.Block("Enriques"), manifold.Block("S4")]
     assert manifold.expr(*smooth).inv.ks == 0
 
 
 # --- reflection slots ---
 
 def test_slots_per_summand():
-    x = manifold.expr(*([manifold.S2xS2()] * 3))
+    x = manifold.expr(*([manifold.NAMED["S2xS2"]] * 3))
     assert manifold.reflection_slots(x, 3) == ((0, 3),)
     assert manifold.reflection_slots(x, 9) == ((0, 3),)
     assert manifold.reflection_slots(x, 2) == ((0, 2),)
     assert manifold.reflection_slots(x, 0) == ()
     # sorted: S2xS2 # 2*CP2 # -CP2; the first k copies, pair by pair
-    y = manifold.expr(*([manifold.CP2()] * 2), manifold.NegCP2(),
-                      manifold.S2xS2())
+    y = manifold.expr(*([manifold.NAMED["CP2"]] * 2), manifold.NAMED["-CP2"],
+                      manifold.NAMED["S2xS2"])
     assert manifold.reflection_slots(y, 2) == ((0, 1), (1, 1))
     assert manifold.reflection_slots(y, 5) == ((0, 1), (1, 2))
     assert [y.terms[j][0].kind for j, _ in manifold.reflection_slots(y, 5)] \
