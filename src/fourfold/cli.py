@@ -32,7 +32,7 @@ from .errors import (
 # block name -> its shared Block; a name with a parameter, written with
 # "{p}" in its place, -> its kind
 _NAMES = {**manifold.NAMED,
-          **{spec.name.format(p="{p}"): kind
+          **{spec.name: kind
              for kind, spec in manifold.BLOCKS.items() if "{p}" in spec.name}}
 
 _TERM_RE = re.compile(
@@ -48,14 +48,13 @@ def _offset(parts, i, at=0):
 def parse(text):
     """Parse a connected-sum expression into a ManifoldExpr, one pair per term.
 
-    Raises InvalidSetting, at the term that passes it, when the sum has
-    more than cover.MAX_SUMMANDS summands; a composite counts the summands
-    it expands to, so a term of S4 adds nothing at any multiplicity.
+    Raises InvalidSetting, once every term has parsed, when the sum has
+    more than cover.MAX_SUMMANDS summands, as cover.check_summands counts
+    them.
     """
     if not text or not text.strip():
         raise ParseError("empty expression", 0)
     terms = []
-    count = 0
     parts = text.split("#")
     for i, part in enumerate(parts):
         m = _TERM_RE.fullmatch(part)
@@ -84,13 +83,10 @@ def parse(text):
             except ValueError as e:   # digits, or a parameter out of range
                 raise ParseError(
                     e.args[0], _offset(parts, i, m.start("name"))) from None
-        count += mult if block.spec else mult * len(
-            manifold.COMPOSITES[block.kind])
-        if count > cover.MAX_SUMMANDS:
-            raise InvalidSetting(
-                f"more than {cover.MAX_SUMMANDS} summands")
         terms.append((block, mult))
-    return manifold.ManifoldExpr(tuple(terms))
+    x = manifold.ManifoldExpr(tuple(terms))
+    cover.check_summands(x)
+    return x
 
 
 def replay(cert):

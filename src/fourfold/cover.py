@@ -92,7 +92,8 @@ def build_standard_cover(x):
     """The standard cover: nontrivial on every S1xY / S2xSigma summand."""
     # the twisted kinds come last in the canonical order
     if not x.terms or x.terms[-1][0].spec.part != "N":
-        if x.h1z2_rank == 0:
+        # every block here has b1 = 0, so rank H^1(X; Z2) is the W count
+        if x.inv.torsion == 0:
             raise NoNontrivialCoverAvailable(
                 "H^1(X; Z2) = 0: no nontrivial double cover exists")
         raise NoNontrivialCoverAvailable(
@@ -118,6 +119,13 @@ def check_bound(bound):
         raise InvalidSetting(f"bound must be an int, got {bound!r}")
     if bound < 1:
         raise InvalidSetting("bound must be >= 1")
+
+
+def check_summands(x):
+    """Raise InvalidSetting when the sum x, its composites expanded, has
+    more than MAX_SUMMANDS summands."""
+    if sum(n for _, n in x.terms) > MAX_SUMMANDS:
+        raise InvalidSetting(f"more than {MAX_SUMMANDS} summands")
 
 
 def parity_box(ls, bound):

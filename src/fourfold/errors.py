@@ -29,10 +29,6 @@ class DefinitePartUnsupported(FourfoldError):
     code = "DefinitePartUnsupported"
 
 
-class SpinKSInconsistent(FourfoldError):
-    code = "SpinKSInconsistent"
-
-
 class OrientationReversalUnavailable(FourfoldError):
     code = "OrientationReversalUnavailable"
 

@@ -16,15 +16,14 @@ from .errors import (
     GenusZero,
     InvalidSetting,
     OrientationReversalUnavailable,
-    SpinKSInconsistent,
 )
 
 
 class BlockSpec(NamedTuple):
     """The facts that fix a block's invariants; one row of BLOCKS."""
 
-    name: str        # rendered: {s} is "-" on a negative E8, {p} the param
-    atoms: object    # block -> its intersection form as (atom, count) pairs
+    name: str        # rendered: {p} is the param
+    atoms: object    # param -> its intersection form as (atom, count) pairs
     b1: object       # param -> first Betti number
     spin: bool       # W is non-spin through its torsion w2; the rest iff even
     ks: int          # Kirby-Siebenmann bit
@@ -41,26 +40,28 @@ _DIAG = {1: lattice.Diag(1), -1: lattice.Diag(-1)}
 
 # one row per block kind, in the canonical summand order
 BLOCKS = {
-    "E8": BlockSpec("{s}E8", lambda b: ((_E8[b.sign], 1),),
-                    lambda p: 0, True, 1, 0, "E8", "sc"),
-    "K3": BlockSpec("K3", lambda b: ((_E8[-1], 2), (_H, 3)),
+    "E8": BlockSpec("E8", lambda p: ((_E8[1], 1),),
+                    lambda p: 0, True, 1, 0, "NegE8", "sc"),
+    "NegE8": BlockSpec("-E8", lambda p: ((_E8[-1], 1),),
+                       lambda p: 0, True, 1, 0, "E8", "sc"),
+    "K3": BlockSpec("K3", lambda p: ((_E8[-1], 2), (_H, 3)),
                     lambda p: 0, True, 0, 0, "NegK3", "sc"),
-    "NegK3": BlockSpec("-K3", lambda b: ((_E8[1], 2), (_H, 3)),
+    "NegK3": BlockSpec("-K3", lambda p: ((_E8[1], 2), (_H, 3)),
                        lambda p: 0, True, 0, 0, "K3", "sc"),
-    "S2xS2": BlockSpec("S2xS2", lambda b: ((_H, 1),),
+    "S2xS2": BlockSpec("S2xS2", lambda p: ((_H, 1),),
                        lambda p: 0, True, 0, 0, "S2xS2", "sc",
                        lambda v: (-v[1], -v[0])),
-    "CP2": BlockSpec("CP2", lambda b: ((_DIAG[1], 1),),
+    "CP2": BlockSpec("CP2", lambda p: ((_DIAG[1], 1),),
                      lambda p: 0, False, 0, 0, "NegCP2", "sc",
                      lambda v: (-v[0],)),
-    "NegCP2": BlockSpec("-CP2", lambda b: ((_DIAG[-1], 1),),
+    "NegCP2": BlockSpec("-CP2", lambda p: ((_DIAG[-1], 1),),
                         lambda p: 0, False, 0, 0, "CP2", "sc"),
-    "NegCP2Fake": BlockSpec("-CP2fake", lambda b: ((_DIAG[-1], 1),),
+    "NegCP2Fake": BlockSpec("-CP2fake", lambda p: ((_DIAG[-1], 1),),
                             lambda p: 0, False, 1, 0, "", "sc"),
-    "W": BlockSpec("W", lambda b: (), lambda p: 0, False, 1, 1, "W", ""),
-    "S1xY": BlockSpec("S1xY(b1={p})", lambda b: ((_H, b.param),),
+    "W": BlockSpec("W", lambda p: (), lambda p: 0, False, 1, 1, "W", ""),
+    "S1xY": BlockSpec("S1xY(b1={p})", lambda p: ((_H, p),),
                       lambda p: 1 + p, True, 0, 0, "S1xY", "N"),
-    "S2xSigma": BlockSpec("S2xSigma(g={p})", lambda b: ((_H, 1),),
+    "S2xSigma": BlockSpec("S2xSigma(g={p})", lambda p: ((_H, 1),),
                           lambda p: 2 * p, True, 0, 0, "S2xSigma", "N"),
 }
 _ORDER = {kind: i for i, kind in enumerate(BLOCKS)}
@@ -108,7 +109,6 @@ class Invariants(tuple):
 @frozen
 class Block:
     kind: str
-    sign: int = 0    # only for E8
     param: int = 0   # b1(Y) for S1xY, genus for S2xSigma
 
     def __post_init__(self):
@@ -117,22 +117,18 @@ class Block:
             raise InvalidSetting(f"unknown block kind {self.kind!r}")
         # the parser builds only ints; a bool or a float would render a
         # name it cannot read back
-        if type(self.sign) is not int or type(self.param) is not int:
+        if type(self.param) is not int:
             raise InvalidSetting(
-                f"sign and param must be ints, got {self.sign!r} and "
-                f"{self.param!r}")
-        # a sign or param the name does not show renders as another block
-        name = spec.name if spec else ""
-        if self.sign and "{s}" not in name or self.param and "{p}" not in name:
+                f"block params must be ints, got {self.param!r}")
+        # a param the name does not show renders as another block
+        if self.param and "{p}" not in (spec.name if spec else ""):
             raise InvalidSetting(
-                f"{self.kind} takes only the sign and param its name shows, "
-                f"got sign={self.sign}, param={self.param}")
+                f"{self.kind} takes only the param its name shows, "
+                f"got param={self.param}")
         if self.kind == "S2xSigma" and self.param < 1:
             raise GenusZero("S2xSigma requires positive genus")
         if self.kind == "S1xY" and self.param < 0:
             raise InvalidSetting("b1 must be non-negative")
-        if self.kind == "E8" and self.sign not in (1, -1):
-            raise InvalidSetting("E8 block needs sign +1 or -1")
         # not fields: the BLOCKS row of the kind (None for the COMPOSITES),
         # the sort key, the rendered name, the row's (atom, count) pairs,
         # and the invariants, read off those at a cost that does not grow
@@ -141,13 +137,12 @@ class Block:
         d["spec"] = spec
         if spec is None:
             return
-        d["key"] = _ORDER[self.kind], -self.sign, self.param
+        d["key"] = _ORDER[self.kind], self.param
         try:   # str() refuses more than sys.get_int_max_str_digits() digits
-            d["name"] = spec.name.format(s="-" if self.sign < 0 else "",
-                                         p=self.param)
+            d["name"] = spec.name.format(p=self.param)
         except ValueError as e:
             raise InvalidSetting(str(e)) from None
-        d["atoms"] = atoms = spec.atoms(self)
+        d["atoms"] = atoms = spec.atoms(self.param)
         b_plus = b_minus = 0
         odd = False
         for atom, n in atoms:
@@ -162,16 +157,11 @@ class Block:
     def b1(self):
         return self.spec.b1(self.param)
 
-    @property
-    def h1z2_rank(self):
-        return self.b1 + self.spec.h1_torsion
-
 
 # one shared Block per name without a parameter: values are immutable, so
 # one object serves every sum that holds it
-NAMED = {b.name: b for b in (
-    Block(kind, sign) for kind, spec in BLOCKS.items() if "{p}" not in spec.name
-    for sign in ((1, -1) if "{s}" in spec.name else (0,)))}
+NAMED = {spec.name: Block(kind)
+         for kind, spec in BLOCKS.items() if "{p}" not in spec.name}
 
 
 # composite blocks and their summands: Enriques surfaces decompose as
@@ -232,10 +222,6 @@ class ManifoldExpr:
     def b1(self):
         return sum(n * b.b1 for b, n in self.terms)
 
-    @property
-    def h1z2_rank(self):
-        return sum(n * b.h1z2_rank for b, n in self.terms)
-
     def render(self):
         if not self.terms:
             return "S4"
@@ -253,7 +239,7 @@ def mirror(x):
         if not b.spec.mirror:
             raise OrientationReversalUnavailable(
                 "the positively-oriented fake CP2 block is not modeled")
-        out.append((Block(b.spec.mirror, -b.sign, b.param), n))
+        out.append((Block(b.spec.mirror, b.param), n))
     return ManifoldExpr(tuple(out))
 
 
@@ -273,11 +259,8 @@ def _normalize_sc(sc, w_count):
     sigma, bp, bm, ks = sc.sigma, sc.b_plus, sc.b_minus, sc.ks
 
     if sc.even:
-        p = abs(sigma) // 8
-        if ks != p % 2:
-            raise SpinKSInconsistent(
-                "spin part violates KS = sigma/8 mod 2")
-        return ("E8" if sigma > 0 else "-E8", p), ("S2xS2", min(bp, bm))
+        return (("E8" if sigma > 0 else "-E8", abs(sigma) // 8),
+                ("S2xS2", min(bp, bm)))
 
     # odd case
     if w_count >= 1 and ks == w_count % 2:
@@ -298,14 +281,11 @@ def _normalize_sc(sc, w_count):
     return ("CP2", bp), ("-CP2", bm - 1), ("-CP2fake", 1)
 
 
-def normalize_homeo_type(x, reverse=False):
+def normalize_homeo_type(x):
     """Rewrite the simply-connected part into Freedman normal form.
 
-    Blocks with b1 and the W blocks pass through unchanged.  With
-    reverse=True the whole expression is mirrored first.
+    Blocks with b1 and the W blocks pass through unchanged.
     """
-    if reverse:
-        x = mirror(x)
     return ManifoldExpr(
         [(NAMED[name], n) for name, n in _normalize_sc(x.sc, x.inv.torsion)]
         + [t for t in x.terms if t[0].spec.part != "sc"])

@@ -239,7 +239,8 @@ def corollary_constraints(f, v1, w1):
 def _prepare(x):
     """Orient so the simply-connected signature is nonpositive, then normalize."""
     try:
-        return manifold.normalize_homeo_type(x, reverse=x.sc.sigma > 0)
+        return manifold.normalize_homeo_type(
+            manifold.mirror(x) if x.sc.sigma > 0 else x)
     except DefinitePartUnsupported:
         raise HypothesesNotMet(
             "indefinite simply-connected part required") from None
@@ -322,13 +323,12 @@ def certify(x, scenario="auto", bound=1):
     Raises HypothesesNotMet, with every scenario's reason, when none does,
     and InvalidSetting, before any scenario runs, for an x that is not a
     ManifoldExpr, an unknown scenario, a bound that is not an int >= 1 or
-    more than cover.MAX_SUMMANDS summands, as cli.parse counts them.
+    more than cover.MAX_SUMMANDS summands, which cli.parse refuses too.
     """
     if type(x) is not manifold.ManifoldExpr:
         raise InvalidSetting(f"certify needs a ManifoldExpr, got {x!r}")
     cover.check_bound(bound)
-    if sum(n for _, n in x.terms) > cover.MAX_SUMMANDS:
-        raise InvalidSetting(f"more than {cover.MAX_SUMMANDS} summands")
+    cover.check_summands(x)
     if type(scenario) is not str or (
             scenario != "auto" and scenario not in _SCENARIOS):
         raise InvalidSetting(f"unknown scenario {scenario!r}")

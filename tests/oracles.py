@@ -206,7 +206,7 @@ def block_table():
     rows.append(("Enriques", manifold.expr(manifold.Block("Enriques"))))
     return {name: {"b1": b.b1, "b2": b.inv.b2, "sigma": b.inv.sigma,
                    "spin": b.inv.spin, "ks": b.inv.ks,
-                   "h1z2_rank": b.h1z2_rank}
+                   "h1z2_rank": b.b1 + b.inv.torsion}
             for name, b in rows}
 
 

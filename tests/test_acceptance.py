@@ -13,7 +13,7 @@ import time
 import oracles
 from fourfold import charpoly, cli, cover, manifold, obstruct
 from fourfold.charpoly import BundleClassData, ExtPoly
-from fourfold.errors import HypothesesNotMet, SpinKSInconsistent
+from fourfold.errors import HypothesesNotMet
 
 
 # the certified expressions of criteria 1-4, as criterion 7 replays them
@@ -175,10 +175,7 @@ def test_criterion_6_oracle_equivalence(capsys):
                 (manifold.NAMED["W"], rng.choice((0, 0, 1, 2))),))
         if not (x.sc.b_plus and x.sc.b_minus):
             continue
-        try:
-            normal = manifold.normalize_homeo_type(x)
-        except SpinKSInconsistent:
-            continue
+        normal = manifold.normalize_homeo_type(x)
         want, got = (oracles.sum_inertia(t for t in y.terms
                                          if t[0].spec.part == "sc")
                      for y in (x, normal))

@@ -772,7 +772,8 @@ def test_spinc_class_cap(monkeypatch, capsys):
 
 
 def test_summand_cap(monkeypatch, capsys):
-    # the count is checked before the list of blocks grows
+    # the count is checked on the sum's pairs, before any list of blocks
+    # grows
     start = time.perf_counter()
     code = cli.main(["certify", "1000000000*CP2"])
     assert time.perf_counter() - start < 1
@@ -780,6 +781,11 @@ def test_summand_cap(monkeypatch, capsys):
     assert capsys.readouterr() == ("", (
         f"InvalidSetting: more than {cover.MAX_SUMMANDS} summands\n"))
     assert cover.MAX_SUMMANDS >= 100_000
+    # the sum is counted once every term has parsed: a malformed term
+    # after the cap is the error
+    assert cli.main(["certify", "1000000000*CP2 # foo"]) == 1
+    assert capsys.readouterr() == (
+        "", "ParseError: unknown block 'foo' (at byte 17)\n")
     monkeypatch.setattr(cover, "MAX_SUMMANDS", 4)
     assert cli.parse("Enriques # 0*K3 # S4 # S1xY(b1=1)").b1 == 2
     with pytest.raises(InvalidSetting, match="more than 4 summands"):

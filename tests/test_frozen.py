@@ -23,7 +23,7 @@ def samples():
         (lattice.Diag(1), ["eps"]),
         (lattice.Hyperbolic(), []),
         (lattice.E8(-1), ["sign"]),
-        (manifold.Block("S1xY", param=1), ["kind", "sign", "param"]),
+        (manifold.Block("S1xY", param=1), ["kind", "param"]),
         (x, ["terms"]),
         (charpoly.ExtPoly.u(2) + charpoly.ExtPoly.t(2, 1), ["k", "terms"]),
         (v1, ["k", "rank", "sw"]),
@@ -77,7 +77,7 @@ def test_replace_rebuilds_through_post_init():
     assert (ls.b_plus_ell, ls.torsion_bits, ls.rank) == (3, 0, 15)
     block = manifold.Block("CP2").replace(kind="S2xS2")
     assert block.spec is manifold.BLOCKS["S2xS2"]
-    assert repr(block) == "Block(kind='S2xS2', sign=0, param=0)"
+    assert repr(block) == "Block(kind='S2xS2', param=0)"
     with pytest.raises(ValueError, match="sign"):
         lattice.Diag(1).replace(eps=2)
     poly = charpoly.ExtPoly(2, [(1, 0)])

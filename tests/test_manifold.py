@@ -63,8 +63,8 @@ def test_unknown_kind_rejected():
 @pytest.mark.parametrize("kind, values", [
     ("S1xY", {"param": True}), ("S1xY", {"param": 1.0}),
     ("S1xY", {"param": "1"}), ("S2xSigma", {"param": 2.0}),
-    ("E8", {"sign": True}), ("E8", {"sign": -1.0}),
-    ("CP2", {"sign": None}),
+    ("E8", {"param": True}), ("E8", {"param": -1.0}),
+    ("CP2", {"param": None}),
 ])
 def test_block_takes_only_int_param_and_sign(kind, values):
     # the parser builds only ints: a bool or a float would render a name,
@@ -84,10 +84,9 @@ def test_block_param_must_render():
 
 
 @pytest.mark.parametrize("kind, values", [
-    ("CP2", {"param": 3}), ("CP2", {"sign": 1}), ("K3", {"sign": -1}),
-    ("E8", {"sign": -1, "param": 7}), ("S1xY", {"sign": 1, "param": 1}),
-    ("S2xSigma", {"sign": -1, "param": 1}), ("Enriques", {"param": 1}),
-    ("S4", {"sign": 1}),
+    ("CP2", {"param": 3}), ("CP2", {"param": -1}), ("K3", {"param": -1}),
+    ("E8", {"param": 7}), ("NegE8", {"param": 1}), ("NegK3", {"param": 2}),
+    ("Enriques", {"param": 1}), ("S4", {"param": 1}),
 ])
 def test_block_refuses_a_sign_or_param_its_name_does_not_show(kind, values):
     # CP2 with param 3 would render as CP2 without being equal to it
@@ -98,18 +97,17 @@ def test_block_refuses_a_sign_or_param_its_name_does_not_show(kind, values):
 def test_every_accepted_block_round_trips():
     accepted = set()
     for kind in [*manifold.BLOCKS, *manifold.COMPOSITES]:
-        for sign, param in itertools.product((-2, -1, 0, 1, 2), (-1, 0, 1, 2)):
+        for param in (-1, 0, 1, 2):
             try:
-                block = manifold.Block(kind, sign, param)
+                block = manifold.Block(kind, param)
             except FourfoldError:
                 continue
-            accepted.add((kind, sign, param))
+            accepted.add((kind, param))
             x = manifold.ManifoldExpr(((manifold.NAMED["CP2"], 1), (block, 2)))
             assert cli.parse(x.render()) == x
-    # a sign only on E8, a param only where the name has one
-    assert {(k, s, p) for k, s, p in accepted if s or p} == {
-        ("E8", 1, 0), ("E8", -1, 0), ("S1xY", 0, 1), ("S1xY", 0, 2),
-        ("S2xSigma", 0, 1), ("S2xSigma", 0, 2)}
+    # a param only where the name has one
+    assert {(k, p) for k, p in accepted if p} == {
+        ("S1xY", 1), ("S1xY", 2), ("S2xSigma", 1), ("S2xSigma", 2)}
 
 
 def test_a_bool_parameter_never_reaches_a_certificate():
@@ -148,7 +146,7 @@ def test_s4_is_identity():
 def test_enriques_expansion():
     e = manifold.expr(manifold.Block("Enriques"))
     assert [(b.kind, n) for b, n in e.terms] == [
-        ("E8", 1), ("S2xS2", 1), ("W", 1)]
+        ("NegE8", 1), ("S2xS2", 1), ("W", 1)]
     inv = e.inv
     assert (inv.sigma, inv.ks, inv.b2, inv.spin) == (-8, 0, 10, False)
 
@@ -173,7 +171,7 @@ def test_connected_sum_additivity(a, b):
     assert x.inv.spin == (xa.inv.spin and xb.inv.spin)
 
 
-# every kind, both E8 signs and the composites, parameters 0-5
+# every kind and the composites, parameters 0-5
 ANY_BLOCK = st.one_of(st.sampled_from(list(manifold.NAMED.values())),
                       st.builds(lambda p: manifold.Block("S1xY", param=p),
                                 st.integers(0, 5)),
@@ -210,7 +208,6 @@ def test_mirror_blocks():
     assert m.inv.sigma == -x.inv.sigma
     kinds = sorted(b.kind for b, _ in m.terms)
     assert kinds == ["E8", "NegCP2", "NegK3", "S1xY", "S2xS2"]
-    assert next(b for b, _ in m.terms if b.kind == "E8").sign == 1
 
 
 def test_mirror_fake_cp2_unavailable():
@@ -274,9 +271,19 @@ def test_normalize_ks_one_odd():
 
 def test_normalize_reverse_flag():
     x = manifold.expr(manifold.NAMED["K3"])
-    out = manifold.normalize_homeo_type(x, reverse=True)
+    out = manifold.normalize_homeo_type(manifold.mirror(x))
     assert out.inv.sigma == 16
     assert all(b.name in ("E8", "S2xS2") for b, _ in out.terms)
+
+
+def test_even_rows_satisfy_rokhlin():
+    # KS and sigma/8 mod 2 add over summands, so the spin normal form,
+    # which takes KS = sigma/8 mod 2, holds for every even sum of these
+    for kind, spec in manifold.BLOCKS.items():
+        if spec.part == "sc":
+            b = manifold.Block(kind)
+            if all(atom.even for atom, _ in b.atoms):
+                assert spec.ks == (b.inv.sigma // 8) % 2, kind
 
 
 def test_normalize_rejects_definite():

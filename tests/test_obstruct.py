@@ -751,13 +751,13 @@ def test_certify_properties_random(counts, n_block, bound, data):
 
 
 def _accepted_blocks():
-    """Every Block the library takes with a sign in -1..1 and a param in
-    -1..3: each kind, composites included."""
+    """Every Block the library takes with a param in -1..3: each kind,
+    composites included."""
     blocks = []
-    for kind, sign, param in itertools.product(
-            [*manifold.BLOCKS, *manifold.COMPOSITES], (-1, 0, 1), range(-1, 4)):
+    for kind, param in itertools.product(
+            [*manifold.BLOCKS, *manifold.COMPOSITES], range(-1, 4)):
         try:
-            blocks.append(manifold.Block(kind, sign, param))
+            blocks.append(manifold.Block(kind, param))
         except FourfoldError:
             pass
     return blocks
