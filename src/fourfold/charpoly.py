@@ -121,15 +121,15 @@ class BundleClassData:
                 raise InvalidSetting(f"w{i} = {w!r} is not an ExtPoly")
             if w.k != self.k:
                 raise ModeMismatch("class data over the wrong torus")
-            if any(up or mask.bit_count() != i for mask, up in w.terms):
-                raise InvalidSetting(
-                    f"w{i} must be a pure base class of degree {i}")
+            check_pure(w, i)
         d["classes"] = {0: ExtPoly.one(self.k), **{
             i: w for i, w in enumerate(self.sw, 1) if w}}
 
-    def w(self, i):
-        """Degree-i class, with w0 = 1 and wi = 0 where none is stored."""
-        return self.classes.get(i, ExtPoly.zero(self.k))
+
+def check_pure(w, i):
+    """InvalidSetting unless each term of w is a product of i t's, no u."""
+    if any(up or mask.bit_count() != i for mask, up in w.terms):
+        raise InvalidSetting(f"w{i} must be a pure base class of degree {i}")
 
 
 def line_sum_w(k, i):

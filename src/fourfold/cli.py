@@ -215,9 +215,9 @@ def _cmd_certify(x, args):
 def _parse_constraint_file(path, k):
     """Read V1/W1 class data: sections with `rank N` then `w_i = <poly>`.
 
-    Class data are pure base classes over T^k, so every term of a `w_i`
-    line must be a product of i of the t's, with no u.  Only w_1..w_k are
-    kept: a line above k can only read 0, and is dropped.
+    Every `w_i` line must pass charpoly.check_pure; only w_1..w_k are kept,
+    as a line above k can only read 0.  A refusal of a line, or of a
+    section's value, is a ParseError that names it.
     """
     from . import charpoly
     sections = {}
@@ -245,8 +245,6 @@ def _parse_constraint_file(path, k):
             except (IndexError, ValueError):
                 raise ParseError(
                     f"cannot parse class data line {line!r}") from None
-            if rank < 0:
-                raise ParseError(f"rank must be >= 0: {line!r}")
             if sections[current]["rank"] is not None:
                 raise ParseError(f"repeated rank line: {line!r}")
             sections[current]["rank"] = rank
@@ -262,12 +260,9 @@ def _parse_constraint_file(path, k):
             raise ParseError(f"repeated w_{degree} line: {line!r}")
         try:
             poly = parse_poly(m.group(2), k)
-        except ParseError as e:   # name the line
+            charpoly.check_pure(poly, degree)
+        except (ParseError, InvalidSetting) as e:   # name the line
             raise ParseError(f"{e.args[0]}: {line!r}") from None
-        if any(up or mask.bit_count() != degree for mask, up in poly.terms):
-            raise ParseError(
-                f"every term of w_{degree} must be a product of {degree} "
-                f"t's, with no u: {line!r}")
         sections[current]["sw"][degree] = poly
     out = {}
     for name in ("V1", "W1"):
@@ -276,7 +271,10 @@ def _parse_constraint_file(path, k):
         given = sections[name]["sw"]
         sw = tuple(given.get(i, charpoly.ExtPoly.zero(k))
                    for i in range(1, k + 1))
-        out[name] = charpoly.BundleClassData(k, sections[name]["rank"], sw)
+        try:
+            out[name] = charpoly.BundleClassData(k, sections[name]["rank"], sw)
+        except InvalidSetting as e:   # a rank below 0
+            raise ParseError(f"{e.args[0]} in section {name}") from None
     return out["V1"], out["W1"]
 
 

@@ -4,10 +4,10 @@ Forms are direct sums of atoms: rank-1 diagonal summands, hyperbolic
 planes, and the rank-8 even unimodular definite lattice (either sign).
 
 Every atom carries its `rank`, its `inertia` (b_plus, b_minus, b_zero),
-whether it is `even`, its Gram `matrix()`, `square(v)`: the exact value
-v^T Q v on a vector of its rank, its Wu class `wu` and `maximizer(bound)`:
-the lexicographically smallest characteristic vector of largest square
-with entries in [-bound, bound].
+whether it is `even`, `square(v)`: the exact value v^T Q v on a vector of
+its rank, its Wu class `wu` and `maximizer(bound)`: the lexicographically
+smallest characteristic vector of largest square with entries in [-bound,
+bound].  No atom holds a Gram matrix: E8's square walks E8_MATRIX.
 """
 
 from ._frozen import frozen
@@ -25,7 +25,6 @@ E8_MATRIX = (
     (0, 0, 0, 0, 0, -1, 2, 0),
     (0, 0, 0, 0, -1, 0, 0, 2),
 )
-_NEG_E8_MATRIX = tuple(tuple(-x for x in row) for row in E8_MATRIX)
 
 
 @frozen
@@ -42,9 +41,6 @@ class Diag:
     @property
     def inertia(self):
         return (1, 0, 0) if self.eps > 0 else (0, 1, 0)
-
-    def matrix(self):
-        return ((self.eps,),)
 
     def square(self, v):
         return self.eps * v[0] * v[0]
@@ -63,9 +59,6 @@ class Hyperbolic:
     inertia = (1, 1, 0)
     even = True
     wu = (0, 0)
-
-    def matrix(self):
-        return ((0, 1), (1, 0))
 
     def square(self, v):
         return 2 * v[0] * v[1]
@@ -91,12 +84,9 @@ class E8:
     def inertia(self):
         return (8, 0, 0) if self.sign > 0 else (0, 8, 0)
 
-    def matrix(self):
-        return E8_MATRIX if self.sign > 0 else _NEG_E8_MATRIX
-
     def square(self, v):
-        return sum(vi * mij * vj for row, vi in zip(self.matrix(), v) if vi
-                   for mij, vj in zip(row, v))
+        return self.sign * sum(vi * mij * vj for row, vi in zip(E8_MATRIX, v)
+                               if vi for mij, vj in zip(row, v))
 
     def maximizer(self, bound):
         # the negative form's largest square is 0, at 0 alone

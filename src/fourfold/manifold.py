@@ -31,6 +31,7 @@ class BlockSpec(NamedTuple):
     mirror: str      # kind of the orientation-reversed block; "" if unknown
     part: str        # "sc": simply connected; "N": twisted by the cover; "": W
     reflect: object = None  # H^2 -> H^2 of its reflection slot; None: no slot
+    floor: tuple = ()       # (least param, error class, message) if it has one
 
 
 # lattice atoms are immutable, so every block shares these
@@ -60,9 +61,12 @@ BLOCKS = {
                             lambda p: 0, False, 1, 0, "", "sc"),
     "W": BlockSpec("W", lambda p: (), lambda p: 0, False, 1, 1, "W", ""),
     "S1xY": BlockSpec("S1xY(b1={p})", lambda p: ((_H, p),),
-                      lambda p: 1 + p, True, 0, 0, "S1xY", "N"),
+                      lambda p: 1 + p, True, 0, 0, "S1xY", "N",
+                      floor=(0, InvalidSetting, "b1 must be non-negative")),
     "S2xSigma": BlockSpec("S2xSigma(g={p})", lambda p: ((_H, 1),),
-                          lambda p: 2 * p, True, 0, 0, "S2xSigma", "N"),
+                          lambda p: 2 * p, True, 0, 0, "S2xSigma", "N",
+                          floor=(1, GenusZero,
+                                 "S2xSigma requires positive genus")),
 }
 _ORDER = {kind: i for i, kind in enumerate(BLOCKS)}
 
@@ -125,10 +129,8 @@ class Block:
             raise InvalidSetting(
                 f"{self.kind} takes only the param its name shows, "
                 f"got param={self.param}")
-        if self.kind == "S2xSigma" and self.param < 1:
-            raise GenusZero("S2xSigma requires positive genus")
-        if self.kind == "S1xY" and self.param < 0:
-            raise InvalidSetting("b1 must be non-negative")
+        if spec and spec.floor and self.param < spec.floor[0]:
+            raise spec.floor[1](spec.floor[2])
         # not fields: the BLOCKS row of the kind (None for the COMPOSITES),
         # the sort key, the rendered name, the row's (atom, count) pairs,
         # and the invariants, read off those at a cost that does not grow

@@ -251,12 +251,19 @@ def _prepare(x):
 
 # One row per scenario: W blocks required (True) or forbidden (False), the
 # Kirby-Siebenmann class must vanish, a spin simply-connected part required
-# (True), forbidden (False) or either (None), and the theorem.  auto tries
-# the rows in this order and joins their reasons in it.
+# (True), forbidden (False) or either (None), the slot copies left spare,
+# and the checker, which looks its theorem up by global name at each call;
+# auto tries the rows in this order and joins their reasons in it.  After
+# _prepare there is one slot copy per positive direction.  Theorem A's
+# w_top does not depend on the class, so the largest liftable class alone
+# decides it: when it is Inconclusive no smaller one fires.  Theorem B's
+# spin part normalizes to E8 and S2xS2 summands: every slot is an S2xS2.
 _SCENARIOS = {
-    "enriques": (True, True, None, "ThmA"),
-    "nonspin": (False, True, False, "ThmA"),
-    "spin": (False, False, True, "ThmB"),
+    "enriques": (True, True, None, 0,
+                 lambda f, bound: check_theorem_A(f, bound)),
+    "nonspin": (False, True, False, 0,
+                lambda f, bound: check_theorem_A(f, bound)),
+    "spin": (False, False, True, 1, lambda f, bound: check_theorem_B(f)),
 }
 
 
@@ -268,7 +275,7 @@ def _certify_scenario(x, scenario, bound, prepared):
     scenario has called it.  A reason is returned, not raised: auto passes
     over most scenarios, and an exception costs more than the check.
     """
-    w_blocks, ks_zero, spin, theorem = _SCENARIOS[scenario]
+    w_blocks, ks_zero, spin, spare, check = _SCENARIOS[scenario]
     label = "spin" if spin else "non-spin"
     if w_blocks and x.inv.torsion < 1:
         return "at least one Enriques block required"
@@ -294,19 +301,8 @@ def _certify_scenario(x, scenario, bound, prepared):
         ls = cover.build_standard_cover(normalized)
     except NoNontrivialCoverAvailable as e:
         return str(e)
-    n = ls.b_plus_ell
-    if theorem == "ThmA":
-        # after _prepare there is one slot copy per positive direction.
-        # w_top does not depend on the class, so the largest liftable class
-        # alone decides the verdict: when it is Inconclusive no smaller one
-        # fires.
-        fam = build_family(ls, manifold.reflection_slots(normalized, n))
-        cert = check_theorem_A(fam, bound)
-    else:
-        # a spin part normalizes to E8 and S2xS2 summands: every slot is
-        # an S2xS2
-        fam = build_family(ls, manifold.reflection_slots(normalized, n - 1))
-        cert = check_theorem_B(fam)
+    cert = check(build_family(ls, manifold.reflection_slots(
+        normalized, ls.b_plus_ell - spare)), bound)
     # stamp the inputs: the expression as given, ahead of the normalized one
     return cert.replace(inputs=(
         ("expression", x.render()), ("normalized", normalized.render()),

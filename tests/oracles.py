@@ -3,13 +3,13 @@
 Exact division in the Laurent extension of the charpoly ring by u, and
 the views of an ExtPoly it needs.  The engine never divides: a unit
 1 + nil is its own inverse, so `charpoly.virtual_sw` is a convolution.
-The total class of class data, which the engine never forms.
+The total and the per-degree class of class data: the engine reads `classes`.
 
-Gram matrices of lattice atoms, the square v^T G v on them, their
-inertia by rational congruence diagonalization and the Wu criterion on
-them: the engine reads each atom's inertia and Wu class off its
-declaration, and squares a vector atom by atom, instead.  And the table
-of block invariants that a golden digest pins.
+Gram matrices of lattice atoms from their definitions, the square v^T G v
+on them, their inertia by rational congruence diagonalization and the Wu
+criterion on them: the engine reads each atom's inertia and Wu class off
+its declaration, and squares a vector atom by atom, instead.  And the
+table of block invariants that a golden digest pins.
 
 The lift checks on a whole class, under the per-block and the global
 reading of the lift sign, the Theorem A class as a vector, and the
@@ -22,7 +22,7 @@ These stay here as the oracles that property checks compare against.
 import functools
 from fractions import Fraction
 
-from fourfold import cover, manifold
+from fourfold import cover, lattice, manifold
 from fourfold.charpoly import ExtPoly
 from fourfold.errors import DimensionMismatch, FourfoldError, ModeMismatch
 
@@ -76,6 +76,11 @@ def total(data):
     return sum(data.sw, ExtPoly.one(data.k))
 
 
+def w(data, i):
+    """Degree-i class of BundleClassData: w0 = 1, and 0 where none is stored."""
+    return data.classes.get(i, ExtPoly.zero(data.k))
+
+
 def laurent_divide(num, den):
     """Exact division in the Laurent extension by u.
 
@@ -110,17 +115,25 @@ def laurent_divide(num, den):
     return shift_u(quotient, -low), s - low
 
 
+def atom_gram(atom):
+    """An atom's Gram matrix, from its definition: (eps) for a Diag, the
+    hyperbolic plane, and for E8 its sign times the Cartan matrix of its
+    Dynkin diagram, a chain of seven nodes with an eighth on the fifth."""
+    if not isinstance(atom, lattice.E8):
+        return ((0, 1), (1, 0)) if atom.rank == 2 else ((atom.eps,),)
+    edges = [{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {4, 7}]
+    return tuple(tuple(atom.sign * (2 * (i == j) - ({i, j} in edges))
+                       for j in range(8)) for i in range(8))
+
+
 def gram(atoms):
     """Full Gram matrix of (atom, count) pairs, block diagonal."""
-    blocks = [atom.matrix() for atom, n in atoms for _ in range(n)]
-    size = sum(len(m) for m in blocks)
-    rows = [[0] * size for _ in range(size)]
-    off = 0
+    blocks = [atom_gram(atom) for atom, n in atoms for _ in range(n)]
+    size, off, rows = sum(map(len, blocks)), 0, []
     for m in blocks:
-        for i, row in enumerate(m):
-            rows[off + i][off:off + len(row)] = row
+        rows += [(0,) * off + row + (0,) * (size - off - len(m)) for row in m]
         off += len(m)
-    return tuple(tuple(row) for row in rows)
+    return tuple(rows)
 
 
 def square(gram, v):

@@ -953,6 +953,26 @@ def test_constraints_file_names_the_repeated_line(tmp_path, capsys):
         assert capsys.readouterr() == ("", f"ParseError: {message}\n")
 
 
+def test_constraints_file_names_the_refused_line_or_section(tmp_path,
+                                                           capsys):
+    # charpoly.check_pure rules every w_i line, one the reader drops too,
+    # and BundleClassData the rank; the reader names the line or section
+    data = tmp_path / "classes.txt"
+    for content, message in (
+            ("V1\nrank 1\nW1\nrank 1\nw_70 = u^70\n",
+             "w70 must be a pure base class of degree 70: 'w_70 = u^70'"),
+            ("V1\nrank 1\nw_1 = t1*t2\nW1\nrank 1\n",
+             "w1 must be a pure base class of degree 1: 'w_1 = t1*t2'"),
+            ("V1\nrank 1\nW1\nrank -3\n",
+             "rank -3 must be an int >= 0 in section W1")):
+        data.write_text(content)
+        assert cli.main(["constraints", "2*S2xS2 # S1xY(b1=1)",
+                         str(data)]) == 1
+        assert capsys.readouterr() == ("", f"ParseError: {message}\n")
+    data.write_text("V1\nrank 1\nw_0 = 1\nW1\nrank 1\n")
+    assert cli.main(["constraints", "2*S2xS2 # S1xY(b1=1)", str(data)]) == 0
+
+
 @pytest.mark.parametrize("content, same_as", [
     ("V1\nrank 100000000\nw_1 = t1\nW1\nrank 100000000\n",
      "V1\nrank 1\nw_1 = t1\nW1\nrank 1\n"),

@@ -60,17 +60,15 @@ def test_unknown_kind_rejected():
         manifold.Block("Bogus")
 
 
-@pytest.mark.parametrize("kind, values", [
-    ("S1xY", {"param": True}), ("S1xY", {"param": 1.0}),
-    ("S1xY", {"param": "1"}), ("S2xSigma", {"param": 2.0}),
-    ("E8", {"param": True}), ("E8", {"param": -1.0}),
-    ("CP2", {"param": None}),
+@pytest.mark.parametrize("kind, param", [
+    ("S1xY", True), ("S1xY", 1.0), ("S1xY", "1"), ("S2xSigma", 2.0),
+    ("E8", True), ("E8", -1.0), ("CP2", None),
 ])
-def test_block_takes_only_int_param_and_sign(kind, values):
+def test_block_takes_only_an_int_param(kind, param):
     # the parser builds only ints: a bool or a float would render a name,
     # S1xY(b1=True) or S1xY(b1=1.0), that it cannot read back
     with pytest.raises(InvalidSetting, match="must be ints"):
-        manifold.Block(kind, **values)
+        manifold.Block(kind, param=param)
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
@@ -83,15 +81,14 @@ def test_block_param_must_render():
         manifold.Block("S1xY", param=10 ** digits)
 
 
-@pytest.mark.parametrize("kind, values", [
-    ("CP2", {"param": 3}), ("CP2", {"param": -1}), ("K3", {"param": -1}),
-    ("E8", {"param": 7}), ("NegE8", {"param": 1}), ("NegK3", {"param": 2}),
-    ("Enriques", {"param": 1}), ("S4", {"param": 1}),
+@pytest.mark.parametrize("kind, param", [
+    ("CP2", 3), ("CP2", -1), ("K3", -1), ("E8", 7), ("NegE8", 1),
+    ("NegK3", 2), ("Enriques", 1), ("S4", 1),
 ])
-def test_block_refuses_a_sign_or_param_its_name_does_not_show(kind, values):
+def test_block_refuses_a_param_its_name_does_not_show(kind, param):
     # CP2 with param 3 would render as CP2 without being equal to it
     with pytest.raises(InvalidSetting, match="its name shows"):
-        manifold.Block(kind, **values)
+        manifold.Block(kind, param=param)
 
 
 def test_every_accepted_block_round_trips():

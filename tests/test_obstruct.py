@@ -237,6 +237,46 @@ def test_rows_deciding_on_per_block_lift_signs(text):
         assert not oracles.lifts_with_global_sign(fam, c), bound
 
 
+# the Theorem A rows of the lift-sign scan: criterion 1 (m 0-10, n 1-9),
+# criterion 3 (a 0-12), criterion 4 (k 0-11) and the two rows above
+LIFT_SIGN_SCAN = (
+    [f"{m}*-CP2 # -E8 # -CP2fake # {n}*S2xS2 # S1xY(b1=1)"
+     for m in range(11) for n in range(1, 10)]
+    + [f"{m}*Enriques # {a}*S2xS2 # {2 * b}*-E8 # S1xY(b1=1)"
+       for m in (1, 2) for a in range(13) for b in (0, 1, 2)]
+    + [f"Enriques # {k}*-CP2 # S2xSigma(g=1)" for k in range(12)]
+    + ["2*W # CP2 # -CP2 # S1xY(b1=1)",
+       "2*W # S2xS2 # CP2 # 2*-CP2 # S1xY(b1=1)"])
+
+
+def test_global_sign_reading_moves_only_the_known_rows():
+    """The verdicts that oracles.global_sign_square's reading would change.
+
+    Of the scan's 764 Theorem A certificates, at bounds 1-4, it changes
+    exactly 48: every criterion-4 row with k >= 1, at every bound, and the
+    two 2*W rows at bounds 3 and 4.  A new row of the scan whose verdict
+    depends on the reading fails here.
+    """
+    moved = set()
+    for text in LIFT_SIGN_SCAN:
+        x = cli.parse(text)
+        fam = certify_family(x)
+        w_top = charpoly.line_sum_w(fam.k, fam.cover.b_plus_ell)
+        for bound in (1, 2, 3, 4):
+            cert = obstruct.certify(x, bound=bound)
+            assert cert.input("scenario") in ("enriques", "nonspin")
+            square = oracles.global_sign_square(fam, bound)
+            fires = bool(w_top) and square is not None and square > cert.sigma
+            if fires != (cert.verdict == obstruct.NONSMOOTHABLE):
+                moved.add((text, bound))
+    assert len(LIFT_SIGN_SCAN) * 4 == 764
+    assert moved == {
+        (f"Enriques # {k}*-CP2 # S2xSigma(g=1)", bound)
+        for k in range(1, 12) for bound in (1, 2, 3, 4)} | {
+        (text, bound) for text in LIFT_SIGN_SCAN[-2:] for bound in (3, 4)}
+    assert len(moved) == 48
+
+
 # --- theorem A ---
 
 def test_theorem_a_fires_on_nonspin_series():
