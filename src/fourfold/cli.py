@@ -239,10 +239,11 @@ def _parse_constraint_file(path, k):
             continue
         if current is None:
             raise ParseError(f"class data before section header: {line!r}")
-        if line.startswith("rank"):
-            try:
-                rank = int(line.split()[1])
-            except (IndexError, ValueError):
+        word, *rest = line.split()
+        if word == "rank":
+            try:   # exactly one int follows the word
+                rank, = map(int, rest)
+            except ValueError:
                 raise ParseError(
                     f"cannot parse class data line {line!r}") from None
             if sections[current]["rank"] is not None:

@@ -165,33 +165,46 @@ def enumerate_characteristics(ls, bound=1):
 def _listing(ls, bound, tail):
     """(square, groups) per square, descending; each group (first, suffixes).
 
-    A class is `first`, its first atom's piece, followed by one of its
+    A class is `first`, the pieces of its lead, followed by one of its
     group's suffixes: the rest of its free part, then `tail`.  Pieces and
     suffixes are tuples if `tail` is one, else text, entries joined by
-    ", ".  Atoms fold from the last to the second into buckets by square,
-    and the first atom's pieces pair with those buckets without joining
-    each class, which the caller does.  Taking an atom's pieces in
-    `itertools.product`'s lexicographic order keeps the groups, and each
-    bucket, lexicographic, so only the distinct squares are sorted.
+    ", ".  Each (atom, count) pair lists its pieces and their squares once,
+    in `itertools.product`'s lexicographic order.  The lead is the first
+    atom, then each next atom whose pieces share one square, while the
+    lead's piece count stays <= the rest's: such an atom adds no bucket.
+    The rest fold from the last atom into buckets by square, each product
+    of the lead pairs with each bucket, and the caller joins each class.
+    Lexicographic pieces keep the groups, and each bucket, lexicographic,
+    so only the distinct squares are sorted.
     """
     columns = parity_box(ls, bound)
-    atoms = [atom for atom, n in ls.free for _ in range(n)]
-    if not atoms:
+    text = type(tail) is not tuple
+    pieces, squares, off = [], [], 0
+    for atom, n in ls.free:
+        vs = list(itertools.product(*columns[off:off + atom.rank]))
+        off += atom.rank * n
+        pieces += [[", ".join(map(str, v)) for v in vs] if text else vs] * n
+        squares += [list(map(atom.square, vs))] * n
+    if not pieces:
         return [(0, [(tail[:0], [tail])])]
-    buckets = {0: [tail]}
-    sep = ""    # a text piece ends in ", " unless the tail follows it
-    for i in range(len(atoms) - 1, -1, -1):
-        atom, folded = atoms[i], {}
-        start = len(columns) - atom.rank
-        for v in itertools.product(*columns[start:]):
-            part = atom.square(v)
-            piece = v if type(tail) is tuple else ", ".join(map(str, v)) + sep
+    k, lead, rest = 1, len(pieces[0]), math.prod(map(len, pieces[1:]))
+    while (k < len(pieces) and len(set(squares[k])) == 1
+           and lead * len(pieces[k]) ** 2 <= rest):
+        lead, rest, k = lead * len(pieces[k]), rest // len(pieces[k]), k + 1
+    buckets, sep = {0: [tail]}, ", " if text else ()
+    for i in range(len(pieces) - 1, k - 1, -1):
+        folded = {}
+        for piece, part in zip(pieces[i], squares[i]):
+            add = (sep + piece).__add__   # a suffix starts with its sep
             for s, suffixes in buckets.items():
-                if i:
-                    folded.setdefault(s + part, []).extend(
-                        map(piece.__add__, suffixes))
-                else:
-                    folded.setdefault(s + part, []).append((piece, suffixes))
-        del columns[start:]
-        buckets, sep = folded, ", "
-    return [(s, buckets[s]) for s in sorted(buckets, reverse=True)]
+                folded.setdefault(s + part, []).extend(map(add, suffixes))
+        buckets = folded
+    join = ", ".join if text else (
+        lambda p: tuple(itertools.chain.from_iterable(p)))
+    groups = {}
+    for first, part in zip(itertools.product(*pieces[:k]),
+                           map(sum, itertools.product(*squares[:k]))):
+        first = join(first)
+        for s, suffixes in buckets.items():
+            groups.setdefault(s + part, []).append((first, suffixes))
+    return [(s, groups[s]) for s in sorted(groups, reverse=True)]

@@ -7,7 +7,6 @@ rewrites the simply-connected part into its homeomorphism normal form.
 """
 
 import operator
-from typing import NamedTuple
 
 from . import lattice
 from ._frozen import frozen
@@ -19,19 +18,27 @@ from .errors import (
 )
 
 
-class BlockSpec(NamedTuple):
-    """The facts that fix a block's invariants; one row of BLOCKS."""
+class BlockSpec(tuple):
+    """The facts that fix a block's invariants; one row of BLOCKS.  A tuple
+    subclass, as Invariants is: a NamedTuple would load `typing`."""
 
-    name: str        # rendered: {p} is the param
-    atoms: object    # param -> its intersection form as (atom, count) pairs
-    b1: object       # param -> first Betti number
-    spin: bool       # W is non-spin through its torsion w2; the rest iff even
-    ks: int          # Kirby-Siebenmann bit
-    h1_torsion: int  # Z2 torsion of H1: rank H^1(-; Z2) = b1 + h1_torsion
-    mirror: str      # kind of the orientation-reversed block; "" if unknown
-    part: str        # "sc": simply connected; "N": twisted by the cover; "": W
-    reflect: object = None  # H^2 -> H^2 of its reflection slot; None: no slot
-    floor: tuple = ()       # (least param, error class, message) if it has one
+    __slots__ = ()
+
+    def __new__(cls, name, atoms, b1, spin, ks, h1_torsion, mirror, part,
+                reflect=None, floor=()):
+        return tuple.__new__(cls, (name, atoms, b1, spin, ks, h1_torsion,
+                                   mirror, part, reflect, floor))
+
+    name = property(operator.itemgetter(0))    # rendered: {p} is the param
+    atoms = property(operator.itemgetter(1))   # param -> form's (atom, count)
+    b1 = property(operator.itemgetter(2))      # param -> first Betti number
+    spin = property(operator.itemgetter(3))    # iff even; W: no (torsion w2)
+    ks = property(operator.itemgetter(4))      # Kirby-Siebenmann bit
+    h1_torsion = property(operator.itemgetter(5))  # rank H^1(-; Z2) - b1
+    mirror = property(operator.itemgetter(6))  # reversed kind; "" if unknown
+    part = property(operator.itemgetter(7))    # "sc", "N" (twisted), "" (W)
+    reflect = property(operator.itemgetter(8))  # slot's H^2 map; None: none
+    floor = property(operator.itemgetter(9))   # (least param, error, message)
 
 
 # lattice atoms are immutable, so every block shares these

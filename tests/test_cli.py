@@ -653,10 +653,10 @@ print(json.dumps([code, sorted(imported), sorted(set(sys.modules) - before)]))
 """
 
 
-def cold_child(*argv):
+def cold_child(*argv, flags=()):
     """(exit code, modules importing cli loads, modules loaded by the end)
-    of one command in a fresh interpreter."""
-    run = subprocess.run([sys.executable, "-c", COLD_PATH, *argv],
+    of one command in a fresh interpreter run with these flags."""
+    run = subprocess.run([sys.executable, *flags, "-c", COLD_PATH, *argv],
                          env=module_env(), capture_output=True, text=True,
                          check=True)
     return json.loads(run.stdout)
@@ -678,6 +678,11 @@ def test_cold_path_imports_only_what_it_runs():
     assert code == 0
     assert "fourfold.obstruct" in after_certify
     assert parsers.isdisjoint(after_certify)
+    # without site, whose .pth files may load typing before the child runs
+    code, _, after_clean = cold_child(
+        "spinc", "CP2 # 2*-CP2 # S1xY(b1=1)", flags=("-S",))
+    assert code == 0
+    assert "typing" not in after_clean
 
 
 def test_package_names_resolve_on_first_use():
@@ -951,6 +956,20 @@ def test_constraints_file_names_the_repeated_line(tmp_path, capsys):
         assert cli.main(["constraints", "2*S2xS2 # S1xY(b1=1)",
                          str(data)]) == 1
         assert capsys.readouterr() == ("", f"ParseError: {message}\n")
+
+
+def test_constraints_rank_line_is_exactly_rank_n(tmp_path, capsys):
+    # any line that began with "rank" read its second word: `rankle 2 junk`
+    # read as `rank 2`, and the report exited 0
+    data = tmp_path / "classes.txt"
+    for line in ("rankle 2 junk", "rank 2 junk", "rank", "rank 2 3"):
+        data.write_text(f"V1\n{line}\nW1\nrank 1\n")
+        assert cli.main(["constraints", "2*S2xS2 # S1xY(b1=1)",
+                         str(data)]) == 1
+        assert capsys.readouterr() == (
+            "", f"ParseError: cannot parse class data line {line!r}\n")
+    data.write_text("V1\nrank  2 // two\nW1\n\trank 1\n")
+    assert cli.main(["constraints", "2*S2xS2 # S1xY(b1=1)", str(data)]) == 0
 
 
 def test_constraints_file_names_the_refused_line_or_section(tmp_path,

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import oracles
 from fourfold import cli, cover, lattice, manifold
-from fourfold.errors import (DimensionMismatch, NoNontrivialCoverAvailable,
-                             PreconditionViolated)
+from fourfold.errors import (DimensionMismatch, InvalidSetting,
+                             NoNontrivialCoverAvailable, PreconditionViolated)
 
 
 def standard_cover(*blocks):
@@ -198,7 +198,16 @@ BRUTE_FORCE_ROWS = [
                  "2*W # CP2 # -CP2fake # S1xY(b1=1)",
                  "S1xY(b1=1)",
                  "W # S1xY(b1=1)")
-    for bound in (1, 2, 3)] + [("-E8 # S1xY(b1=1)", 1)]
+    for bound in (1, 2, 3)] + [("-E8 # S1xY(b1=1)", 1)] + [
+    # a lead of several atoms: the first, then atoms of one square (a
+    # diagonal one at bound 1 or 2, S2xS2 at bound 1).  At bound 3 no atom
+    # has one square, and the oracle's box of 7^rank vectors bounds the
+    # rank of the rows that reach it
+    ("2*S2xS2 # 3*-CP2 # 2*CP2 # S1xY(b1=1)", 1),
+    ("S2xS2 # 6*-CP2 # S1xY(b1=1)", 1), ("S2xS2 # 6*-CP2 # S1xY(b1=1)", 2),
+    *((text, bound) for text in ("CP2 # 4*-CP2 # S1xY(b1=1)",
+                                 "W # S2xS2 # 4*-CP2 # S1xY(b1=1)")
+      for bound in (1, 2, 3))]
 
 
 @pytest.mark.parametrize("text, bound", BRUTE_FORCE_ROWS)
@@ -216,15 +225,25 @@ def test_enumeration_matches_brute_force(text, bound):
 
 @st.composite
 def random_sums(draw):
-    """(text, bound): up to two of each kind, a definite first atom at
-    bound 1, W torsion tails, and rank-0 forms when only W is left."""
-    counts = draw(st.lists(st.integers(0, 2), min_size=5, max_size=5))
+    """(text, bound): up to four CP2 and four -CP2, up to two of each other
+    kind, a definite first atom at bound 1, W torsion tails, and rank-0
+    forms when only W is left."""
+    counts = [draw(st.integers(0, top)) for top in (4, 4, 2, 2, 2)]
     definite = draw(st.sampled_from(["", "-E8", "K3", "-K3"]))
     n_block = draw(st.sampled_from(["S1xY(b1=1)", "S2xSigma(g=1)"]))
     bound = 1 if definite else draw(st.integers(1, 3))
     names = ("CP2", "-CP2", "-CP2fake", "S2xS2", "W")
     terms = [f"{n}*{name}" for n, name in zip(counts, names)]
     return " # ".join(terms + [definite] * bool(definite) + [n_block]), bound
+
+
+def box_size(ls, bound):
+    """The classes of the parity box, or inf for a box that parity_box
+    refuses as above cover.MAX_CLASSES."""
+    try:
+        return math.prod(map(len, cover.parity_box(ls, bound)))
+    except InvalidSetting:
+        return math.inf
 
 
 def render(ls, classes):
@@ -251,8 +270,8 @@ def test_enumeration_matches_checked_path_random(case):
     """
     text, bound = case
     ls = cover.build_standard_cover(cli.parse(text))
+    assume(box_size(ls, bound) <= 4096)
     box = cover.parity_box(ls, bound)
-    assume(math.prod(len(coords) for coords in box) <= 4096)
     want = sorted((ls.char_class(v) for v in itertools.product(*box)),
                   key=lambda c: (-c.square, c.free_part))
     assert cover.enumerate_characteristics(ls, bound) == want
@@ -266,7 +285,7 @@ def test_spinc_prints_enumeration_random(case):
     enumerate_characteristics builds from the same groups."""
     text, bound = case
     ls = cover.build_standard_cover(cli.parse(text))
-    assume(math.prod(map(len, cover.parity_box(ls, bound))) <= 20_000)
+    assume(box_size(ls, bound) <= 20_000)
     assert spinc_text(text, bound) == render(
         ls, cover.enumerate_characteristics(ls, bound))
 
@@ -298,6 +317,17 @@ def test_spinc_listing_of_every_atom_kind():
     assert out.count("\n") == 236_196
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "376c040386ab4b4368e30b45937b9c626634c8f6daaefff470bb358056e6d594")
+
+
+def test_lead_of_every_summand_lists_one_class():
+    """Each S2xS2 has one piece at bound 1, so all 20,000 join the lead and
+    its one first is the whole class."""
+    text = "20000*S2xS2 # S1xY(b1=1)"
+    assert spinc_text(text, 1) == (
+        f"square = 0: free = [{', '.join(['0'] * 40_000)}], torsion = []\n")
+    ls = cover.build_standard_cover(cli.parse(text))
+    assert cover.enumerate_characteristics(ls, 1) == [
+        cover.CharClass((0,) * 40_000, 0)]
 
 
 def test_spinc_does_not_recheck_classes(monkeypatch, capsys):
