@@ -15,10 +15,9 @@ closed keeps its code and drops its message.
 """
 
 import os
-import re
 import sys
 
-# obstruct, charpoly and json load in the commands that use them, which
+# obstruct, charpoly, json and re load in the commands that use them, which
 # spares `spinc` and the listing commands their import
 from . import cover, manifold
 from .errors import (
@@ -34,55 +33,76 @@ from .errors import (
 _NAMES = {**manifold.NAMED,
           **{spec.name: kind
              for kind, spec in manifold.BLOCKS.items() if "{p}" in spec.name}}
-
-_TERM_RE = re.compile(
-    r"\s*(?:(?P<mult>-?\d+)\s*\*\s*)?(?P<name>-?[A-Za-z][A-Za-z0-9]*)"
-    r"(?:\s*\(\s*(?P<key>[A-Za-z0-9]+)\s*=\s*(?P<param>-?\d+)\s*\))?\s*")
+# (kind, param) -> its Block, shared as NAMED's are; bounded: the first 1,024
+_SHARED = {}
 
 
-def _offset(parts, i, at=0):
-    """Where `at` in term i of the text split on "#" lies in the text."""
+def _offset(parts, i, rest=None):
+    """Where term i of the text split on "#", or its end `rest`, starts."""
+    at = 0 if rest is None else len(parts[i]) - len(rest.lstrip())
     return sum(map(len, parts[:i])) + i + at
+
+
+def _digits(s):
+    r"""True iff s reads as -?\d+ (Unicode decimals): int() takes "+1" too."""
+    return s.removeprefix("-").isdecimal()
+
+
+def _named(name, key):
+    """True iff name reads as ASCII -?[A-Za-z][A-Za-z0-9]*, and key, unless
+    None, as [A-Za-z0-9]+."""
+    bare = name.removeprefix("-")
+    return (bare[:1].isalpha() and bare.isalnum() and bare.isascii()
+            and (key is None or key.isalnum() and key.isascii()))
 
 
 def parse(text):
     """Parse a connected-sum expression into a ManifoldExpr, one pair per term.
 
-    Raises InvalidSetting, once every term has parsed, when the sum has
-    more than cover.MAX_SUMMANDS summands, as cover.check_summands counts
-    them.
+    A term is split on "*" and "(" and its name looked up; only a name not
+    found has its shape checked.  Raises InvalidSetting, once every term
+    has parsed, when the sum has more than cover.MAX_SUMMANDS summands, as
+    cover.check_summands counts them.
     """
     if not text or not text.strip():
         raise ParseError("empty expression", 0)
     terms = []
     parts = text.split("#")
     for i, part in enumerate(parts):
-        m = _TERM_RE.fullmatch(part)
-        if m is None:
+        mult, star, rest = part.partition("*")
+        mult, rest = (mult.strip(), rest) if star else ("1", part)
+        name, paren, tail = rest.strip().partition("(")
+        name, key, param = name.rstrip(), None, None
+        if paren:   # "key = param)"; a "(" not closed at the end: no param
+            key, _, param = tail[:-1].partition("=")
+            key, param = key.strip(), param.strip() * (tail[-1:] == ")")
+        # a name without a parameter is a shared Block; one with, its kind;
+        # errors in the grammar's order: shape, multiplicity, name, param
+        block = _NAMES.get(name if key is None else f"{name}({key}={{p}})")
+        if not (_digits(mult) and (key is None or _digits(param)) and (
+                block is not None or _named(name, key))):
             if not part.strip():
                 raise ParseError("empty connected-sum term", _offset(parts, i))
-            raise ParseError(f"cannot parse term {part.strip()!r}", _offset(
-                parts, i, len(part) - len(part.lstrip())))
-        mult, name, key, param = m.groups()
+            raise ParseError(f"cannot parse term {part.strip()!r}",
+                             _offset(parts, i, part))
         try:   # int() refuses more than sys.get_int_max_str_digits() digits
-            mult = int(mult or 1)
+            mult = int(mult)
         except ValueError as e:
-            raise ParseError(
-                str(e), _offset(parts, i, m.start("mult"))) from None
+            raise ParseError(str(e), _offset(parts, i, part)) from None
         if mult < 0:
             raise NegativeMultiplicity(f"multiplicity {mult} must be >= 0")
-        # a name without a parameter is a shared Block; one with, its kind
-        block = _NAMES.get(name if param is None else f"{name}({key}={{p}})")
         if block is None:
-            text = name if param is None else f"{name}({key}={param})"
+            text = name if key is None else f"{name}({key}={param})"
             raise ParseError(f"unknown block {text!r}",
-                             _offset(parts, i, m.start("name")))
-        if param is not None:
+                             _offset(parts, i, rest))
+        if key is not None:
             try:   # int() refuses more than sys.get_int_max_str_digits()
-                block = manifold.Block(block, param=int(param))
-            except ValueError as e:   # digits, or a parameter out of range
-                raise ParseError(
-                    e.args[0], _offset(parts, i, m.start("name"))) from None
+                shared = block, int(param)   # digits, or a param out of range
+                block = _SHARED.get(shared) or manifold.Block(*shared)
+            except ValueError as e:
+                raise ParseError(e.args[0], _offset(parts, i, rest)) from None
+            if len(_SHARED) < 1024:
+                _SHARED[shared] = block
         terms.append((block, mult))
     x = manifold.ManifoldExpr(tuple(terms))
     cover.check_summands(x)
@@ -219,6 +239,7 @@ def _parse_constraint_file(path, k):
     as a line above k can only read 0.  A refusal of a line, or of a
     section's value, is a ParseError that names it.
     """
+    import re
     from . import charpoly
     sections = {}
     current = None
@@ -281,6 +302,7 @@ def _parse_constraint_file(path, k):
 
 def parse_poly(text, k):
     """Parse the canonical polynomial syntax (sums of t/u monomials)."""
+    import re
     from . import charpoly
     text = text.strip()
     if text == "0":

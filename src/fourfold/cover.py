@@ -170,27 +170,34 @@ def _listing(ls, bound, tail):
     suffixes are tuples if `tail` is one, else text, entries joined by
     ", ".  Each (atom, count) pair lists its pieces and their squares once,
     in `itertools.product`'s lexicographic order.  The lead is the first
-    atom, then each next atom whose pieces share one square, while the
-    lead's piece count stays <= the rest's: such an atom adds no bucket.
-    The rest fold from the last atom into buckets by square, each product
-    of the lead pairs with each bucket, and the caller joins each class.
-    Lexicographic pieces keep the groups, and each bucket, lexicographic,
-    so only the distinct squares are sorted.
+    copy, then each next copy whose c pieces share one square, while lead *
+    c^2 <= rest, the piece counts of the lead and the rest: such a copy adds
+    no bucket.  Copies of one piece all join or none, and others stop in
+    log_c(rest) copies, so the walk is per pair.  The rest fold from the
+    last atom into buckets by square, each product of the lead pairs with
+    each bucket, and the caller joins each class.  Lexicographic pieces
+    keep the groups, and each bucket, lexicographic, so only the distinct
+    squares are sorted.
     """
     columns = parity_box(ls, bound)
     text = type(tail) is not tuple
-    pieces, squares, off = [], [], 0
+    pieces, squares, off, rest = [], [], 0, 1
     for atom, n in ls.free:
         vs = list(itertools.product(*columns[off:off + atom.rank]))
         off += atom.rank * n
+        rest *= len(vs) ** n
         pieces += [[", ".join(map(str, v)) for v in vs] if text else vs] * n
         squares += [list(map(atom.square, vs))] * n
     if not pieces:
         return [(0, [(tail[:0], [tail])])]
-    k, lead, rest = 1, len(pieces[0]), math.prod(map(len, pieces[1:]))
-    while (k < len(pieces) and len(set(squares[k])) == 1
-           and lead * len(pieces[k]) ** 2 <= rest):
-        lead, rest, k = lead * len(pieces[k]), rest // len(pieces[k]), k + 1
+    k, end, lead = 0, 0, 1
+    for _, n in ls.free:   # the pair's copies run from k to end
+        c, end = len(pieces[k]), end + n
+        while k < end and (not k or len(set(squares[k])) == 1
+                           and lead * c * c <= rest):
+            k, lead, rest = end if c == 1 else k + 1, lead * c, rest // c
+        if k < end:
+            break
     buckets, sep = {0: [tail]}, ", " if text else ()
     for i in range(len(pieces) - 1, k - 1, -1):
         folded = {}

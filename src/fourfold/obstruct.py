@@ -106,16 +106,17 @@ def check_theorem_A(f, bound):
     over the form's atoms, so c1 joins each atom's maximizer, and c1^2 is
     the sum over the free part's (atom, count) pairs of count times the
     maximizer's square.  That class lifts: a CP2 slot negates its entry,
-    and an S2xS2 slot carries (-e, -e) to (e, e).  Raises InvalidSetting
-    unless bound is an int >= 1, and PreconditionViolated for a positive
-    E8 atom, which a prepared cover never holds.
+    and an S2xS2 slot carries (-e, -e) to (e, e).  w_b of k <= b lines, the
+    k build_family allows, is t1*...*tk at k = b ("1" at 0), else 0.  Raises
+    InvalidSetting unless bound is an int >= 1, and PreconditionViolated
+    for a positive E8 atom, which a prepared cover never holds.
     """
     cover.check_bound(bound)
     c1_square = sum(n * atom.square(atom.maximizer(bound))
                     for atom, n in f.cover.free)
     b = f.cover.b_plus_ell
-    w_top = charpoly.line_sum_w(f.k, b)
-    top = w_top.render()
+    w_top = f.k == b
+    top = "*".join([f"t{j}" for j in range(1, b + 1)] or "1") if w_top else "0"
     sigma = f.cover.base.inv.sigma
     transcript = [
         f"b_plus_ell = {b}",

@@ -11,6 +11,10 @@ criterion on them: the engine reads each atom's inertia and Wu class off
 its declaration, and squares a vector atom by atom, instead.  And the
 table of block invariants that a golden digest pins.
 
+The expression grammar as the regular expression it was first written
+as, and the parse that reads a term by it: `cli.parse` reads a term by
+table lookup, and must give the same value or error as this one.
+
 The lift checks on a whole class, under the per-block and the global
 reading of the lift sign, the Theorem A class as a vector, and the
 global reading's largest square in closed form: the engine decides
@@ -20,11 +24,18 @@ These stay here as the oracles that property checks compare against.
 """
 
 import functools
+import re
 from fractions import Fraction
 
-from fourfold import cover, lattice, manifold
+from fourfold import cli, cover, lattice, manifold
 from fourfold.charpoly import ExtPoly
-from fourfold.errors import DimensionMismatch, FourfoldError, ModeMismatch
+from fourfold.errors import (
+    DimensionMismatch,
+    FourfoldError,
+    ModeMismatch,
+    NegativeMultiplicity,
+    ParseError,
+)
 
 
 class NonMonicDenominator(FourfoldError):
@@ -303,3 +314,55 @@ def global_sign_square(f, bound):
         return o * o if cp2 == [1] and odd == 1 else None
     fixed = closed_form_class(f, bound).square - 2 * e * e * f.k
     return max(fixed, 2 * e * e) if f.k and not odd else fixed
+
+
+TERM_RE = re.compile(
+    r"\s*(?:(?P<mult>-?\d+)\s*\*\s*)?(?P<name>-?[A-Za-z][A-Za-z0-9]*)"
+    r"(?:\s*\(\s*(?P<key>[A-Za-z0-9]+)\s*=\s*(?P<param>-?\d+)\s*\))?\s*")
+
+
+def reference_parse(text):
+    """cli.parse as it read each term, by TERM_RE: a term that does not
+    match it is malformed; a match's multiplicity is read, then its name
+    looked up, then its param read."""
+    if not text or not text.strip():
+        raise ParseError("empty expression", 0)
+    terms = []
+    parts = text.split("#")
+    for i, part in enumerate(parts):
+        at = sum(map(len, parts[:i])) + i   # where term i starts
+        m = TERM_RE.fullmatch(part)
+        if m is None:
+            if not part.strip():
+                raise ParseError("empty connected-sum term", at)
+            raise ParseError(f"cannot parse term {part.strip()!r}",
+                             at + len(part) - len(part.lstrip()))
+        mult, name, key, param = m.groups()
+        try:
+            mult = int(mult or 1)
+        except ValueError as e:
+            raise ParseError(str(e), at + m.start("mult")) from None
+        if mult < 0:
+            raise NegativeMultiplicity(f"multiplicity {mult} must be >= 0")
+        block = cli._NAMES.get(name if param is None
+                               else f"{name}({key}={{p}})")
+        if block is None:
+            text = name if param is None else f"{name}({key}={param})"
+            raise ParseError(f"unknown block {text!r}", at + m.start("name"))
+        if param is not None:
+            try:
+                block = manifold.Block(block, param=int(param))
+            except ValueError as e:
+                raise ParseError(e.args[0], at + m.start("name")) from None
+        terms.append((block, mult))
+    x = manifold.ManifoldExpr(tuple(terms))
+    cover.check_summands(x)
+    return x
+
+
+def parse_outcome(parse, text):
+    """parse(text), or the (error class, message, offset) of its refusal."""
+    try:
+        return parse(text)
+    except FourfoldError as e:
+        return type(e), e.args[0], getattr(e, "offset", None)

@@ -12,9 +12,10 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from fourfold import charpoly, cli, cover, manifold, obstruct
 from fourfold.errors import (GenusZero, HypothesesNotMet, InvalidSetting,
                              NegativeMultiplicity, ParseError)
@@ -58,6 +59,11 @@ def test_parse_errors():
         cli.parse("S2xSigma(g=0)")
     with pytest.raises(NegativeMultiplicity):
         cli.parse("-2*K3")
+    # a multiplicity is read before the name is looked up
+    with pytest.raises(NegativeMultiplicity, match="-1 "):
+        cli.parse("-1*-Enriques")
+    with pytest.raises(NegativeMultiplicity, match="-3 "):
+        cli.parse("-\u0663*S2xSigma")   # an Arabic-Indic 3, a Unicode decimal
     with pytest.raises(ParseError) as e:
         cli.parse("K3 # Bogus")
     assert e.value.offset == 5
@@ -456,6 +462,40 @@ _BLOCK = st.builds(str.format,
 _TERM = st.one_of(_BLOCK, st.builds("{}*{}".format, st.integers(0, 99), _BLOCK))
 
 
+# what the grammar's \s and \d read and int() reads differently: a next
+# line and an em space are whitespace, an Arabic-Indic 3 is a decimal and a
+# superscript 2 is not, and int() takes "+" and "_"; "{p}" is in _NAMES
+_ODD = st.sampled_from(["\x85", "\u2003", "\u0663", "\u00b2", "+", "_",
+                        "{p}"])
+
+
+# a term of up to three pieces, the first often a multiplicity, which may
+# be negative, or a well-formed term, so that a bad term often follows
+# good ones
+_MULT = st.integers(-99, 99).map("{}*".format)
+_CHARS = st.one_of(_PIECES, _ODD, _MULT,
+                   st.sampled_from(_WORDS).map("-{}".format))
+_FEW = st.builds("{}{}{}".format, st.one_of(st.just(""), _MULT), _CHARS,
+                 st.one_of(st.just(""), _CHARS))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(text=st.one_of(
+    st.lists(_CHARS, max_size=16).map("".join),
+    st.lists(st.one_of(_TERM, _FEW), min_size=1, max_size=4).map("#".join)))
+@example("-1*-Enriques")
+@example("S1xY(b1={p})")
+@example("\u0663*CP2 # S1xY(b1=\u0663) # +1*K3")
+@example("\x85-CP2\u2003# \u00b2*W")
+@example("K3 # S1xY(b1=12")
+@example("CP2\u00b2")
+def test_parse_matches_the_grammar(text):
+    """The table lookup gives the value or error, message and offset that
+    the grammar's regular expression gave."""
+    assert oracles.parse_outcome(cli.parse, text) == \
+        oracles.parse_outcome(oracles.reference_parse, text)
+
+
 def documented_exit(argv):
     """True iff cli.main ends argv in exit 0, 1 or 3, or a usage error's 2,
     or, when a -h or --help before any "--" asks for it, the help's 0."""
@@ -643,13 +683,15 @@ def test_module_run_warns_nothing():
 
 
 COLD_PATH = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 before = set(sys.modules)
 import fourfold.cli
 imported = set(sys.modules) - before
 with contextlib.redirect_stdout(io.StringIO()):
     code = fourfold.cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(imported), sorted(set(sys.modules) - before)]))
+loaded = sorted(set(sys.modules) - before)
+import json   # once the modules are counted: json.decoder imports re
+print(json.dumps([code, sorted(imported), loaded]))
 """
 
 
@@ -678,11 +720,16 @@ def test_cold_path_imports_only_what_it_runs():
     assert code == 0
     assert "fourfold.obstruct" in after_certify
     assert parsers.isdisjoint(after_certify)
-    # without site, whose .pth files may load typing before the child runs
-    code, _, after_clean = cold_child(
-        "spinc", "CP2 # 2*-CP2 # S1xY(b1=1)", flags=("-S",))
-    assert code == 0
-    assert "typing" not in after_clean
+    # without site, whose .pth files may load typing and re before the
+    # child runs: cli reads an expression by table lookup, so spinc and a
+    # plain certify load no re, nor the enum it imports.  certify --json
+    # does load re: `import json.encoder` runs json/__init__, whose
+    # json.decoder imports it
+    for argv in (["spinc", "CP2 # 2*-CP2 # S1xY(b1=1)"],
+                 ["certify", "2*-E8 # 3*S2xS2 # S1xY(b1=1)"]):
+        code, _, after_clean = cold_child(*argv, flags=("-S",))
+        assert code == 0
+        assert {"typing", "re", "enum"}.isdisjoint(after_clean)
 
 
 def test_package_names_resolve_on_first_use():

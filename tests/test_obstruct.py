@@ -293,6 +293,18 @@ def test_theorem_a_fires_on_nonspin_series():
         assert f"w_{ls.b_plus_ell}" in cert.transcript[2]
 
 
+def test_theorem_a_top_class_is_line_sum_w():
+    # check_theorem_A writes w_b from (k, b), for each k <= b that
+    # build_family allows; -E8 makes c1^2 = 0 > sigma, so it fires at k = b
+    for b in range(13):
+        x = cli.parse(f"{b}*S2xS2 # -E8 # S1xY(b1=1)")
+        for k in range(b + 1):
+            cert = obstruct.check_theorem_A(family_for(x, k)[0], 1)
+            top = charpoly.line_sum_w(k, b).render()
+            assert cert.transcript[2] == f"w_{b}(H+(E,l)) = {top}"
+            assert cert.witness_monomial == (top if k == b else "")
+
+
 def test_theorem_a_inconclusive_when_top_class_vanishes():
     x = nonspin_expr(m=0, n=2)
     ls = cover.build_standard_cover(x)
