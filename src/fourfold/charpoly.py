@@ -1,9 +1,9 @@
 """Mod-2 polynomial algebra over the cohomology of a torus.
 
 H*(T^k; Z2) is the exterior algebra on degree-1 generators t1..tk, encoded
-by bitmask subsets so that ti^2 = 0 holds structurally.  Coefficients are
-extended by one Borel generator u of degree 1, so the equivariant Euler
-class w_b + w_{b-1} u that theorem B reads lives in the same ring.
+by bitmask subsets so that ti^2 = 0 holds structurally.  A term may carry a
+power of the degree-1 Borel generator u, which class data refuses; Theorem
+B's Euler class w_b + w_{b-1} u is text that check_theorem_B writes.
 """
 
 import itertools

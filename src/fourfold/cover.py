@@ -169,35 +169,40 @@ def _listing(ls, bound, tail):
     group's suffixes: the rest of its free part, then `tail`.  Pieces and
     suffixes are tuples if `tail` is one, else text, entries joined by
     ", ".  Each (atom, count) pair lists its pieces and their squares once,
-    in `itertools.product`'s lexicographic order.  The lead is the first
-    copy, then each next copy whose c pieces share one square, while lead *
-    c^2 <= rest, the piece counts of the lead and the rest: such a copy adds
-    no bucket.  Copies of one piece all join or none, and others stop in
-    log_c(rest) copies, so the walk is per pair.  The rest fold from the
-    last atom into buckets by square, each product of the lead pairs with
-    each bucket, and the caller joins each class.  Lexicographic pieces
-    keep the groups, and each bucket, lexicographic, so only the distinct
-    squares are sorted.
+    in `itertools.product`'s lexicographic order: one pool per copy, or one
+    pool in all if it has one piece, that piece n times with n times its
+    square.  The lead is the first pool, then each next pool whose c pieces
+    share one square, while lead * c^2 <= rest, the piece counts of the
+    lead and the rest: such a pool adds no bucket.  Pools of c >= 2 pieces
+    stop it within log2(rest) pools, so the walk is per pair.  The rest
+    fold from the last pool into buckets by square, each product of the
+    lead pairs with each bucket, and the caller joins each class.
+    Lexicographic pieces keep the groups, and each bucket, lexicographic,
+    so only the distinct squares are sorted.
     """
     columns = parity_box(ls, bound)
     text = type(tail) is not tuple
+    join = ", ".join if text else (
+        lambda p: tuple(itertools.chain.from_iterable(p)))
     pieces, squares, off, rest = [], [], 0, 1
     for atom, n in ls.free:
         vs = list(itertools.product(*columns[off:off + atom.rank]))
         off += atom.rank * n
         rest *= len(vs) ** n
-        pieces += [[", ".join(map(str, v)) for v in vs] if text else vs] * n
-        squares += [list(map(atom.square, vs))] * n
+        sq = list(map(atom.square, vs))
+        vs = [", ".join(map(str, v)) for v in vs] if text else vs
+        if len(vs) == 1:   # joined as text: joining the ints is slower
+            vs, sq, n = [join(vs * n)], [n * sq[0]], 1
+        pieces += [vs] * n
+        squares += [sq] * n
     if not pieces:
         return [(0, [(tail[:0], [tail])])]
-    k, end, lead = 0, 0, 1
-    for _, n in ls.free:   # the pair's copies run from k to end
-        c, end = len(pieces[k]), end + n
-        while k < end and (not k or len(set(squares[k])) == 1
-                           and lead * c * c <= rest):
-            k, lead, rest = end if c == 1 else k + 1, lead * c, rest // c
-        if k < end:
+    k, lead = 0, 1   # the lead is pieces[:k]
+    while k < len(pieces):
+        c = len(pieces[k])
+        if k and (len(set(squares[k])) > 1 or lead * c * c > rest):
             break
+        k, lead, rest = k + 1, lead * c, rest // c
     buckets, sep = {0: [tail]}, ", " if text else ()
     for i in range(len(pieces) - 1, k - 1, -1):
         folded = {}
@@ -206,8 +211,6 @@ def _listing(ls, bound, tail):
             for s, suffixes in buckets.items():
                 folded.setdefault(s + part, []).extend(map(add, suffixes))
         buckets = folded
-    join = ", ".join if text else (
-        lambda p: tuple(itertools.chain.from_iterable(p)))
     groups = {}
     for first, part in zip(itertools.product(*pieces[:k]),
                            map(sum, itertools.product(*squares[:k]))):

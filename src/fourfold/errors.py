@@ -2,41 +2,38 @@
 
 
 class FourfoldError(Exception):
-    """Base class for all errors raised by this package."""
-
-    code = "Error"
+    """Base class for all errors raised by this package; one prints as its
+    class name, then ": " and its message if it has one."""
 
     def __str__(self):
-        msg = super().__str__()
-        return f"{self.code}: {msg}" if msg else self.code
+        msg, name = super().__str__(), type(self).__name__
+        return f"{name}: {msg}" if msg else name
 
 
 class InvalidSetting(FourfoldError, ValueError):
     """An option or an input size outside its allowed range."""
 
-    code = "InvalidSetting"
-
 
 # lattice
 
 class DimensionMismatch(FourfoldError):
-    code = "DimensionMismatch"
+    """A free part whose length is not its cover's rank."""
 
 
 # manifold
 
 class DefinitePartUnsupported(FourfoldError):
-    code = "DefinitePartUnsupported"
+    """A nonempty simply-connected part that is definite."""
 
 
 class OrientationReversalUnavailable(FourfoldError):
-    code = "OrientationReversalUnavailable"
+    """A block whose mirror is not modeled."""
 
 
 # cover
 
 class NoNontrivialCoverAvailable(FourfoldError):
-    code = "NoNontrivialCoverAvailable"
+    """A sum that the standard double-cover recipe does not apply to."""
 
 
 # charpoly
@@ -44,36 +41,32 @@ class NoNontrivialCoverAvailable(FourfoldError):
 class ModeMismatch(FourfoldError):
     """Operands over tori of different dimension."""
 
-    code = "ModeMismatch"
-
 
 # obstruct
 
 class SlotUnavailable(FourfoldError):
-    code = "SlotUnavailable"
+    """A reflection slot the sum does not hold, or two on one pair."""
 
 
 class PreconditionViolated(FourfoldError):
-    code = "PreconditionViolated"
+    """An argument outside what the function is defined on."""
 
 
 class ZeroClassUnavailable(FourfoldError):
-    code = "ZeroClassUnavailable"
+    """w2 + w1^2 != 0, so no candidate class has c1 = 0."""
 
 
 class RankMismatch(FourfoldError):
-    code = "RankMismatch"
+    """Class data over a torus other than the family's."""
 
 
 class HypothesesNotMet(FourfoldError):
-    code = "HypothesesNotMet"
+    """A sum outside the hypotheses of every scenario tried."""
 
 
 # cli
 
 class ParseError(FourfoldError):
-    code = "ParseError"
-
     def __init__(self, message, offset=None):
         super().__init__(message)
         self.offset = offset
@@ -86,8 +79,8 @@ class ParseError(FourfoldError):
 
 
 class GenusZero(FourfoldError):
-    code = "GenusZero"
+    """An S2xSigma block of genus 0."""
 
 
 class NegativeMultiplicity(FourfoldError):
-    code = "NegativeMultiplicity"
+    """A summand count below 0."""

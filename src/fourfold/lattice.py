@@ -3,11 +3,12 @@
 Forms are direct sums of atoms: rank-1 diagonal summands, hyperbolic
 planes, and the rank-8 even unimodular definite lattice (either sign).
 
-Every atom carries its `rank`, its `inertia` (b_plus, b_minus, b_zero),
-whether it is `even`, `square(v)`: the exact value v^T Q v on a vector of
-its rank, its Wu class `wu` and `maximizer(bound)`: the lexicographically
-smallest characteristic vector of largest square with entries in [-bound,
-bound].  No atom holds a Gram matrix: E8's square walks E8_MATRIX.
+Every atom carries its `rank`, its `inertia` (b_plus, b_minus), as no
+atom is degenerate, `square(v)`: the exact value v^T Q v on a vector of its
+rank, its Wu class `wu`, which is 0 iff the atom is even, and
+`maximizer(bound)`: the lexicographically smallest characteristic vector
+of largest square with entries in [-bound, bound].  No atom holds a Gram
+matrix: E8's square walks E8_MATRIX.
 """
 
 from ._frozen import frozen
@@ -31,7 +32,6 @@ E8_MATRIX = (
 class Diag:
     eps: int  # +1 or -1
     rank = 1
-    even = False
     wu = (1,)
 
     def __post_init__(self):
@@ -40,7 +40,7 @@ class Diag:
 
     @property
     def inertia(self):
-        return (1, 0, 0) if self.eps > 0 else (0, 1, 0)
+        return (1, 0) if self.eps > 0 else (0, 1)
 
     def square(self, v):
         return self.eps * v[0] * v[0]
@@ -56,8 +56,7 @@ class Diag:
 @frozen
 class Hyperbolic:
     rank = 2
-    inertia = (1, 1, 0)
-    even = True
+    inertia = (1, 1)
     wu = (0, 0)
 
     def square(self, v):
@@ -73,7 +72,6 @@ class Hyperbolic:
 class E8:
     sign: int  # +1 or -1
     rank = 8
-    even = True
     wu = (0,) * 8
 
     def __post_init__(self):
@@ -82,7 +80,7 @@ class E8:
 
     @property
     def inertia(self):
-        return (8, 0, 0) if self.sign > 0 else (0, 8, 0)
+        return (8, 0) if self.sign > 0 else (0, 8)
 
     def square(self, v):
         return self.sign * sum(vi * mij * vj for row, vi in zip(E8_MATRIX, v)

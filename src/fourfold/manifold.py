@@ -19,26 +19,25 @@ from .errors import (
 
 
 class BlockSpec(tuple):
-    """The facts that fix a block's invariants; one row of BLOCKS.  A tuple
-    subclass, as Invariants is: a NamedTuple would load `typing`."""
+    """The facts that fix a block's invariants; one row of BLOCKS.  Spin (an
+    even form, not W) and H^1's Z2 torsion (1 on W alone) follow from them.
+    A tuple subclass, as Invariants is: a NamedTuple would load `typing`."""
 
     __slots__ = ()
 
-    def __new__(cls, name, atoms, b1, spin, ks, h1_torsion, mirror, part,
-                reflect=None, floor=()):
-        return tuple.__new__(cls, (name, atoms, b1, spin, ks, h1_torsion,
-                                   mirror, part, reflect, floor))
+    def __new__(cls, name, atoms, ks, mirror, part, reflect=None, b1=None,
+                floor=()):
+        return tuple.__new__(cls, (name, atoms, ks, mirror, part, reflect,
+                                   b1, floor))
 
     name = property(operator.itemgetter(0))    # rendered: {p} is the param
     atoms = property(operator.itemgetter(1))   # param -> form's (atom, count)
-    b1 = property(operator.itemgetter(2))      # param -> first Betti number
-    spin = property(operator.itemgetter(3))    # iff even; W: no (torsion w2)
-    ks = property(operator.itemgetter(4))      # Kirby-Siebenmann bit
-    h1_torsion = property(operator.itemgetter(5))  # rank H^1(-; Z2) - b1
-    mirror = property(operator.itemgetter(6))  # reversed kind; "" if unknown
-    part = property(operator.itemgetter(7))    # "sc", "N" (twisted), "" (W)
-    reflect = property(operator.itemgetter(8))  # slot's H^2 map; None: none
-    floor = property(operator.itemgetter(9))   # (least param, error, message)
+    ks = property(operator.itemgetter(2))      # Kirby-Siebenmann bit
+    mirror = property(operator.itemgetter(3))  # reversed kind; "" if unknown
+    part = property(operator.itemgetter(4))    # "sc", "N" (twisted), "" (W)
+    reflect = property(operator.itemgetter(5))  # slot's H^2 map; None: none
+    b1 = property(operator.itemgetter(6))      # param -> b1; None: b1 = 0
+    floor = property(operator.itemgetter(7))   # (least param, error, message)
 
 
 # lattice atoms are immutable, so every block shares these
@@ -48,30 +47,25 @@ _DIAG = {1: lattice.Diag(1), -1: lattice.Diag(-1)}
 
 # one row per block kind, in the canonical summand order
 BLOCKS = {
-    "E8": BlockSpec("E8", lambda p: ((_E8[1], 1),),
-                    lambda p: 0, True, 1, 0, "NegE8", "sc"),
-    "NegE8": BlockSpec("-E8", lambda p: ((_E8[-1], 1),),
-                       lambda p: 0, True, 1, 0, "E8", "sc"),
-    "K3": BlockSpec("K3", lambda p: ((_E8[-1], 2), (_H, 3)),
-                    lambda p: 0, True, 0, 0, "NegK3", "sc"),
-    "NegK3": BlockSpec("-K3", lambda p: ((_E8[1], 2), (_H, 3)),
-                       lambda p: 0, True, 0, 0, "K3", "sc"),
-    "S2xS2": BlockSpec("S2xS2", lambda p: ((_H, 1),),
-                       lambda p: 0, True, 0, 0, "S2xS2", "sc",
+    "E8": BlockSpec("E8", lambda p: ((_E8[1], 1),), 1, "NegE8", "sc"),
+    "NegE8": BlockSpec("-E8", lambda p: ((_E8[-1], 1),), 1, "E8", "sc"),
+    "K3": BlockSpec("K3", lambda p: ((_E8[-1], 2), (_H, 3)), 0, "NegK3",
+                    "sc"),
+    "NegK3": BlockSpec("-K3", lambda p: ((_E8[1], 2), (_H, 3)), 0, "K3",
+                       "sc"),
+    "S2xS2": BlockSpec("S2xS2", lambda p: ((_H, 1),), 0, "S2xS2", "sc",
                        lambda v: (-v[1], -v[0])),
-    "CP2": BlockSpec("CP2", lambda p: ((_DIAG[1], 1),),
-                     lambda p: 0, False, 0, 0, "NegCP2", "sc",
+    "CP2": BlockSpec("CP2", lambda p: ((_DIAG[1], 1),), 0, "NegCP2", "sc",
                      lambda v: (-v[0],)),
-    "NegCP2": BlockSpec("-CP2", lambda p: ((_DIAG[-1], 1),),
-                        lambda p: 0, False, 0, 0, "CP2", "sc"),
-    "NegCP2Fake": BlockSpec("-CP2fake", lambda p: ((_DIAG[-1], 1),),
-                            lambda p: 0, False, 1, 0, "", "sc"),
-    "W": BlockSpec("W", lambda p: (), lambda p: 0, False, 1, 1, "W", ""),
-    "S1xY": BlockSpec("S1xY(b1={p})", lambda p: ((_H, p),),
-                      lambda p: 1 + p, True, 0, 0, "S1xY", "N",
+    "NegCP2": BlockSpec("-CP2", lambda p: ((_DIAG[-1], 1),), 0, "CP2", "sc"),
+    "NegCP2Fake": BlockSpec("-CP2fake", lambda p: ((_DIAG[-1], 1),), 1, "",
+                            "sc"),
+    "W": BlockSpec("W", lambda p: (), 1, "W", ""),
+    "S1xY": BlockSpec("S1xY(b1={p})", lambda p: ((_H, p),), 0, "S1xY", "N",
+                      b1=lambda p: 1 + p,
                       floor=(0, InvalidSetting, "b1 must be non-negative")),
-    "S2xSigma": BlockSpec("S2xSigma(g={p})", lambda p: ((_H, 1),),
-                          lambda p: 2 * p, True, 0, 0, "S2xSigma", "N",
+    "S2xSigma": BlockSpec("S2xSigma(g={p})", lambda p: ((_H, 1),), 0,
+                          "S2xSigma", "N", b1=lambda p: 2 * p,
                           floor=(1, GenusZero,
                                  "S2xSigma requires positive genus")),
 }
@@ -81,11 +75,12 @@ _ORDER = {kind: i for i, kind in enumerate(BLOCKS)}
 class Invariants(tuple):
     """The additive invariants of a block or of a sum of blocks.
 
-    A tuple (b_plus, b_minus, ks_count, odd, nonspin, torsion) whose
-    entries add over summands, so a sum's are the entrywise sums of its
-    blocks'.  No block's form is degenerate: b2 = b_plus + b_minus.  A
-    tuple subclass rather than a NamedTuple: it is built in C, and its
-    class costs nothing to create at import.
+    A tuple (b_plus, b_minus, ks_count, odd, torsion) whose entries add
+    over summands, so a sum's are the entrywise sums of its blocks'.  No
+    block's form is degenerate: b2 = b_plus + b_minus.  A sum is spin iff
+    no summand has an odd form or a W.  A tuple subclass rather than a
+    NamedTuple: it is built in C, and its class costs nothing to create at
+    import.
     """
 
     __slots__ = ()
@@ -93,8 +88,7 @@ class Invariants(tuple):
     b_minus = property(operator.itemgetter(1))
     ks_count = property(operator.itemgetter(2))  # summands with KS bit 1
     odd = property(operator.itemgetter(3))       # summands with odd forms
-    nonspin = property(operator.itemgetter(4))   # summands not spin
-    torsion = property(operator.itemgetter(5))   # W summands: H1 Z2 slots
+    torsion = property(operator.itemgetter(4))   # W summands: H1 Z2 slots
 
     @property
     def sigma(self):
@@ -114,7 +108,7 @@ class Invariants(tuple):
 
     @property
     def spin(self):
-        return not self.nonspin
+        return not (self.odd or self.torsion)
 
 
 @frozen
@@ -152,19 +146,18 @@ class Block:
         except ValueError as e:
             raise InvalidSetting(str(e)) from None
         d["atoms"] = atoms = spec.atoms(self.param)
-        b_plus = b_minus = 0
-        odd = False
+        b_plus = b_minus = odd = 0
         for atom, n in atoms:
-            p, m, _ = atom.inertia
+            p, m = atom.inertia
             b_plus += n * p
             b_minus += n * m
-            odd = odd or not atom.even
-        d["inv"] = Invariants((b_plus, b_minus, spec.ks, int(odd),
-                               int(not spec.spin), spec.h1_torsion))
+            odd |= 1 in atom.wu
+        d["inv"] = Invariants((b_plus, b_minus, spec.ks, odd,
+                               int(spec.part == "")))
 
     @property
     def b1(self):
-        return self.spec.b1(self.param)
+        return self.spec.b1(self.param) if self.spec.b1 else 0
 
 
 # one shared Block per name without a parameter: values are immutable, so
@@ -203,29 +196,26 @@ class ManifoldExpr:
         terms = [merged[key] for key in sorted(merged) if merged[key][1]]
         # the one walk: each pair's Invariants, times its count, summed
         # over the simply-connected part (s*) and over the rest (r*)
-        sp = sm = sk = so = sn = st = rp = rm = rk = ro = rn = rt = 0
+        sp = sm = sk = so = st = rp = rm = rk = ro = rt = 0
         for b, n in terms:
-            p, m, k, o, ns, t = b.inv
+            p, m, k, o, t = b.inv
             if b.spec.part == "sc":
                 sp += n * p
                 sm += n * m
                 sk += n * k
                 so += n * o
-                sn += n * ns
                 st += n * t
             else:
                 rp += n * p
                 rm += n * m
                 rk += n * k
                 ro += n * o
-                rn += n * ns
                 rt += n * t
         d = self.__dict__
         d["terms"] = tuple(terms)
         # not fields: the sum's Invariants, and its simply-connected part's
-        d["sc"] = Invariants((sp, sm, sk, so, sn, st))
-        d["inv"] = Invariants((sp + rp, sm + rm, sk + rk, so + ro, sn + rn,
-                               st + rt))
+        d["sc"] = Invariants((sp, sm, sk, so, st))
+        d["inv"] = Invariants((sp + rp, sm + rm, sk + rk, so + ro, st + rt))
 
     @property
     def b1(self):

@@ -39,11 +39,11 @@ from fourfold.errors import (
 
 
 class NonMonicDenominator(FourfoldError):
-    code = "NonMonicDenominator"
+    """A denominator whose top u coefficient is not 1 + nilpotent."""
 
 
 class NonExactDivision(FourfoldError):
-    code = "NonExactDivision"
+    """A denominator that does not divide the numerator."""
 
 
 def min_u(p):

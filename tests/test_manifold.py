@@ -191,8 +191,10 @@ def test_sum_invariants_match_the_reference(blocks, reverse):
         assert (part.b_plus, part.b_minus, 0, part.odd > 0) == \
             oracles.sum_inertia(terms)
         assert part.ks == sum(b.spec.ks for b in summands) % 2
-        assert part.spin == all(b.spec.spin for b in summands)
-        assert part.torsion == sum(b.spec.h1_torsion for b in summands)
+        # spin iff the sum's Gram matrix is even and it holds no W
+        assert part.spin == (not oracles.sum_inertia(terms)[3]
+                             and all(b.kind != "W" for b in summands))
+        assert part.torsion == sum(b.kind == "W" for b in summands)
 
 
 # --- mirror ---
@@ -279,7 +281,7 @@ def test_even_rows_satisfy_rokhlin():
     for kind, spec in manifold.BLOCKS.items():
         if spec.part == "sc":
             b = manifold.Block(kind)
-            if all(atom.even for atom, _ in b.atoms):
+            if not any(any(atom.wu) for atom, _ in b.atoms):
                 assert spec.ks == (b.inv.sigma // 8) % 2, kind
 
 
